@@ -42,6 +42,7 @@ from .experiment import (
     bounds_experiment,
     compensation_experiment,
     generate_samples,
+    sample_cases,
 )
 from .formats import (
     BINARY32,
@@ -118,6 +119,7 @@ __all__ = [
     "BoundsRow",
     "CompRow",
     "generate_samples",
+    "sample_cases",
     "bounds_experiment",
     "compensation_experiment",
     "TABLE2_CONFIGS",

@@ -41,7 +41,7 @@ from .experiment import (
     DEFAULT_SEED,
     bounds_experiment,
     compensation_experiment,
-    generate_samples,
+    sample_cases,
 )
 from .formats import BINARY32, FORMATS, FloatFormat, resolve_format, unit_roundoff
 from .rationals import is_in_format, round_to_format
@@ -223,13 +223,13 @@ def _cmd_compensate(args) -> int:
 
 
 def _run_table(args, name) -> int:
-    samples = generate_samples(args.seed, args.samples, args.D, args.range_ppm)
+    cases = sample_cases(args.seed, args.samples, args.D, args.range_ppm)
     if name == "table2":
-        rows = list(_table2_dicts(bounds_experiment(samples, args.i, eps_coeff=args.eps_coeff)))
+        rows = list(_table2_dicts(bounds_experiment(cases, args.i, eps_coeff=args.eps_coeff)))
         header = TABLE2_HEADER
     else:
         rows = list(
-            _table3_dicts(compensation_experiment(samples, args.i, eps_coeff=args.eps_coeff))
+            _table3_dicts(compensation_experiment(cases, args.i, eps_coeff=args.eps_coeff))
         )
         header = TABLE3_HEADER
     meta = _table_meta(name, args)
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="skewcomp",
         description="Clock-skew compensation with guaranteed floating-point bounds.",
-        epilog="SKEWCOMP_THREADS sets the worker count for table runs.",
     )
     parser.add_argument("--version", action="version", version=f"skewcomp {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -6,21 +6,27 @@ binary64 floor baseline (errors and iteration counts).  Samples draw a
 skew uniformly from a lattice with 1e-9 ppm steps, which keeps every
 draw an exact rational and makes runs reproducible from the seed alone.
 
-Distinct (D, A) pairs are evaluated once and weighted by multiplicity:
-with the default 100 ppm range there are only 201 possible A values, so
-this turns desk-scale sample counts into a few hundred evaluations.
+The experiments take the population as a (D, A) -> weight mapping, or as
+a sample sequence that they collapse into one, and evaluate each
+distinct case once.  With the default 100 ppm range there are only 201
+possible A values, so sample_cases draws the weighted case table
+directly: it reproduces random.Random(seed).randint draw for draw from
+the generator's raw 32-bit words, in numpy blocks of bounded size, so
+even 1e7 samples take about a second and a flat amount of memory.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
-from typing import Callable, Iterable, Sequence
+from typing import Union
+
+import numpy as np
 
 from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, naive_compensate
@@ -32,6 +38,7 @@ __all__ = [
     "BoundsRow",
     "CompRow",
     "generate_samples",
+    "sample_cases",
     "bounds_experiment",
     "compensation_experiment",
     "TABLE2_CONFIGS",
@@ -64,6 +71,10 @@ TABLE3_ALGORITHMS = (
 
 # ppm values live on a lattice with this many steps per ppm
 _PPM_STEPS = 10**9
+# lattice steps per unit of skew
+_SKEW_STEPS = _PPM_STEPS * 10**6
+# rejection-sampling attempts drawn per numpy block
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,8 +121,47 @@ def generate_samples(
 ) -> list[ClockSample]:
     """n samples with A = round-half-up(D * (1 + skew_ppm * 1e-6)).
 
-    Deterministic for a fixed seed; draws use the stdlib Mersenne
-    Twister, whose integer methods are stable across Python versions.
+    Deterministic for a fixed seed: in lattice steps, the skews are the
+    successive values of random.Random(seed).randint(-reach, reach), where
+    reach = range_ppm * 1e9.
+    """
+    samples = []
+    for steps, offsets in _draw_blocks(seed, n, D, range_ppm):
+        for m, offset in zip(steps.tolist(), offsets.tolist()):
+            samples.append(ClockSample(D=D, A=D + offset, skew_ppm=Fraction(m, _PPM_STEPS)))
+    return samples
+
+
+def sample_cases(
+    seed: int,
+    n: int,
+    D: int = DEFAULT_D,
+    range_ppm: Rational = DEFAULT_RANGE_PPM,
+) -> Counter:
+    """The generate_samples population as a (D, A) -> count table.
+
+    Equal to Counter((s.D, s.A) for s in generate_samples(...)) without
+    building the samples, so time is linear and memory flat in n.
+    """
+    counts: Counter = Counter()
+    for _, offsets in _draw_blocks(seed, n, D, range_ppm):
+        values, weights = np.unique(offsets, return_counts=True)
+        counts.update({(D, D + offset): w for offset, w in zip(values.tolist(), weights.tolist())})
+    return counts
+
+
+def _draw_blocks(
+    seed: int, n: int, D: int, range_ppm: Rational
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(lattice steps m, A - D) of the n draws, in order, block by block.
+
+    randint(-reach, reach) is -reach plus getrandbits(k) rejection-sampled
+    below 2 * reach + 1, with k = (2 * reach + 1).bit_length().  For k <= 32 an
+    attempt is one generator word w, giving w >> (32 - k); for k <= 64 it
+    is an aligned word pair (w0, w1), giving w0 | (w1 >> (64 - k)) << 32.
+    getrandbits(32 * W) returns the next W words least significant first,
+    so its little-endian bytes are the raw word stream.  Surplus attempts
+    past the n-th accepted draw are discarded with the generator.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -120,15 +170,33 @@ def generate_samples(
     limit = Fraction(range_ppm) * _PPM_STEPS
     if limit < 0 or limit.denominator != 1:
         raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {range_ppm}")
+    if limit >= _PPM_STEPS * 500_000:
+        # case 2 decomposes D/A into (D - A)/A, which needs A > D/2
+        raise ValueError(f"range_ppm must be below 500000, got {range_ppm}")
     reach = int(limit)
+    span = 2 * reach + 1
+    k = span.bit_length()  # at most 50 below the range cap
+    words = 1 if k <= 32 else 2
+    # A - D = round-half-up(D * m / _SKEW_STEPS), with the fraction reduced
+    g = gcd(D, _SKEW_STEPS)
+    d, s = D // g, _SKEW_STEPS // g
+    # int64 is exact while |2 * d * m + s| stays below 2**63
+    exact_int64 = 2 * d * reach + s < 2**63
     rng = random.Random(seed)
-    scale = _PPM_STEPS * 10**6  # lattice steps per unit of skew
-    samples = []
-    for _ in range(n):
-        m = rng.randint(-reach, reach)
-        A = (2 * (D * scale + D * m) + scale) // (2 * scale)
-        samples.append(ClockSample(D=D, A=A, skew_ppm=Fraction(m, _PPM_STEPS)))
-    return samples
+    left = n
+    while left:
+        # more than half of all attempts are accepted, so 2 * left usually suffice
+        attempts = min(_BLOCK, 2 * left)
+        raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
+        w = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+        if words == 1:
+            value = w >> np.uint64(32 - k)
+        else:
+            value = w[0::2] | (w[1::2] >> np.uint64(64 - k)) << np.uint64(32)
+        steps = value[value < span][:left].astype(np.int64) - reach
+        left -= len(steps)
+        m = steps if exact_int64 else steps.astype(object)
+        yield steps, (2 * d * m + s) // (2 * s)
 
 
 def _decompose(D: int, A: int) -> int:
@@ -136,23 +204,6 @@ def _decompose(D: int, A: int) -> int:
     if D == A:
         return 0
     return D if D < A else D - A
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SKEWCOMP_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"SKEWCOMP_THREADS must be an integer, got {raw!r}") from None
-    return max(count, 1)
-
-
-def _map_cases(fn: Callable, cases: Sequence) -> list:
-    threads = _thread_count()
-    if threads > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cases))
-    return [fn(case) for case in cases]
 
 
 def _collect(values_weights: Iterable[tuple[int, int]]) -> StatSummary:
@@ -171,25 +222,39 @@ def _collect(values_weights: Iterable[tuple[int, int]]) -> StatSummary:
     return StatSummary(min=vmin, max=vmax, avg=Fraction(total, count), count=count)
 
 
-def _case_counts(samples: Sequence[ClockSample]) -> tuple[list, Counter]:
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    counts = Counter((s.D, s.A) for s in samples)
-    return sorted(counts), counts
+Population = Union[Sequence[ClockSample], Mapping[tuple[int, int], int]]
+
+
+def _case_counts(population: Population) -> tuple[list[tuple[int, int]], list[int]]:
+    """Sorted distinct (D, A) cases and their weights, as parallel lists."""
+    if isinstance(population, Mapping):
+        counts = population
+    else:
+        counts = Counter((s.D, s.A) for s in population)
+    if not counts:
+        raise ValueError("population must be nonempty")
+    cases = sorted(counts)
+    weights = [counts[case] for case in cases]
+    if min(weights) < 1:
+        raise ValueError("case weights must be positive")
+    return cases, weights
 
 
 def bounds_experiment(
-    samples: Sequence[ClockSample],
+    population: Population,
     i_list: Sequence[int] = DEFAULT_I_LIST,
     configs: Sequence[tuple[str, str]] = TABLE2_CONFIGS,
     eps_coeff=DEFAULT_EPS_COEFF,
 ) -> list[BoundsRow]:
-    """Bound deltas per (method, precision, i) over the sample set.
+    """Bound deltas per (method, precision, i) over the population.
+
+    The population is a sample sequence or a (D, A) -> weight mapping
+    such as sample_cases returns; each distinct case is evaluated once.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
     """
-    cases, counts = _case_counts(samples)
+    cases, weights = _case_counts(population)
     rows = []
     for method, precision in configs:
         fmt = resolve_format(precision)
@@ -202,8 +267,7 @@ def bounds_experiment(
             return interval_deltas(cand, ref)
 
         for i in i_list:
-            pairs = _map_cases(lambda case, i=i: deltas_for(case, i), cases)
-            weights = [counts[case] for case in cases]
+            pairs = [deltas_for(case, i) for case in cases]
             rows.append(
                 BoundsRow(
                     method=method,
@@ -217,7 +281,7 @@ def bounds_experiment(
 
 
 def compensation_experiment(
-    samples: Sequence[ClockSample],
+    population: Population,
     i_list: Sequence[int] = DEFAULT_I_LIST,
     algorithms: Sequence[tuple[str, str]] = TABLE3_ALGORITHMS,
     eps_coeff=DEFAULT_EPS_COEFF,
@@ -228,7 +292,7 @@ def compensation_experiment(
     the double-precision floor baseline.  Interval misses are counted in
     violations, never silently dropped.
     """
-    cases, counts = _case_counts(samples)
+    cases, weights = _case_counts(population)
     baseline = {
         (i, case): naive_compensate(i, case[0], case[1], "binary64")
         for i in i_list
@@ -249,8 +313,7 @@ def compensation_experiment(
             return baseline[(i, (D, A))] - j, iters, violated
 
         for i in i_list:
-            outcomes = _map_cases(lambda case, i=i: outcome_for(case, i), cases)
-            weights = [counts[case] for case in cases]
+            outcomes = [outcome_for(case, i) for case in cases]
             rows.append(
                 CompRow(
                     algorithm=algorithm,

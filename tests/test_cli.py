@@ -1,11 +1,17 @@
 """Command line surface: output format, exit codes, golden rows."""
 
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewcomp
 from skewcomp.cli import TABLE2_HEADER, TABLE3_HEADER, main
 
 
@@ -116,6 +122,45 @@ def test_table3_csv_shape(capsys):
     # the naive row at i=1e6 is error free on this population at any seed
     assert (naive["err_min"], naive["err_max"], naive["err_avg"]) == ("0", "0", "0.0000e+00")
     assert naive["violations"] == "0"
+
+
+# sha256 of the CSV bytes, recorded from the per-sample randint draw
+GOLDEN_TABLES = {
+    ("table2", "1e6"): "ae89943c48cbcff4d40ba6c8ec0297ed8b2929149a316a63ffff18f3ed06473c",
+    ("table3", "1e6"): "66526c9d74229f34af302078bcbd5e262dc79a89d180696484e022ba43d4cac9",
+    ("table2", "1e9"): "998e7d950de9f631cac84cfb6e856e80e7f604cc3785b411f3645a35cfacd315",
+    ("table3", "1e9"): "3f6be8f73392dc762ebf870d623cc80a80be0aef35c77501c4b41d8765b12cdb",
+}
+
+
+@pytest.mark.parametrize("table, D", sorted(GOLDEN_TABLES))
+def test_table_bytes_are_golden(capsys, table, D):
+    code, out, _ = run(capsys, table, "--seed", "42", "-n", "2000", "--D", D)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_TABLES[table, D]
+
+
+def test_table_run_does_not_import_numpy_random():
+    # numpy.random costs about 6 MB of resident memory per process
+    src = str(Path(skewcomp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "from skewcomp.cli import main\n"
+        "code = main(['table2', '-n', '1000', '--i', '1e6', '-o', sys.argv[1]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_range_of_half_the_clock_exits_1(capsys):
+    code, out, err = run(capsys, "table2", "--range-ppm", "6e5", "-n", "10")
+    assert code == 1
+    assert out == ""
+    assert "range_ppm must be below 500000" in err
 
 
 def test_table_runs_are_deterministic(capsys):

@@ -1,8 +1,12 @@
 """Sample generation and table reproduction at experiment scale."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcomp.compensator import naive_compensate, oracle_nearest
 from skewcomp.experiment import (
@@ -10,8 +14,67 @@ from skewcomp.experiment import (
     bounds_experiment,
     compensation_experiment,
     generate_samples,
+    sample_cases,
 )
 from skewcomp.rationals import round_half_up_rat
+
+
+def reference_draws(seed, n, D, range_ppm):
+    """(lattice steps, A) per sample, drawn one stdlib randint at a time."""
+    reach = int(Fraction(range_ppm) * 10**9)
+    scale = 10**15  # lattice steps per unit of skew
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        m = rng.randint(-reach, reach)
+        draws.append((m, (2 * (D * scale + D * m) + scale) // (2 * scale)))
+    return draws
+
+
+def assert_matches_reference(seed, n, D, range_ppm):
+    want = reference_draws(seed, n, D, range_ppm)
+    got = [(s.D, s.skew_ppm * 10**9, s.A) for s in generate_samples(seed, n, D, range_ppm)]
+    assert got == [(D, m, A) for m, A in want]
+    assert sample_cases(seed, n, D, range_ppm) == Counter((D, A) for _, A in want)
+
+
+# range_ppm 0, 1e-9, 1 and 2 draw from one 32-bit word per attempt, 100
+# from an aligned pair (k = 38)
+@pytest.mark.parametrize("seed", [0, 42, -3, 2**40 + 7])
+@pytest.mark.parametrize("range_ppm", [0, Fraction(1, 10**9), 1, 2, 100])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_draws_match_stdlib_randint(seed, range_ppm, n):
+    assert_matches_reference(seed, n, 10**6, range_ppm)
+
+
+@pytest.mark.parametrize("range_ppm", [Fraction(1, 10**9), 100])
+def test_draws_match_stdlib_randint_across_blocks(range_ppm):
+    # more accepted draws than one block of 2**16 attempts holds
+    assert_matches_reference(42, 70_000, 10**6, range_ppm)
+
+
+def test_draws_match_stdlib_randint_beyond_int64():
+    # 2 * 999983 * 1e14 overflows int64, so A is computed on Python ints
+    assert_matches_reference(7, 3000, 999983, 10**5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**64),
+    n=st.integers(0, 2000),
+    steps=st.integers(0, 5 * 10**14 - 1),
+    D=st.integers(1, 10**12),
+)
+def test_draws_match_stdlib_randint_property(seed, n, steps, D):
+    assert_matches_reference(seed, n, D, Fraction(steps, 10**9))
+
+
+def test_range_must_stay_below_half_the_clock():
+    # case 2 decomposition needs A > D/2
+    for sampler in (generate_samples, sample_cases):
+        with pytest.raises(ValueError, match="range_ppm must be below 500000"):
+            sampler(1, 10, range_ppm=500_000)
+        sampler(1, 10, range_ppm=Fraction(499_999_999_999_999, 10**9))
 
 
 def test_generation_is_deterministic():
@@ -74,6 +137,7 @@ def test_stats_are_count_weighted():
     assert row_one.dlb.max == row_tri.dlb.max
     assert row_one.dlb.avg == row_tri.dlb.avg
     assert row_tri.dlb.count == 3
+    assert bounds_experiment({(10**6, 10**6 + 37): 3}, i_list=(10**7,))[0] == row_tri
 
 
 def test_single_sample_bounds_row_matches_direct_computation():
@@ -123,17 +187,25 @@ def test_compensation_err_convention():
     assert practical_row.err.min == base - oracle_nearest(i, sample.D, sample.A)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_case_table_and_samples_give_the_same_rows():
     samples = generate_samples(5, 300)
-    monkeypatch.setenv("SKEWCOMP_THREADS", "1")
-    serial = bounds_experiment(samples, i_list=(10**7,))
-    monkeypatch.setenv("SKEWCOMP_THREADS", "4")
-    threaded = bounds_experiment(samples, i_list=(10**7,))
-    assert serial == threaded
+    cases = sample_cases(5, 300)
+    assert bounds_experiment(cases, i_list=(10**7, 10**9)) == bounds_experiment(
+        samples, i_list=(10**7, 10**9)
+    )
+    assert compensation_experiment(cases, i_list=(10**9,)) == compensation_experiment(
+        samples, i_list=(10**9,)
+    )
 
 
 def test_empty_population_rejected():
-    with pytest.raises(ValueError):
-        bounds_experiment([], i_list=(10**6,))
-    with pytest.raises(ValueError):
-        compensation_experiment([], i_list=(10**6,))
+    for empty in ([], sample_cases(1, 0)):
+        with pytest.raises(ValueError):
+            bounds_experiment(empty, i_list=(10**6,))
+        with pytest.raises(ValueError):
+            compensation_experiment(empty, i_list=(10**6,))
+
+
+def test_nonpositive_weight_rejected():
+    with pytest.raises(ValueError, match="weights must be positive"):
+        bounds_experiment({(10**6, 10**6 + 1): 2, (10**6, 10**6): 0}, i_list=(10**6,))
