@@ -12,8 +12,12 @@ the true compensated clock around t_hat:
     approximate: floor/ceil of t_hat -/+ (1 + eps_hat), eps_hat = fl(eps_coeff * i).
 
 The reference interval applies the theoretical coefficients to the exact
-t in exact rational arithmetic; it is what the candidates are judged
-against.
+t; it is what the candidates are judged against.
+
+Every interval end is the floor or ceil of an exact product, computed as
+one integer floor division of (numerator, denominator) pairs: t_hat comes
+from float.as_integer_ratio() on the hardware route, and the coefficients
+are cached as integer pairs.  The coefficient functions return Fractions.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from .formats import FloatFormat, format_label, resolve_format, unit_roundoff
-from .rationals import ceil_rat, floor_rat, round_to_format
+from .rationals import round_ratio, round_to_format
 
 __all__ = [
     "UnsupportedBase",
@@ -184,11 +187,11 @@ def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fractio
     return round_to_format(i_r * q, fmt)
 
 
-def _estimate_fraction(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
-    """t_hat as an exact Fraction, hardware-accelerated where possible."""
-    if fmt.base == 2 and fmt.precision in (24, 53) and max(i, D, A) < _HW_EXACT_INT:
-        return Fraction(clock_estimate(i, D, A, fmt))
-    return emulated_clock_estimate(i, D, A, fmt)
+@functools.lru_cache(maxsize=None)
+def _integer_ratios(coefficients, *args) -> tuple[int, int, int, int]:
+    """coefficients(*args) as (lo_num, lo_den, hi_num, hi_den)."""
+    c_lo, c_hi = coefficients(*args)
+    return c_lo.numerator, c_lo.denominator, c_hi.numerator, c_hi.denominator
 
 
 def _as_eps(eps_coeff) -> Fraction:
@@ -215,23 +218,30 @@ def candidate_interval(
     """
     _validate_inputs(i, D, A)
     fmt = resolve_format(precision)
-    t_hat = _estimate_fraction(i, D, A, fmt)
+    # t_hat = tn / td exactly
+    if fmt.base == 2 and fmt.precision in (24, 53) and max(i, D, A) < _HW_EXACT_INT:
+        tn, td = clock_estimate(i, D, A, fmt).as_integer_ratio()
+    else:
+        t_hat = emulated_clock_estimate(i, D, A, fmt)
+        tn, td = t_hat.numerator, t_hat.denominator
     if method in ("theoretical", "practical"):
-        c_lo, c_hi = rounded_coefficients(method, fmt)
+        lo_n, lo_d, hi_n, hi_d = _integer_ratios(rounded_coefficients, method, fmt)
         # floor/ceil of the exact products: re-rounding c_hi * t_hat to the
         # working grid can pull the upper bound a few integers under the
         # guarantee near t ~ 1e8 (grid spacing 8), so the last multiply is
         # kept exact and only the coefficients live on the float grid
-        lb = floor_rat(c_lo * t_hat)
-        ub = ceil_rat(c_hi * t_hat)
+        lb = (lo_n * tn) // (lo_d * td)
+        ub = -((-hi_n * tn) // (hi_d * td))
     elif method == "approximate":
-        eps_hat = round_to_format(_as_eps(eps_coeff) * i, fmt)
-        margin = 1 + eps_hat
+        eps = _as_eps(eps_coeff)
+        # eps_hat = en / ed, so t_hat -/+ (1 + eps_hat) is over td * ed
+        en, ed = round_ratio(eps.numerator * i, eps.denominator, fmt)
+        mid, margin, den = tn * ed, td * (ed + en), td * ed
         # the margin is applied exactly: rounding t_hat -/+ margin again in
         # working precision would quantize the interval ends to the float
         # grid (64 at t ~ 1e9 in binary32) and inflate the interval
-        lb = floor_rat(t_hat - margin)
-        ub = ceil_rat(t_hat + margin)
+        lb = (mid - margin) // den
+        ub = -((-mid - margin) // den)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return CandidateInterval(lb=lb, ub=ub, method=method, precision=format_label(fmt))
@@ -246,11 +256,11 @@ def reference_interval(i: int, D: int, A: int, fmt: FloatFormat = None) -> Candi
     _validate_inputs(i, D, A)
     if fmt is None:
         fmt = resolve_format("binary32")
-    c_lo, c_hi = theoretical_coefficients(fmt)
-    t = Fraction(i * D, A)
+    lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
+    tn = i * D  # t = tn / A
     return CandidateInterval(
-        lb=floor_rat(c_lo * t),
-        ub=ceil_rat(c_hi * t),
+        lb=(lo_n * tn) // (lo_d * A),
+        ub=-((-hi_n * tn) // (hi_d * A)),
         method="reference",
         precision="exact",
     )

@@ -308,7 +308,8 @@ def _selftest() -> int:
         for method in METHODS:
             for precision in ("binary32", "binary64"):
                 res = compensate(i, D, A, method, precision)
-                if not res.bounds_violated and res.j != want:
+                # j is exact even when the interval missed
+                if res.j != want:
                     oracle_ok = False
                     break
     check("compensate matches the exact oracle", oracle_ok)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import CandidateInterval, DEFAULT_EPS_COEFF, candidate_interval
 from .formats import format_label, resolve_format
-from .rationals import floor_rat, rat, round_to_format
+from .rationals import round_ratio
 
 __all__ = [
     "OverflowRisk",
@@ -150,4 +150,5 @@ def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:
     if i < 0 or D <= 0 or A <= 0:
         raise ValueError(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
     fmt = resolve_format(precision)
-    return floor_rat(round_to_format(rat(i * D, A), fmt))
+    num, den = round_ratio(i * D, A, fmt)
+    return num // den

@@ -1,10 +1,13 @@
 """Exact rational arithmetic and round-to-nearest emulation.
 
-Everything downstream of this module manipulates `fractions.Fraction`
-values; floats only appear at the hardware boundary.  `round_to_format`
-emulates an idealized IEEE-754 binary format with unbounded exponent
-(no overflow, no subnormals), which is the model the error bounds are
-proved against.
+Values are exact rationals throughout; floats only appear at the
+hardware boundary.  The per-case paths hold them as plain integer
+(numerator, denominator) pairs, so rounding and the floor/ceil of an
+interval end are integer floor divisions with no gcd normalization;
+`fractions.Fraction` stays at the API boundary.  `round_ratio` emulates
+an idealized IEEE-754 binary format with unbounded exponent (no
+overflow, no subnormals), which is the model the error bounds are
+proved against; `round_to_format` is its Fraction form.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "floor_rat",
     "ceil_rat",
     "round_half_up_rat",
+    "round_ratio",
     "round_to_format",
     "is_in_format",
 ]
@@ -68,16 +72,16 @@ def _ilog(num: int, den: int, base: int) -> int:
     return k
 
 
-def round_to_format(x: Rational, fmt) -> Fraction:
-    """Round x to the nearest member of fmt's value set, ties to even.
+def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
+    """Round num/den (den > 0) to the nearest member of fmt's value set, ties to even.
 
     fmt is anything exposing integer attributes `base` and `precision`.
     The emulated set is {0} union {M * base**e : base**(p-1) <= |M| < base**p},
-    e unbounded.  Returns an exact Fraction equal to the rounded value.
+    e unbounded.  Returns an unreduced pair (n, d), d > 0, with n/d equal
+    to the rounded value.
     """
-    num, den = x.numerator, x.denominator
     if num == 0:
-        return Fraction(0)
+        return 0, 1
     beta, p = fmt.base, fmt.precision
     sign = 1
     if num < 0:
@@ -87,10 +91,11 @@ def round_to_format(x: Rational, fmt) -> Fraction:
     e = _ilog(num, den, beta) - (p - 1)
 
     # scale so the significand is scaled_num/scaled_den, then round to int
+    scale = beta ** abs(e)
     if e >= 0:
-        scaled_num, scaled_den = num, den * beta**e
+        scaled_num, scaled_den = num, den * scale
     else:
-        scaled_num, scaled_den = num * beta**-e, den
+        scaled_num, scaled_den = num * scale, den
     mant, rem = divmod(scaled_num, scaled_den)
     twice = 2 * rem
     if twice > scaled_den or (twice == scaled_den and mant & 1):
@@ -98,8 +103,16 @@ def round_to_format(x: Rational, fmt) -> Fraction:
     # a carry to beta**p stays representable as beta**(p-1) * beta**(e+1)
 
     if e >= 0:
-        return Fraction(sign * mant * beta**e)
-    return Fraction(sign * mant, beta**-e)
+        return sign * mant * scale, 1
+    return sign * mant, scale
+
+
+def round_to_format(x: Rational, fmt) -> Fraction:
+    """Round x to the nearest member of fmt's value set, ties to even.
+
+    The exact Fraction form of round_ratio(x.numerator, x.denominator, fmt).
+    """
+    return Fraction(*round_ratio(x.numerator, x.denominator, fmt))
 
 
 def is_in_format(x: Rational, fmt) -> bool:

@@ -1,5 +1,6 @@
 """Candidate interval construction and the working-precision pipeline."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from skewcomp.bounds import (
     rounded_coefficients,
     theoretical_coefficients,
 )
+from skewcomp.compensator import naive_compensate
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, unit_roundoff
 from skewcomp.rationals import round_half_up_rat, round_to_format
 
@@ -217,3 +219,45 @@ def test_pipeline_composition_matches_emulation():
         q = round_to_format(d_r / a_r, BINARY32)
         expect = round_to_format(i_r * q, BINARY32)
         assert emulated_clock_estimate(i, D, A, BINARY32) == expect
+
+
+# both sides of the binary32 and binary64 hardware route switches
+ROUTE_EDGES = (0, 2**24 - 1, 2**24, 2**24 + 1, 2**53 - 1, 2**53, 2**53 + 1)
+KERNEL_FORMATS = (BINARY32, BINARY64, FloatFormat(2, 11))
+
+
+def _check_kernel_against_fractions(fmt, i, d, a, eps):
+    """Interval ends and the naive rounding equal their Fraction formulas."""
+    t_hat = emulated_clock_estimate(i, d, a, fmt)
+    for method in ("theoretical", "practical"):
+        c_lo, c_hi = rounded_coefficients(method, fmt)
+        cand = candidate_interval(i, d, a, method, fmt)
+        assert (cand.lb, cand.ub) == (math.floor(c_lo * t_hat), math.ceil(c_hi * t_hat))
+    margin = 1 + round_to_format(eps * i, fmt)
+    cand = candidate_interval(i, d, a, "approximate", fmt, eps)
+    assert (cand.lb, cand.ub) == (math.floor(t_hat - margin), math.ceil(t_hat + margin))
+    c_lo, c_hi = theoretical_coefficients(fmt)
+    t = Fraction(i * d, a)
+    ref = reference_interval(i, d, a, fmt)
+    assert (ref.lb, ref.ub) == (math.floor(c_lo * t), math.ceil(c_hi * t))
+    if d > 0:
+        assert naive_compensate(i, d, a, fmt) == math.floor(round_to_format(t, fmt))
+
+
+@pytest.mark.parametrize("fmt", KERNEL_FORMATS, ids=lambda f: f"p{f.precision}")
+@pytest.mark.parametrize("i", ROUTE_EDGES)
+@pytest.mark.parametrize("d, a", [(0, 7), (1, 3), (999_999, 10**6), (2**53, 2**53 + 1)])
+def test_integer_kernel_at_route_edges(fmt, i, d, a):
+    _check_kernel_against_fractions(fmt, i, d, a, DEFAULT_EPS_COEFF)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fmt=st.sampled_from(KERNEL_FORMATS),
+    i=st.sampled_from(ROUTE_EDGES) | st.integers(min_value=0, max_value=2**60),
+    a=st.integers(min_value=1, max_value=2**56),
+    d_frac=st.just(Fraction(0)) | st.fractions(min_value=0, max_value=1),
+    eps=st.sampled_from((DEFAULT_EPS_COEFF, Fraction(0), Fraction(3, 7))),
+)
+def test_integer_kernel_matches_fraction_formulas(fmt, i, a, d_frac, eps):
+    _check_kernel_against_fractions(fmt, i, min(int(d_frac * a), a - 1), a, eps)

@@ -152,6 +152,8 @@ def test_compensate_equals_oracle(i, a, d):
     result = compensate(i, d, a)
     if not result.bounds_violated:
         assert result.j == oracle_nearest(i, d, a)
+    # j does not depend on the interval, so it holds on a miss too
+    assert result.j == oracle_nearest(i, d, a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,6 +169,55 @@ def test_case2_shift_identity(i, a, extra):
     assert r.case == "case2"
     if not r.bounds_violated:
         assert r.j == oracle_nearest(i, d, a)
+    assert r.j == oracle_nearest(i, d, a)
+
+
+@pytest.mark.parametrize(
+    "a, db, k",
+    [
+        (2, 1, 0),
+        (2, 1, 10**8),
+        (10**6, 1, 99),
+        (10**6, 999_999, 0),
+        (999_998, 999_997, 123),
+        (2**30, 2**29 + 1, 7),
+    ],
+)
+def test_compensate_rounds_exact_ties_up(a, db, k):
+    # i*db = a/2 (mod a), so i*D/A sits exactly halfway between two integers
+    i = (a // 2) * pow(db, -1, a) % a + k * a
+    for d in (db, a + db):
+        assert 2 * i * d % (2 * a) == a
+        for method in METHODS:
+            for precision in PRECISIONS:
+                result = compensate(i, d, a, method, precision)
+                assert 2 * a * result.j == 2 * i * d + a, (method, precision, i, d, a)
+
+
+@pytest.mark.parametrize("a", [2, 3, 10**6, 2**31 - 1])
+@pytest.mark.parametrize("i", [0, 1, 10**6, 10**9 + 7])
+def test_compensate_steepest_slope(a, i):
+    d = 2 * a - 1
+    for method in METHODS:
+        for precision in PRECISIONS:
+            result = compensate(i, d, a, method, precision)
+            assert result.case == "case2"
+            assert result.j == oracle_nearest(i, d, a)
+
+
+# 2**63 - a is a multiple of db, so the first rejected i lands exactly on 2**63
+@pytest.mark.parametrize(
+    "d, a", [(999_999_999_983, 1_037_011_573_115), (3_036_863_999_177, 2_036_863_999_178)]
+)
+def test_compensate_product_guard_edge(d, a):
+    db = d if d < a else d - a
+    i = (2**63 - 1 - a) // db  # the largest i with i*db + a < 2**63
+    assert (i + 1) * db + a == 2**63
+    for method in METHODS:
+        for precision in PRECISIONS:
+            assert compensate(i, d, a, method, precision).j == oracle_nearest(i, d, a)
+    with pytest.raises(OverflowRisk):
+        compensate(i + 1, d, a)
 
 
 def test_naive_identity():
