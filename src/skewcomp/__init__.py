@@ -2,8 +2,9 @@
 
 The package computes integer candidate intervals for the skew-compensated
 clock j ~ i*D/A under three interval constructions, refines them with an
-integer-only line walk, and checks everything against an exact rational
-oracle.  See the README for the experiment reproduction commands.
+integer-only walk up from the lower bound, and checks everything against
+an exact rational oracle.  See the README for the experiment reproduction
+commands.
 """
 
 from .bounds import (

@@ -16,17 +16,19 @@ t; it is what the candidates are judged against.
 
 Every interval end is the floor or ceil of an exact product, computed as
 one integer floor division of (numerator, denominator) pairs: t_hat comes
-from float.as_integer_ratio() on the hardware route, and the coefficients
-are cached as integer pairs.  The coefficient functions return Fractions.
+from float.as_integer_ratio() on the hardware route and as a rounded
+integer pair on the emulated route, and the coefficients are cached as
+integer pairs.  The coefficient functions return Fractions.  The binary32
+hardware route runs on Python floats rounded through struct, so importing
+this module does not import numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .formats import FloatFormat, format_label, resolve_format, unit_roundoff
 from .rationals import round_ratio, round_to_format
@@ -53,6 +55,13 @@ DEFAULT_EPS_COEFF = Fraction(1, 10**7)
 
 # int -> binary64 -> binary32 is a single correct rounding below this
 _HW_EXACT_INT = 2**53
+# packing a float as "f" rounds it to binary32, to nearest, ties to even
+_BINARY32 = struct.Struct("f")
+_BINARY32_TRIPLE = struct.Struct("3f")
+
+
+def _to_binary32(x: float) -> float:
+    return _BINARY32.unpack(_BINARY32.pack(x))[0]
 
 
 class UnsupportedBase(ValueError):
@@ -157,9 +166,13 @@ def _validate_inputs(i: int, D: int, A: int) -> None:
 def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     """Working-precision t_hat = fl(fl(i) * fl(fl(D) / fl(A))) on hardware.
 
-    binary32 runs on numpy float32, binary64 on the native float; both
-    are correctly rounded per operation, which the emulated pipeline
-    cross-checks.  Inputs beyond 2^53 fall back to the emulated route.
+    binary64 runs on the native float.  binary32 runs on binary64 floats,
+    each result rounded to binary32: the product of two binary32 values is
+    exact in binary64, and the binary64 quotient of two binary32 values
+    rounds to the correctly rounded binary32 quotient because 53 >= 2*24 + 2
+    (Figueroa 1995).  Both are therefore correctly rounded per operation,
+    which the emulated pipeline cross-checks.  Inputs beyond 2^53 fall
+    back to the emulated route.
     """
     fmt = resolve_format(precision)
     if A == 0:
@@ -171,20 +184,28 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     if fmt.base == 2 and fmt.precision == 53:
         return float(i) * (float(D) / float(A))
     if fmt.base == 2 and fmt.precision == 24:
-        q = np.float32(D) / np.float32(A)
-        return float(np.float32(i) * q)
+        i32, d32, a32 = _BINARY32_TRIPLE.unpack(_BINARY32_TRIPLE.pack(i, D, A))
+        return _to_binary32(i32 * _to_binary32(d32 / a32))
     raise ValueError(f"no hardware path for {fmt}; use emulated_clock_estimate")
 
 
 def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
-    """Same pipeline via round_to_format; exact value of the final float."""
+    """Same pipeline via round_ratio; exact value of the final float."""
+    return Fraction(*_emulated_ratio(i, D, A, fmt))
+
+
+def _emulated_ratio(i: int, D: int, A: int, fmt: FloatFormat) -> tuple[int, int]:
+    """The emulated t_hat as an unreduced (numerator, denominator > 0) pair."""
     if A == 0:
         raise ZeroDivisor("A = 0")
-    i_r = round_to_format(Fraction(i), fmt)
-    d_r = round_to_format(Fraction(D), fmt)
-    a_r = round_to_format(Fraction(A), fmt)
-    q = round_to_format(d_r / a_r, fmt)
-    return round_to_format(i_r * q, fmt)
+    i_n, i_d = round_ratio(i, 1, fmt)
+    d_n, d_d = round_ratio(D, 1, fmt)
+    a_n, a_d = round_ratio(A, 1, fmt)
+    q_n, q_d = d_n * a_d, d_d * a_n
+    if q_d < 0:
+        q_n, q_d = -q_n, -q_d
+    q_n, q_d = round_ratio(q_n, q_d, fmt)
+    return round_ratio(i_n * q_n, i_d * q_d, fmt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,8 +243,7 @@ def candidate_interval(
     if fmt.base == 2 and fmt.precision in (24, 53) and max(i, D, A) < _HW_EXACT_INT:
         tn, td = clock_estimate(i, D, A, fmt).as_integer_ratio()
     else:
-        t_hat = emulated_clock_estimate(i, D, A, fmt)
-        tn, td = t_hat.numerator, t_hat.denominator
+        tn, td = _emulated_ratio(i, D, A, fmt)
     if method in ("theoretical", "practical"):
         lo_n, lo_d, hi_n, hi_d = _integer_ratios(rounded_coefficients, method, fmt)
         # floor/ceil of the exact products: re-rounding c_hi * t_hat to the

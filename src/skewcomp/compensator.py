@@ -2,8 +2,9 @@
 
 Given hardware clock i and the per-interval tick counts D (reference)
 and A (local), the compensated clock is the nearest integer to i*D/A.
-The refinement walks the line y = x * delta_b / delta_a with Bresenham
-style integer updates, starting inside a candidate interval, so no
+The refinement walks the candidate clock values up from the lower bound
+of a candidate interval with Bresenham style integer updates: adds and
+compares only, with no division unless the interval missed, so no
 floating-point operation decides the result.
 """
 
@@ -63,40 +64,42 @@ def oracle_nearest(i: int, D: int, A: int) -> int:
 
 
 def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
-    """Walk the line y = x*delta_b/delta_a from x = i - width up to x = i.
+    """Round-half-up of i*delta_b/delta_a, walked up from the interval's lower bound.
 
     interval is a CandidateInterval or a plain (lb, ub) pair.  The state
-    r = x*delta_b - y*delta_a is kept in [-delta_a/2, delta_a/2) so y is
-    always the round-half-up of the exact ordinate.  The starting y is
-    first normalized onto the line; that correction is not counted, so
-    iterations equals the number of x advances, i.e. the interval width.
-    Normalization makes the result interval-independent: a wrong interval
-    is reported through bounds_violated, not a wrong j.
+    r = i*delta_b - y*delta_a - ceil(delta_a/2) is nonnegative exactly
+    while y is below the clock, so starting at y = lb the walk steps
+    y += 1, r -= delta_a while y < ub and r >= 0, and stops at the clock.
+    A miss is read from the state: r + delta_a < 0 at the start means the
+    clock is below lb, r >= 0 at the end means it is above ub.  Only then
+    is the clock computed by one exact division, and bounds_violated is
+    set, so a wrong interval never gives a wrong j.  iterations is the
+    interval width, which bounds the number of steps.
     """
-    if not isinstance(interval, CandidateInterval):
-        lo, hi = interval
-        interval = CandidateInterval(lo, hi, "caller", "unspecified")
+    if isinstance(interval, CandidateInterval):
+        lb, ub = interval.lb, interval.ub
+    else:
+        lb, ub = interval
     if not 0 <= delta_b < delta_a:
         raise ValueError(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
-    x = i - interval.width
-    if x < 0:
-        raise ValueError(f"interval width {interval.width} exceeds i={i}")
+    width = ub - lb
+    if width < 0:
+        raise ValueError(f"empty interval [{lb}, {ub}]")
+    if width > i:
+        raise ValueError(f"interval width {width} exceeds i={i}")
     if i * delta_b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
 
-    # normalize y to the line at x (uncounted): y = round-half-up(x*db/da)
-    y = (2 * x * delta_b + delta_a) // (2 * delta_a)
-    r = x * delta_b - y * delta_a
-
-    steps = i - x
-    for _ in range(steps):
-        r += delta_b
-        if 2 * r >= delta_a:
-            y += 1
-            r -= delta_a
-
-    violated = not interval.lb <= y <= interval.ub
-    return RefineResult(j=y, iterations=steps, bounds_violated=violated)
+    y = lb
+    r = i * delta_b - y * delta_a - (delta_a + 1) // 2
+    below = r + delta_a < 0
+    while y < ub and r >= 0:
+        y += 1
+        r -= delta_a
+    if below or r >= 0:
+        j = (2 * i * delta_b + delta_a) // (2 * delta_a)
+        return RefineResult(j=j, iterations=width, bounds_violated=True)
+    return RefineResult(j=y, iterations=width, bounds_violated=False)
 
 
 def compensate(
@@ -111,7 +114,9 @@ def compensate(
 
     D = A short-circuits to j = i.  D < A refines directly; D > A refines
     the remainder slope (D - A)/A and shifts by i, which is exact for the
-    round-half-up tie rule.
+    round-half-up tie rule.  The walk starts at the lower bound of the
+    candidate interval, clipped to [0, i], and divides only if that
+    interval missed the clock, which bounds_violated reports.
     """
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
@@ -124,18 +129,13 @@ def compensate(
     delta_b = D if D < A else D - A
     case = "case1" if D < A else "case2"
     interval = candidate_interval(i, delta_b, A, method, precision, eps_coeff)
-    walk = interval
-    # the walk start needs 0 <= i - width and the clock satisfies 0 <= j <= i,
-    # so clipping to [0, i] never drops the true value (approximate intervals
-    # can stick out below 0 at tiny i)
-    if interval.lb < 0 or interval.ub > i:
-        walk = CandidateInterval(
-            max(interval.lb, 0), min(interval.ub, i), interval.method, interval.precision
-        )
-    result = refine(i, A, delta_b, walk)
-    violated = not interval.lb <= result.j <= interval.ub
+    # refine needs width <= i and the clock satisfies 0 <= j <= i, so clipping
+    # to [0, i] never drops the true value and the clipped interval misses
+    # exactly when the full one does (approximate intervals can stick out
+    # below 0 at tiny i)
+    result = refine(i, A, delta_b, (max(interval.lb, 0), min(interval.ub, i)))
     j = result.j if case == "case1" else i + result.j
-    return CompResult(j, result.iterations, method, label, case, violated)
+    return CompResult(j, result.iterations, method, label, case, result.bounds_violated)
 
 
 def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, naive_compensate
 from .formats import format_label, resolve_format
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ClockSample",
@@ -143,6 +144,8 @@ def sample_cases(
     Equal to Counter((s.D, s.A) for s in generate_samples(...)) without
     building the samples, so time is linear and memory flat in n.
     """
+    import numpy as np
+
     counts: Counter = Counter()
     for _, offsets in _draw_blocks(seed, n, D, range_ppm):
         values, weights = np.unique(offsets, return_counts=True)
@@ -162,6 +165,7 @@ def _draw_blocks(
     getrandbits(32 * W) returns the next W words least significant first,
     so its little-endian bytes are the raw word stream.  Surplus attempts
     past the n-th accepted draw are discarded with the generator.
+    numpy is imported here, so that only drawing a population needs it.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -173,6 +177,8 @@ def _draw_blocks(
     if limit >= _PPM_STEPS * 500_000:
         # case 2 decomposes D/A into (D - A)/A, which needs A > D/2
         raise ValueError(f"range_ppm must be below 500000, got {range_ppm}")
+    import numpy as np
+
     reach = int(limit)
     span = 2 * reach + 1
     k = span.bit_length()  # at most 50 below the range cap

@@ -16,7 +16,7 @@ from math import floor
 
 import pytest
 
-from skewcomp.bounds import theoretical_coefficients
+from skewcomp.bounds import candidate_interval, theoretical_coefficients
 from skewcomp.compensator import compensate, oracle_nearest
 from skewcomp.experiment import (
     bounds_experiment,
@@ -180,7 +180,8 @@ def test_ac08_pipeline_stays_inside_coefficient_bracket():
 def test_ac09_walk_equals_oracle():
     """10^4 random triples with 0 < D < 2A under every method/precision:
     the walk result matches the exact nearest integer whether or not the
-    interval missed, and the two-component split is exact."""
+    interval missed, a miss is reported exactly when the walked clock lies
+    outside the candidate interval, and the two-component split is exact."""
     rng = random.Random(777)
     checked = 0
     for _ in range(10**4):
@@ -190,15 +191,24 @@ def test_ac09_walk_equals_oracle():
         want = oracle_nearest(i, d, a)
         if d > a:  # two-component split: shift by i and walk the remainder
             assert want == i + oracle_nearest(i, d - a, a)
+        db = d if d < a else d - a
+        walked = oracle_nearest(i, db, a) if db else None
         for method in ("theoretical", "practical", "approximate"):
             for precision in ("binary32", "binary64"):
                 result = compensate(i, d, a, method, precision)
+                missed = False
+                if db:
+                    box = candidate_interval(i, db, a, method, precision)
+                    missed = not box.lb <= walked <= box.ub
+                assert result.bounds_violated == missed, (
+                    f"{method}/{precision} i={i} D={d} A={a}: violated={result.bounds_violated}"
+                )
                 if not result.bounds_violated:
                     assert result.j == want, (
                         f"{method}/{precision} i={i} D={d} A={a}: {result.j} != {want}"
                     )
                     checked += 1
-                # the walk normalizes onto the line, so a miss leaves j exact
+                # a miss falls back to the exact division, so j stays exact
                 assert result.j == want, (
                     f"{method}/{precision} i={i} D={d} A={a}: {result.j} != {want} (missed)"
                 )

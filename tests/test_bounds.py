@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewcomp.bounds import (
@@ -261,3 +261,78 @@ def test_integer_kernel_at_route_edges(fmt, i, d, a):
 )
 def test_integer_kernel_matches_fraction_formulas(fmt, i, a, d_frac, eps):
     _check_kernel_against_fractions(fmt, i, min(int(d_frac * a), a - 1), a, eps)
+
+
+def _numpy_binary32_estimate(i, D, A):
+    """The binary32 pipeline on numpy float32 scalars."""
+    import numpy as np
+
+    q = np.float32(D) / np.float32(A)
+    return float(np.float32(i) * q)
+
+
+def _quotients_nearest_binary32_midpoints(count=8):
+    """(D, A) of binary32 integers whose quotient comes nearest a binary32 midpoint.
+
+    D * 2^25 - M * A = +-1 with M odd and 2^24 <= M < 2^25, so D/A lies
+    1/(A * 2^25) from the midpoint M / 2^25 of [1/2, 1): about 16 binary64
+    ulps, and no quotient of two 24-bit integers comes nearer, so its
+    binary64 value never lands on the midpoint itself.
+    """
+    found = []
+    for a in range(2**24 - 1, 2**23, -2):
+        for sign in (1, -1):
+            d = sign * pow(2**25, -1, a) % a
+            if 2 * d >= a:
+                m = (d * 2**25 - sign) // a
+                assert m % 2 == 1 and 2**24 <= m < 2**25
+                assert abs(Fraction(d / a) - Fraction(m, 2**25)) < 2**-48
+                found.append((d, a))
+        if len(found) >= count:
+            return found
+
+
+EDGE_QUOTIENTS = ((1, 3), (999_999, 10**6), (2**24 - 3, 2**24 - 1), (2**53 - 3, 2**53 - 1))
+BINARY32_ROUTE_CASES = [
+    *((i, d, a) for i in (2**24 - 1, 2**24 + 1, 2**53 - 1) for d, a in EDGE_QUOTIENTS),
+    *(
+        (i, d, a)
+        for i in (1, 2**24 - 1, 2**24 + 1, 10**9)
+        for d, a in _quotients_nearest_binary32_midpoints()
+    ),
+    # i * q is exactly a binary32 midpoint: ties to even, down and up
+    (3, 2**23 + 1, 2**24),
+    (3, 2**23 + 3, 2**24),
+]
+
+
+@pytest.mark.parametrize("i, d, a", BINARY32_ROUTE_CASES)
+def test_binary32_route_matches_numpy_float32_at_edges(i, d, a):
+    assert clock_estimate(i, d, a, "binary32") == _numpy_binary32_estimate(i, d, a)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    i=st.integers(min_value=0, max_value=2**53 - 1),
+    x=st.integers(min_value=0, max_value=2**53 - 1),
+    y=st.integers(min_value=0, max_value=2**53 - 1),
+)
+def test_binary32_route_matches_numpy_float32(i, x, y):
+    assume(x != y)
+    d, a = min(x, y), max(x, y)
+    assert clock_estimate(i, d, a, "binary32") == _numpy_binary32_estimate(i, d, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fmt=st.sampled_from(KERNEL_FORMATS),
+    i=st.sampled_from(ROUTE_EDGES) | st.integers(min_value=0, max_value=2**60),
+    d=st.sampled_from(ROUTE_EDGES) | st.integers(min_value=0, max_value=2**60),
+    a=st.integers(min_value=1, max_value=2**60),
+    a_sign=st.sampled_from((1, -1)),
+)
+def test_emulated_estimate_matches_fraction_pipeline(fmt, i, d, a, a_sign):
+    a *= a_sign  # the emulated route takes any sign, as Fraction arithmetic does
+    rtf = lambda q: round_to_format(q, fmt)
+    expect = rtf(rtf(Fraction(i)) * rtf(rtf(Fraction(d)) / rtf(Fraction(a))))
+    assert emulated_clock_estimate(i, d, a, fmt) == expect

@@ -49,7 +49,7 @@ def test_compensate_strict_violation_exits_2(capsys):
     )
     assert code == 2
     assert "bounds_violated=True" in out
-    assert "j=333333333" in out  # the walk still recovers the exact value
+    assert "j=333333333" in out  # a miss still yields the exact value
 
 
 def test_validation_error_exits_1(capsys):
@@ -140,20 +140,38 @@ def test_table_bytes_are_golden(capsys, table, D):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_TABLES[table, D]
 
 
-def test_table_run_does_not_import_numpy_random():
-    # numpy.random costs about 6 MB of resident memory per process
+def run_fresh(script, *argv):
+    """stdout of script in a fresh interpreter that imports this checkout's skewcomp."""
     src = str(Path(skewcomp.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_table_run_does_not_import_numpy_random():
+    # numpy.random costs about 6 MB of resident memory per process
     script = (
         "import sys\n"
         "from skewcomp.cli import main\n"
         "code = main(['table2', '-n', '1000', '--i', '1e6', '-o', sys.argv[1]])\n"
         "print(code, 'numpy.random' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, env=env, timeout=120
+    assert run_fresh(script, os.devnull).split() == ["0", "False"]
+
+
+def test_compensate_does_not_import_numpy():
+    # only drawing a table population needs numpy; a node that imports the
+    # package and compensates readings does not pay for importing it
+    script = (
+        "import sys\n"
+        "import skewcomp.cli\n"
+        "from skewcomp import compensate\n"
+        "print(compensate(10**9, 10**6, 10**6 + 100).j, 'numpy' in sys.modules)\n"
     )
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert run_fresh(script).split() == [str((2 * 10**15 + 10**6 + 100) // (2 * (10**6 + 100))), "False"]
 
 
 def test_range_of_half_the_clock_exits_1(capsys):

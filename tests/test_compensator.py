@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcomp.bounds import CandidateInterval
+from skewcomp.bounds import DEFAULT_EPS_COEFF, CandidateInterval, candidate_interval
 from skewcomp.compensator import (
     CompResult,
     OverflowRisk,
@@ -53,7 +53,7 @@ def test_oracle_matches_rational_rounding(i, d, a):
 def test_refine_examples():
     assert refine(10, 2, 1, (4, 6)) == RefineResult(5, 2, False)
     assert refine(4, 3, 1, (1, 1)) == RefineResult(1, 0, False)
-    # start y is normalized onto the line first; only x advances count
+    # iterations is the interval width; the walk itself stops at the clock
     assert refine(5, 5, 4, (3, 5)) == RefineResult(4, 2, False)
 
 
@@ -64,7 +64,7 @@ def test_refine_accepts_interval_objects():
 
 def test_refine_flags_bad_interval():
     result = refine(10, 2, 1, (7, 9))
-    assert result.j == 5  # normalization still recovers the true value
+    assert result.j == 5  # the exact fallback still recovers the true value
     assert result.bounds_violated
 
 
@@ -73,6 +73,8 @@ def test_refine_validation():
         refine(10, 2, 3, (4, 6))  # slope must stay below 1
     with pytest.raises(ValueError):
         refine(2, 5, 1, (0, 6))  # width exceeds i
+    with pytest.raises(ValueError):
+        refine(10, 2, 1, (5, 4))  # empty interval
 
 
 def test_refine_overflow_guard():
@@ -88,8 +90,10 @@ def test_refine_overflow_guard():
     w1=st.integers(min_value=0, max_value=50),
     w2=st.integers(min_value=0, max_value=50),
     lo2=st.integers(min_value=-100, max_value=10**6),
+    w3=st.integers(min_value=0, max_value=50),
+    shift=st.integers(min_value=-60, max_value=10),
 )
-def test_refine_interval_independent(i, a, db, w1, w2, lo2):
+def test_refine_interval_independent(i, a, db, w1, w2, lo2, w3, shift):
     if db >= a:
         db %= a
     j = round_half_up_rat(Fraction(i * db, a))
@@ -100,6 +104,13 @@ def test_refine_interval_independent(i, a, db, w1, w2, lo2):
     assert r1.j == r2.j == j
     assert r1.iterations == first[1] - first[0]
     assert r2.iterations == second[1] - second[0]
+    # near the clock: the interval misses below it, holds it or misses above it
+    third = (j + shift, j + shift + min(w3, i))
+    r3 = refine(i, a, db, third)
+    assert r3.j == j
+    assert r3.iterations == third[1] - third[0]
+    for (lb, ub), result in ((first, r1), (second, r2), (third, r3)):
+        assert result.bounds_violated == (not lb <= j <= ub)
 
 
 def test_compensate_identity():
@@ -136,7 +147,7 @@ def test_compensate_validation():
 def test_compensate_flags_hopeless_interval():
     # zero tolerance margin cannot absorb the binary32 pipeline error here
     result = compensate(10**9, 1, 3, "approximate", "binary32", eps_coeff=0)
-    assert result.j == 333333333  # still correct, thanks to normalization
+    assert result.j == 333333333  # still correct: a miss falls back to the exact division
     assert result.bounds_violated
 
 
@@ -154,6 +165,7 @@ def test_compensate_equals_oracle(i, a, d):
         assert result.j == oracle_nearest(i, d, a)
     # j does not depend on the interval, so it holds on a miss too
     assert result.j == oracle_nearest(i, d, a)
+    assert result.bounds_violated == _missed(i, d, a, "practical", "binary32")
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,6 +230,46 @@ def test_compensate_product_guard_edge(d, a):
             assert compensate(i, d, a, method, precision).j == oracle_nearest(i, d, a)
     with pytest.raises(OverflowRisk):
         compensate(i + 1, d, a)
+
+
+def _missed(i, d, a, method, precision, eps_coeff=DEFAULT_EPS_COEFF):
+    """Whether the exact walked clock lies outside compensate's candidate interval."""
+    if d == a:
+        return False
+    db = d if d < a else d - a
+    box = candidate_interval(i, db, a, method, precision, eps_coeff)
+    return not box.lb <= oracle_nearest(i, db, a) <= box.ub
+
+
+# at i ~ 2^53 a slope near 1/2 makes binary32 and approximate intervals about
+# 1e9 wide, so those run on a slope of 2^-30 or without a margin
+COMPENSATE_ROUTE_EDGES = [
+    *(
+        (i, d, a, PRECISIONS, DEFAULT_EPS_COEFF)
+        for i in (0, 1, 2**24 - 1, 2**24, 2**24 + 1)
+        for d, a in ((1, 1), (1, 2), (3, 2))
+    ),
+    *(
+        (i, *case)
+        for i in (2**53 - 1, 2**53, 2**53 + 1)
+        for case in (
+            (1, 1, PRECISIONS, DEFAULT_EPS_COEFF),
+            (1, 2, ("binary64",), 0),
+            (3, 2, ("binary64",), 0),
+            (1, 2**30, PRECISIONS, 0),
+            (2**30 + 1, 2**30, PRECISIONS, 0),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("i, d, a, precisions, eps_coeff", COMPENSATE_ROUTE_EDGES)
+def test_compensate_at_route_edges(i, d, a, precisions, eps_coeff):
+    for method in METHODS:
+        for precision in precisions:
+            result = compensate(i, d, a, method, precision, eps_coeff)
+            assert result.j == oracle_nearest(i, d, a)
+            assert result.bounds_violated == _missed(i, d, a, method, precision, eps_coeff)
 
 
 def test_naive_identity():
