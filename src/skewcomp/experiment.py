@@ -8,7 +8,11 @@ draw an exact rational and makes runs reproducible from the seed alone.
 
 The experiments take the population as a (D, A) -> weight mapping, or as
 a sample sequence that they collapse into one, and evaluate each
-distinct case once.  With the default 100 ppm range there are only 201
+distinct case once.  They split the cases to the remainder slope once,
+as arrays, and evaluate one table row at a time in the private batch
+kernel, which gives exactly what candidate_interval, reference_interval
+and compensate give per case; the cases it cannot prove, and the naive
+baselines, run per case.  With the default 100 ppm range there are only 201
 possible A values, so sample_cases draws the weighted case table
 directly: it reproduces random.Random(seed).randint draw for draw from
 the generator's raw 32-bit words, in numpy blocks of bounded size, so
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
+from operator import mul
 from typing import TYPE_CHECKING, Union
 
 from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
@@ -205,27 +210,14 @@ def _draw_blocks(
         yield steps, (2 * d * m + s) // (2 * s)
 
 
-def _decompose(D: int, A: int) -> int:
-    """delta_b for the slope delta_b/A with delta_b < A."""
-    if D == A:
-        return 0
-    return D if D < A else D - A
-
-
-def _collect(values_weights: Iterable[tuple[int, int]]) -> StatSummary:
-    vmin = vmax = None
-    total = 0
-    count = 0
-    for value, weight in values_weights:
-        if vmin is None or value < vmin:
-            vmin = value
-        if vmax is None or value > vmax:
-            vmax = value
-        total += value * weight
-        count += weight
-    if count == 0:
-        raise ValueError("no values to summarize")
-    return StatSummary(min=vmin, max=vmax, avg=Fraction(total, count), count=count)
+def _summary(values, cases) -> StatSummary:
+    """min, max and weighted mean of one integer per case."""
+    vmin, vmax = int(values.min()), int(values.max())
+    if values.dtype == object or max(-vmin, vmax) * cases.count >= 2**63:
+        total = sum(map(mul, values.tolist(), cases.weights.tolist()))
+    else:
+        total = int(values @ cases.weights)
+    return StatSummary(min=vmin, max=vmax, avg=Fraction(total, cases.count), count=cases.count)
 
 
 Population = Union[Sequence[ClockSample], Mapping[tuple[int, int], int]]
@@ -255,32 +247,38 @@ def bounds_experiment(
     """Bound deltas per (method, precision, i) over the population.
 
     The population is a sample sequence or a (D, A) -> weight mapping
-    such as sample_cases returns; each distinct case is evaluated once.
+    such as sample_cases returns; each distinct case is evaluated once,
+    a whole row at a time, and the cases the batch kernel cannot prove
+    go through candidate_interval and reference_interval.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
     """
-    cases, weights = _case_counts(population)
+    from . import batch
+
+    cases = batch.CaseArrays(*_case_counts(population))
     rows = []
     for method, precision in configs:
         fmt = resolve_format(precision)
-
-        def deltas_for(case, i):
-            D, A = case
-            db = _decompose(D, A)
-            cand = candidate_interval(i, db, A, method, precision, eps_coeff)
-            ref = reference_interval(i, db, A, fmt)
-            return interval_deltas(cand, ref)
-
         for i in i_list:
-            pairs = [deltas_for(case, i) for case in cases]
+            lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
+            ref_lb, ref_ub, ref_fallback = batch.reference_ends(cases, i, fmt)
+            dlb, dub = ref_lb - lb, ub - ref_ub
+            fallback |= ref_fallback
+            if fallback.any():
+                dlb, dub = dlb.astype(object), dub.astype(object)
+                for k in fallback.nonzero()[0]:
+                    db, A = int(cases.db[k]), int(cases.A[k])
+                    cand = candidate_interval(i, db, A, method, precision, eps_coeff)
+                    ref = reference_interval(i, db, A, fmt)
+                    dlb[k], dub[k] = interval_deltas(cand, ref)
             rows.append(
                 BoundsRow(
                     method=method,
                     precision=format_label(fmt),
                     i=i,
-                    dlb=_collect((d[0], w) for d, w in zip(pairs, weights)),
-                    dub=_collect((d[1], w) for d, w in zip(pairs, weights)),
+                    dlb=_summary(dlb, cases),
+                    dub=_summary(dub, cases),
                 )
             )
     return rows
@@ -296,38 +294,45 @@ def compensation_experiment(
 
     err = floor(t_hat in binary64) - j, so err = 0 means agreement with
     the double-precision floor baseline.  Interval misses are counted in
-    violations, never silently dropped.
+    violations, never silently dropped.  The walk-based algorithms run a
+    whole row at a time in the batch kernel, with compensate for the
+    cases it cannot prove; the naive baselines run per case.
     """
-    cases, weights = _case_counts(population)
+    import numpy as np
+
+    from . import batch
+
+    pairs, weights = _case_counts(population)
     baseline = {
-        (i, case): naive_compensate(i, case[0], case[1], "binary64")
+        i: batch.int_array([naive_compensate(i, D, A, "binary64") for D, A in pairs])
         for i in i_list
-        for case in cases
     }
+    cases = batch.CaseArrays(pairs, weights)
     rows = []
     for algorithm, precision in algorithms:
-        label = format_label(resolve_format(precision))
-
-        def outcome_for(case, i):
-            D, A = case
-            if algorithm == "naive":
-                j = naive_compensate(i, D, A, precision)
-                iters, violated = 0, False
-            else:
-                res = compensate(i, D, A, algorithm, precision, eps_coeff)
-                j, iters, violated = res.j, res.iterations, res.bounds_violated
-            return baseline[(i, (D, A))] - j, iters, violated
-
+        fmt = resolve_format(precision)
         for i in i_list:
-            outcomes = [outcome_for(case, i) for case in cases]
+            if algorithm == "naive":
+                j = batch.int_array([naive_compensate(i, D, A, precision) for D, A in pairs])
+                iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
+            else:
+                j, iterations, violated, fallback = batch.compensate_triples(
+                    cases, i, algorithm, fmt, eps_coeff
+                )
+                if fallback.any():
+                    j, iterations = j.astype(object), iterations.astype(object)
+                    for k in fallback.nonzero()[0]:
+                        D, A = pairs[k]
+                        res = compensate(i, D, A, algorithm, precision, eps_coeff)
+                        j[k], iterations[k], violated[k] = res.j, res.iterations, res.bounds_violated
             rows.append(
                 CompRow(
                     algorithm=algorithm,
-                    precision=label,
+                    precision=format_label(fmt),
                     i=i,
-                    err=_collect((o[0], w) for o, w in zip(outcomes, weights)),
-                    iterations=_collect((o[1], w) for o, w in zip(outcomes, weights)),
-                    violations=sum(w for o, w in zip(outcomes, weights) if o[2]),
+                    err=_summary(baseline[i] - j, cases),
+                    iterations=_summary(iterations, cases),
+                    violations=int(cases.weights[violated].sum()),
                 )
             )
     return rows

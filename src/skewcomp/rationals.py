@@ -52,13 +52,7 @@ def round_half_up_rat(x: Rational) -> int:
 
 
 def _ilog(num: int, den: int, base: int) -> int:
-    """floor(log_base(num/den)) for positive num, den."""
-    if base == 2:
-        k = num.bit_length() - den.bit_length()
-        # k or k-1; settle by one exact comparison (shifts must not truncate)
-        if k >= 0:
-            return k if num >> k >= den else k - 1
-        return k if num << -k >= den else k - 1
+    """floor(log_base(num/den)) for positive num, den; round_ratio does base 2 itself."""
     # exact integer walk; cheap at the magnitudes used here
     k = 0
     if num >= den:
@@ -86,6 +80,34 @@ def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
     sign = 1
     if num < 0:
         sign, num = -1, -num
+    if beta == 2:
+        if den & (den - 1) == 0:
+            # den = 2**k only scales the value, so round the integer num to p bits
+            shift = num.bit_length() - p
+            if shift > 0:
+                mant = num >> shift
+                half = 1 << (shift - 1)
+                rest = num - (mant << shift)
+                if rest > half or (rest == half and mant & 1):
+                    mant += 1
+                num = mant << shift
+            return sign * num, den
+        # floor(log2(num/den)) is k or k - 1; shifts replace powers of the base
+        k = num.bit_length() - den.bit_length()
+        if (num >> k if k >= 0 else num << -k) < den:
+            k -= 1
+        e = k - (p - 1)
+        if e >= 0:
+            mant, rem = divmod(num, den << e)
+            den <<= e
+        else:
+            mant, rem = divmod(num << -e, den)
+        twice = 2 * rem
+        if twice > den or (twice == den and mant & 1):
+            mant += 1
+        if e >= 0:
+            return sign * (mant << e), 1
+        return sign * mant, 1 << -e
 
     # exponent e such that beta**(p-1) <= (num/den) / beta**e < beta**p
     e = _ilog(num, den, beta) - (p - 1)

@@ -11,6 +11,7 @@ The whole module is expected to finish in well under two minutes.
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from math import floor
 
@@ -22,6 +23,7 @@ from skewcomp.experiment import (
     bounds_experiment,
     compensation_experiment,
     generate_samples,
+    sample_cases,
 )
 from skewcomp.formats import BINARY32, FloatFormat, unit_roundoff
 from skewcomp.rationals import is_in_format, round_to_format
@@ -85,7 +87,7 @@ def _expected_average_error(population, i):
     must show: the binary64 floor baseline minus round-half-up(i*D/A),
     both on plain Python ints.  `(i * D) / A` is the correctly rounded
     binary64 quotient, which is what the baseline evaluates."""
-    counts = Counter((s.D, s.A) for s in population)
+    counts = population if isinstance(population, Mapping) else Counter((s.D, s.A) for s in population)
     total = sum(
         weight * (floor((i * D) / A) - (2 * i * D + A) // (2 * A))
         for (D, A), weight in counts.items()
@@ -125,6 +127,31 @@ def test_ac05_algorithm_error_range_and_average(population, comp_rows):
         for algorithm in ("practical", "approximate")
         for i in I_LIST
     }
+    assert all(exp == act for exp, act in averages.values()), (
+        "average error (expected, actual) per (algorithm, i): "
+        + ", ".join(f"{key}: ({exp}, {act})" for key, (exp, act) in averages.items())
+    )
+
+
+def test_paper_scale_error_range_and_average():
+    """The ac05 gate on a paper-scale population, D = 10^9.
+
+    There A - D reaches 10^5, so the fractional parts of i*D/A spread
+    over [0, 1) at every i and the expected average is near -1/2
+    everywhere, not 0 as on the default population.  It is computed by
+    the same helper as in ac05, and no constant is pinned.
+    """
+    cases = sample_cases(42, 10**4, 10**9, 100)
+    assert len(cases) == 9739
+    walks = (("practical", "binary32"), ("approximate", "binary32"))
+    rows = compensation_experiment(cases, I_LIST, walks)
+    expected = {i: _expected_average_error(cases, i) for i in I_LIST}
+    assert all(value < 0 for value in expected.values()), expected
+    for row in rows:
+        assert row.err.min >= -1 and row.err.max <= 0, (
+            f"{row.algorithm} i={row.i}: err range [{row.err.min}, {row.err.max}]"
+        )
+    averages = {(row.algorithm, row.i): (expected[row.i], row.err.avg) for row in rows}
     assert all(exp == act for exp, act in averages.values()), (
         "average error (expected, actual) per (algorithm, i): "
         + ", ".join(f"{key}: ({exp}, {act})" for key, (exp, act) in averages.items())

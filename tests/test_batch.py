@@ -1,0 +1,243 @@
+"""The batch table kernel against the scalar functions, case by case.
+
+Every value the kernel accepts must equal what candidate_interval,
+reference_interval and compensate return for that case; the cases it
+marks as fallback are the ones the experiments hand to those functions.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewcomp import batch
+from skewcomp.bounds import (
+    DEFAULT_EPS_COEFF,
+    METHODS,
+    candidate_interval,
+    reference_interval,
+    theoretical_coefficients,
+)
+from skewcomp.compensator import compensate, oracle_nearest
+from skewcomp.experiment import (
+    DEFAULT_I_LIST,
+    TABLE2_CONFIGS,
+    TABLE3_ALGORITHMS,
+    bounds_experiment,
+    compensation_experiment,
+    sample_cases,
+)
+from skewcomp.formats import BINARY32, BINARY64, FloatFormat, resolve_format
+
+P11 = FloatFormat(2, 11)
+# compensate walks up to the interval width; wider intervals (binary32 near
+# 2**53, large margins) are checked against its contract instead
+WALK_LIMIT = 10**4
+EDGE_I = (0, 1, 2**24 - 1, 2**24, 2**24 + 1, 10**9, 2**53 - 1, 2**53, 2**53 + 1)
+EDGE_A = (1, 2, 3, 2**24 - 1, 2**24 + 1, 10**6, 10**9, 2**53 - 1, 2**53, 2**53 + 1)
+# the last two can leave 1 + eps_hat inexact in float64: 1e-30 at large i,
+# 1/3 at small i in binary64
+EPS_COEFFS = (DEFAULT_EPS_COEFF, Fraction(0), Fraction(-1, 10**6), Fraction(1, 10**30), Fraction(1, 3))
+
+
+def _accepted(fallback):
+    return np.flatnonzero(~fallback).tolist()
+
+
+def _compensate_contract(i, D, A, method, fmt, eps_coeff):
+    """compensate's (j, iterations, bounds_violated) without its walk, for D != A."""
+    db = D - A if D > A else D
+    cand = candidate_interval(i, db, A, method, fmt, eps_coeff)
+    low, high = max(cand.lb, 0), min(cand.ub, i)
+    clock = oracle_nearest(i, db, A)
+    return clock + (i if D > A else 0), high - low, not low <= clock <= high
+
+
+def _check_row(pairs, i, fmt, eps_coeff):
+    """Assert each accepted kernel value equals the scalar one; return the fallback masks."""
+    cases = batch.CaseArrays(pairs, [1] * len(pairs))
+    masks = {}
+    for method in METHODS:
+        lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
+        for k in _accepted(fallback):
+            cand = candidate_interval(i, int(cases.db[k]), int(cases.A[k]), method, fmt, eps_coeff)
+            assert (lb[k], ub[k]) == (cand.lb, cand.ub), (method, pairs[k])
+        masks[method] = fallback
+        j, iterations, violated, fallback = batch.compensate_triples(cases, i, method, fmt, eps_coeff)
+        for k in _accepted(fallback):
+            if iterations[k] <= WALK_LIMIT:
+                res = compensate(i, *pairs[k], method, fmt, eps_coeff)
+                want = (res.j, res.iterations, res.bounds_violated)
+            else:
+                want = _compensate_contract(i, *pairs[k], method, fmt, eps_coeff)
+            assert (j[k], iterations[k], violated[k]) == want, (method, pairs[k])
+        masks["compensate", method] = fallback
+    lb, ub, fallback = batch.reference_ends(cases, i, fmt)
+    for k in _accepted(fallback):
+        ref = reference_interval(i, int(cases.db[k]), int(cases.A[k]), fmt)
+        assert (lb[k], ub[k]) == (ref.lb, ref.ub), pairs[k]
+    masks["reference"] = fallback
+    return masks
+
+
+@st.composite
+def _case(draw, i):
+    """One (D, A) pair, biased to the edges the kernel must get right."""
+    a = draw(st.sampled_from(EDGE_A) | st.integers(min_value=1, max_value=2**53 + 2))
+    kind = draw(st.sampled_from(("any", "identity", "steepest", "near", "tie", "guard")))
+    if kind == "identity":
+        return a, a
+    if kind == "steepest":  # D = 2A - 1
+        return 2 * a - 1, a
+    if kind == "near":  # D = A -/+ 1
+        return a + draw(st.sampled_from((-1, 1))), a
+    if kind == "tie" and i > 0:
+        # 2*i*db = A mod 2A: A = 2m with i/m odd and db odd
+        m = draw(st.sampled_from((i, i & -i)))
+        a = 2 * m
+        db = draw(st.integers(min_value=0, max_value=m - 1)) * 2 + 1
+        return db + draw(st.sampled_from((0, a))), a
+    if kind == "guard" and i > 0:
+        # db at the largest value with 2*i*db + A < 2**63, or one above it
+        a = max(a, 2**62 // i + 2)
+        db = (2**63 - 1 - a) // (2 * i) + draw(st.sampled_from((-1, 0, 1)))
+        return db + draw(st.sampled_from((0, a))), a
+    return draw(st.integers(min_value=1, max_value=2 * a - 1)), a
+
+
+@st.composite
+def _rows(draw):
+    i = draw(st.sampled_from(EDGE_I) | st.integers(min_value=0, max_value=2**54))
+    pairs = draw(st.lists(_case(i), min_size=1, max_size=6, unique=True))
+    fmt = draw(st.sampled_from((BINARY32, BINARY64, P11)))
+    return sorted(pairs), i, fmt, draw(st.sampled_from(EPS_COEFFS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_rows())
+def test_batch_matches_scalar(row):
+    _check_row(*row)
+
+
+@pytest.mark.parametrize("i", EDGE_I)
+@pytest.mark.parametrize("fmt", (BINARY32, BINARY64))
+def test_batch_matches_scalar_at_route_edges(i, fmt):
+    a = 10**9
+    pairs = [(1, a), (a - 1, a), (a, a), (a + 1, a), (2 * a - 1, a), (5, 2**53 - 1)]
+    masks = _check_row(pairs, i, fmt, DEFAULT_EPS_COEFF)
+    on_route = i < 2**53
+    # 1 + fl(1e-7 * i) is not exact in float64 for every binary64 eps_hat
+    for method in METHODS if fmt == BINARY32 else ("theoretical", "practical"):
+        assert not masks[method].any() if on_route else masks[method].all()
+
+
+def _fallback_masks(pairs, i, fmt=BINARY32, eps_coeff=DEFAULT_EPS_COEFF):
+    masks = _check_row(pairs, i, fmt, eps_coeff)
+    return {key: mask.tolist() for key, mask in masks.items()}
+
+
+def test_fallback_off_the_hardware_route():
+    pairs = [(10**6, 10**6 + 1)]
+    for i, fmt in ((2**53, BINARY32), (10**9, P11), (-1, BINARY64)):
+        assert all(mask == [True] for mask in _fallback_masks(pairs, i, fmt).values())
+    # A >= 2**53 falls back case by case
+    masks = _fallback_masks([(10**6, 10**6 + 1), (2**53, 2**53 + 1)], 10**9)
+    assert all(mask == [False, True] for mask in masks.values())
+
+
+def test_fallback_outside_the_slope_domain():
+    # D = 0 and D = 2A are handled by the scalar functions, which accept
+    # the first for intervals and reject the second everywhere
+    masks = _fallback_masks([(0, 10), (3, 10), (20, 10)], 10**6)
+    assert all(mask == [True, False, True] for mask in masks.values())
+
+
+def test_fallback_at_the_product_guard():
+    i, a = 10**9, 10**10
+    limit = (2**63 - 1 - a) // (2 * i)  # largest db with 2*i*db + A < 2**63
+    masks = _fallback_masks([(limit, a), (limit + 1, a)], i)
+    for key in ("reference", *(("compensate", method) for method in METHODS)):
+        assert masks[key] == [False, True]
+    for method in METHODS:
+        assert masks[method] == [False, False]
+
+
+def test_fallback_where_the_margin_is_inexact():
+    pairs = [(10**6, 10**6 + 1), (10**6, 10**6 - 1)]
+    for eps_coeff, i in ((Fraction(1, 10**30), 10**9), (Fraction(1, 3), 1)):
+        masks = _fallback_masks(pairs, i, BINARY64, eps_coeff)
+        assert masks["approximate"] == masks["compensate", "approximate"] == [True, True]
+        assert masks["practical"] == masks["reference"] == [False, False]
+
+
+@pytest.mark.parametrize(
+    "seed, n, D", [(42, 10**5, 10**6), (42, 10**4, 10**9)], ids=["readme", "D1e9"]
+)
+def test_no_fallback_on_table_populations(seed, n, D):
+    cases = batch.CaseArrays(*zip(*sorted(sample_cases(seed, n, D, 100).items())))
+    for i in DEFAULT_I_LIST:
+        for method, precision in (*TABLE2_CONFIGS, *TABLE3_ALGORITHMS):
+            if method == "naive":
+                continue
+            fmt = resolve_format(precision)
+            assert not batch.candidate_ends(cases, i, method, fmt, DEFAULT_EPS_COEFF)[2].any()
+            assert not batch.compensate_triples(cases, i, method, fmt, DEFAULT_EPS_COEFF)[3].any()
+            assert not batch.reference_ends(cases, i, fmt)[2].any()
+
+
+def test_experiments_merge_fallback_cases():
+    # one case on the kernel, one with A >= 2**53 and one past the product
+    # guard at i = 1e9; each row must equal its per-case scalar evaluation
+    population = {(10**6, 10**6 + 7): 3, (2**53 + 12, 2**53 + 9): 2, (10**10, 10**10 + 1): 1}
+    i_list = (10**6, 10**9)
+    for row in bounds_experiment(population, i_list):
+        deltas = []
+        for (D, A), weight in sorted(population.items()):
+            fmt = resolve_format(row.precision)
+            db = D - A if D > A else D
+            cand = candidate_interval(row.i, db, A, row.method, fmt)
+            ref = reference_interval(row.i, db, A, fmt)
+            deltas += [(ref.lb - cand.lb, cand.ub - ref.ub)] * weight
+        assert row.dlb.min == min(d[0] for d in deltas) and row.dub.max == max(d[1] for d in deltas)
+        assert row.dlb.avg == Fraction(sum(d[0] for d in deltas), len(deltas))
+        assert row.dub.avg == Fraction(sum(d[1] for d in deltas), len(deltas))
+    walks = [(a, p) for a, p in TABLE3_ALGORITHMS if a != "naive"]
+    with pytest.raises(OverflowError, match="2\\*\\*63"):
+        compensation_experiment(population, (10**9,), walks)
+    # with eps_coeff 1e-30, 1 + eps_hat is not exact in float64, so the
+    # approximate row at 1e8 runs on compensate alone, and its intervals miss
+    for i, eps_coeff in ((10**6, DEFAULT_EPS_COEFF), (10**8, Fraction(1, 10**30))):
+        rows = compensation_experiment(population, (i,), walks, eps_coeff)
+        for row in rows:
+            results = [
+                (compensate(i, D, A, row.algorithm, row.precision, eps_coeff), weight)
+                for (D, A), weight in sorted(population.items())
+            ]
+            assert row.iterations.max == max(r.iterations for r, _ in results)
+            assert row.iterations.avg == Fraction(sum(r.iterations * w for r, w in results), 6)
+            assert row.violations == sum(w for r, w in results if r.bounds_violated)
+    assert rows[-1].algorithm == "approximate" and rows[-1].violations > 0
+
+
+def _convergent_denominators(x: Fraction, limit: int) -> list[int]:
+    """Denominators below limit of the continued-fraction convergents of x."""
+    k_prev, k, found = 0, 1, []
+    while x.denominator != 1:
+        x = 1 / (x - x.numerator // x.denominator)
+        k_prev, k = k, (x.numerator // x.denominator) * k + k_prev
+        if k >= limit:
+            break
+        found.append(k)
+    return found
+
+
+@pytest.mark.parametrize("fmt", (BINARY32, BINARY64))
+def test_reference_falls_back_next_to_an_integer(fmt):
+    # with db/A = 1/2 and i = 2q, c*t = q + (c - 1)*q; for q a convergent
+    # denominator of c - 1 that lies within 1e-13 of an integer, closer than
+    # the float64 estimate can settle, and several such ends must fall back
+    qs = {q for c in theoretical_coefficients(fmt) for q in _convergent_denominators(c - 1, 2**52)}
+    fallbacks = sum(_check_row([(1, 2)], 2 * q, fmt, DEFAULT_EPS_COEFF)["reference"][0] for q in qs)
+    assert fallbacks >= 2

@@ -15,6 +15,7 @@ from skewcomp.rationals import (
     is_in_format,
     rat,
     round_half_up_rat,
+    round_ratio,
     round_to_format,
 )
 
@@ -152,6 +153,59 @@ def test_matches_hardware_float32():
     for _ in range(2000):
         x = rng.uniform(1e-6, 1e9)
         assert round_to_format(Fraction(x), BINARY32) == Fraction(float(np.float32(x)))
+
+
+def _nearest_base2(q: Fraction, p: int) -> Fraction:
+    """Nearest p-bit binary value to q > 0, ties to even, from the definition."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    while Fraction(2) ** e > q:
+        e -= 1
+    while Fraction(2) ** (e + 1) <= q:
+        e += 1
+    ulp = Fraction(2) ** (e - p + 1)
+    m = q / ulp  # in [2^(p-1), 2^p)
+    lower = floor_rat(m)
+    half = m - lower - Fraction(1, 2)
+    return (lower + (half > 0 or (half == 0 and lower % 2 == 1))) * ulp
+
+
+@st.composite
+def _base2_ratios(draw):
+    p = draw(st.sampled_from((11, 24, 53)))
+    shift = draw(st.integers(min_value=0, max_value=40))
+    kind = draw(st.sampled_from(("any", "tie", "carry")))
+    if kind == "tie":  # a significand of p bits plus exactly one half
+        num = (2 * draw(st.integers(min_value=2 ** (p - 1), max_value=2**p - 1)) + 1) << shift
+    elif kind == "carry":  # p + k one bits round up to 2^(p + k)
+        num = (2 ** (p + draw(st.integers(min_value=1, max_value=3))) - 1) << shift
+    else:
+        num = draw(st.integers(min_value=1, max_value=2**120))
+    # a power of two scales without touching the significand; 2^k > num
+    # gives a negative exponent
+    den = draw(
+        st.sampled_from((1,))
+        | st.integers(min_value=0, max_value=160).map(lambda k: 2**k)
+        | st.integers(min_value=1, max_value=2**90)
+    )
+    # a common odd factor keeps the value, ties included, but takes the
+    # division path
+    odd = draw(st.sampled_from((1, 1, 3, 10**6 + 1)))
+    return p, num * odd, den * odd
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=_base2_ratios(), sign=st.sampled_from((1, -1)))
+def test_round_ratio_base2_matches_definition(ratio, sign):
+    p, num, den = ratio
+    n, d = round_ratio(sign * num, den, FloatFormat(2, p))
+    assert d > 0
+    assert Fraction(n, d) == sign * _nearest_base2(Fraction(num, den), p)
+
+
+def test_round_ratio_base2_keeps_representable_pairs():
+    assert round_ratio(10**9, 1, BINARY32) == (10**9, 1)
+    assert round_ratio(-3, 2**70, BINARY32) == (-3, 2**70)
+    assert round_ratio(2**25 - 1, 1, BINARY32) == (2**25, 1)  # tie to even carries
 
 
 def test_small_precision_format():
