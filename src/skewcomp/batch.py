@@ -32,12 +32,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _as_eps, rounded_coefficients, theoretical_coefficients
-from .formats import BINARY32, BINARY64
+from .bounds import (
+    _HW_EXACT_INT,
+    _as_eps,
+    _on_hardware_route,
+    rounded_coefficients,
+    theoretical_coefficients,
+)
+from .formats import BINARY64
 from .rationals import round_ratio
 
-# i, D and A convert to float64 exactly below this
-_HW_EXACT_INT = 2**53
 _INT64_MAX = 2**63 - 1
 # Dekker's splitter for binary64, 2**27 + 1
 _SPLITTER = float(2**27 + 1)
@@ -70,6 +74,7 @@ class CaseArrays:
         self.db = np.where(D == A, 0, np.where(D < A, D, D - A))
         self.identity = D == A
         self.case2 = D > A
+        # with db < A, the hardware route's max(i, db, A) < 2**53 is i and A
         self.domain = (D > 0) & (D < 2 * A) & (A < _HW_EXACT_INT)
         self.db64 = np.where(self.domain, self.db, 0).astype(np.int64)
         self.a64 = np.where(self.domain, A, 1).astype(np.int64)
@@ -95,8 +100,9 @@ class CaseArrays:
         return self.db64 <= (_INT64_MAX - self.a64) // max(2 * i, 1)
 
 
-def _on_hardware_route(i, fmt) -> bool:
-    return isinstance(i, int) and 0 <= i < _HW_EXACT_INT and fmt in (BINARY32, BINARY64)
+def _on_route(i, fmt) -> bool:
+    """Whether the row is on the scalar hardware route; each case also needs A < 2**53."""
+    return isinstance(i, int) and i >= 0 and _on_hardware_route(fmt, i)
 
 
 def _split(a):
@@ -146,7 +152,7 @@ def _margin(i: int, fmt, eps_coeff):
 def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     """(lb, ub, fallback) of candidate_interval(i, db, A, method, fmt, eps_coeff) per case."""
     zeros = np.zeros(len(cases), dtype=np.int64)
-    if not _on_hardware_route(i, fmt):
+    if not _on_route(i, fmt):
         return zeros, zeros, cases.all_scalar()
     t_hat = cases.estimate(i, fmt)
     if method in ("theoretical", "practical"):
@@ -175,7 +181,7 @@ def reference_ends(cases: CaseArrays, i: int, fmt):
     the rounding of its own ends; t = 0 gives the exact f = 0.
     """
     zeros = np.zeros(len(cases), dtype=np.int64)
-    if not _on_hardware_route(i, fmt):
+    if not _on_route(i, fmt):
         return zeros, zeros, cases.all_scalar()
     guard = cases.guard(i)
     n = i * np.where(guard, cases.db64, 0)
@@ -197,7 +203,7 @@ def reference_ends(cases: CaseArrays, i: int, fmt):
 def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     """(j, iterations, violated, fallback) of compensate(i, D, A, method, fmt, eps_coeff)."""
     zeros = np.zeros(len(cases), dtype=np.int64)
-    if not _on_hardware_route(i, fmt):
+    if not _on_route(i, fmt):
         return zeros, zeros, zeros.astype(bool), cases.all_scalar()
     lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
     guard = cases.guard(i)

@@ -64,6 +64,11 @@ def _to_binary32(x: float) -> float:
     return _BINARY32.unpack(_BINARY32.pack(x))[0]
 
 
+def _on_hardware_route(fmt, *values: int) -> bool:
+    """Whether t_hat over these inputs runs on hardware floats, not emulated."""
+    return fmt.base == 2 and fmt.precision in (24, 53) and max(values) < _HW_EXACT_INT
+
+
 class UnsupportedBase(ValueError):
     """Coefficient derivations hold for base-2 formats only."""
 
@@ -240,7 +245,7 @@ def candidate_interval(
     _validate_inputs(i, D, A)
     fmt = resolve_format(precision)
     # t_hat = tn / td exactly
-    if fmt.base == 2 and fmt.precision in (24, 53) and max(i, D, A) < _HW_EXACT_INT:
+    if _on_hardware_route(fmt, i, D, A):
         tn, td = clock_estimate(i, D, A, fmt).as_integer_ratio()
     else:
         tn, td = _emulated_ratio(i, D, A, fmt)

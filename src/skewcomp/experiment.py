@@ -212,12 +212,14 @@ def _draw_blocks(
 
 def _summary(values, cases) -> StatSummary:
     """min, max and weighted mean of one integer per case."""
-    vmin, vmax = int(values.min()), int(values.max())
-    if values.dtype == object or max(-vmin, vmax) * cases.count >= 2**63:
-        total = sum(map(mul, values.tolist(), cases.weights.tolist()))
-    else:
-        total = int(values @ cases.weights)
-    return StatSummary(min=vmin, max=vmax, avg=Fraction(total, cases.count), count=cases.count)
+    # Python ints: an int64 dot product could overflow
+    total = sum(map(mul, values.tolist(), cases.weights.tolist()))
+    return StatSummary(
+        min=int(values.min()),
+        max=int(values.max()),
+        avg=Fraction(total, cases.count),
+        count=cases.count,
+    )
 
 
 Population = Union[Sequence[ClockSample], Mapping[tuple[int, int], int]]

@@ -81,17 +81,6 @@ def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
     if num < 0:
         sign, num = -1, -num
     if beta == 2:
-        if den & (den - 1) == 0:
-            # den = 2**k only scales the value, so round the integer num to p bits
-            shift = num.bit_length() - p
-            if shift > 0:
-                mant = num >> shift
-                half = 1 << (shift - 1)
-                rest = num - (mant << shift)
-                if rest > half or (rest == half and mant & 1):
-                    mant += 1
-                num = mant << shift
-            return sign * num, den
         # floor(log2(num/den)) is k or k - 1; shifts replace powers of the base
         k = num.bit_length() - den.bit_length()
         if (num >> k if k >= 0 else num << -k) < den:

@@ -187,8 +187,8 @@ def _base2_ratios(draw):
         | st.integers(min_value=0, max_value=160).map(lambda k: 2**k)
         | st.integers(min_value=1, max_value=2**90)
     )
-    # a common odd factor keeps the value, ties included, but takes the
-    # division path
+    # a common odd factor keeps the value, ties included, but makes the
+    # denominator a power of two no longer
     odd = draw(st.sampled_from((1, 1, 3, 10**6 + 1)))
     return p, num * odd, den * odd
 
@@ -202,10 +202,10 @@ def test_round_ratio_base2_matches_definition(ratio, sign):
     assert Fraction(n, d) == sign * _nearest_base2(Fraction(num, den), p)
 
 
-def test_round_ratio_base2_keeps_representable_pairs():
-    assert round_ratio(10**9, 1, BINARY32) == (10**9, 1)
-    assert round_ratio(-3, 2**70, BINARY32) == (-3, 2**70)
-    assert round_ratio(2**25 - 1, 1, BINARY32) == (2**25, 1)  # tie to even carries
+def test_round_ratio_base2_keeps_representable_values():
+    assert Fraction(*round_ratio(10**9, 1, BINARY32)) == 10**9
+    assert Fraction(*round_ratio(-3, 2**70, BINARY32)) == Fraction(-3, 2**70)
+    assert Fraction(*round_ratio(2**25 - 1, 1, BINARY32)) == 2**25  # tie to even carries
 
 
 def test_small_precision_format():
