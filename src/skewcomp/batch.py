@@ -17,13 +17,19 @@ candidate_interval, reference_interval and compensate return:
 - compensate's triple is refine's contract in closed form: the clock is
   (2*i*db + A) // (2A), iterations the clipped width, and the interval
   missed iff the clock lies outside it.
+- naive_compensate's floor(RN(i*D/A)) rounds the int64 quotient and
+  remainder of i*D by A with shifts and compares.  numpy's int64 / int64
+  would round i*D to float64 before it divides, which is not exact:
+  i = 315, D = 4775644609732923, A = 3607501323898971 gives 417 for the
+  floor of its quotient, and 416 exactly.
 
 A case the kernel cannot prove is marked in the fallback mask it returns,
 and the caller evaluates it with the scalar functions, which also raise
 whatever they raise for it.  That covers inputs off the hardware route
 (i, D or A >= 2**53, formats other than binary32/binary64), cases
-outside 0 < D < 2A, 2*i*db + A >= 2**63, an uncertain reference end,
-and an approximate margin 1 + eps_hat that is not exact in float64.
+outside 0 < D < 2A, 2*i*db + A >= 2**63 (i*D >= 2**63 for the naive
+floor, and its quotient >= 2**53), an uncertain reference end, and an
+approximate margin 1 + eps_hat that is not exact in float64.
 """
 
 from __future__ import annotations
@@ -61,8 +67,9 @@ class CaseArrays:
     """The distinct (D, A) cases and their weights as arrays.
 
     db and A are exact (int64, or Python ints when a value needs more
-    than 62 bits); db64 and a64 are their int64 copies on the kernel's
-    domain 0 < D < 2A, A < 2**53, and 0 and 1 elsewhere.
+    than 62 bits); d64, db64 and a64 are the int64 copies of D, db and A
+    on the kernel's domain 0 < D < 2A, A < 2**53, and 0, 0 and 1
+    elsewhere.
     """
 
     def __init__(self, cases, weights) -> None:
@@ -76,6 +83,7 @@ class CaseArrays:
         self.case2 = D > A
         # with db < A, the hardware route's max(i, db, A) < 2**53 is i and A
         self.domain = (D > 0) & (D < 2 * A) & (A < _HW_EXACT_INT)
+        self.d64 = np.where(self.domain, D, 0).astype(np.int64)
         self.db64 = np.where(self.domain, self.db, 0).astype(np.int64)
         self.a64 = np.where(self.domain, A, 1).astype(np.int64)
         self.count = sum(weights)
@@ -215,3 +223,30 @@ def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     j = np.where(cases.identity, i, np.where(cases.case2, i + j, j))
     iterations = np.where(cases.identity, 0, width)
     return j, iterations, violated, fallback | ~guard | (width < 0)
+
+
+def naive_floors(cases: CaseArrays, i: int, fmt):
+    """(j, fallback) of naive_compensate(i, D, A, fmt) per case.
+
+    With i*D = q*A + r and k the bit length of q, the format's spacing
+    around i*D/A is 2**s for s = k - p (also for q = 0, where a value
+    that rounds up reaches 1).  For s < 0, q is in the format and the
+    value rounds to q + 1 iff 1 - r/A <= 2**(s - 1); the tie goes up,
+    as q + 1 has an even mantissa.  For s >= 0 the mantissa q >> s rounds
+    half to even on its remainder ((q mod 2**s)*A + r) / (A * 2**s).
+    With s >= 0, A * 2**(s + 1) <= A * 2**(k - 1) <= q*A <= i*D, so the
+    guard i*D < 2**63 keeps every product in int64.  k comes from frexp,
+    exact while q < 2**53.
+    """
+    if not _on_route(i, fmt):
+        return np.zeros(len(cases), dtype=np.int64), cases.all_scalar()
+    a = cases.a64
+    guard = cases.d64 <= _INT64_MAX // max(i, 1)
+    q, r = np.divmod(i * np.where(guard, cases.d64, 0), a)
+    s = np.frexp(q.astype(np.float64))[1] - fmt.precision
+    shift = np.maximum(s, 0)
+    mantissa = q >> shift
+    den = a << shift
+    gap = den - ((q - (mantissa << shift)) * a + r)
+    up = (gap <= den >> (1 - np.minimum(s, 0))) & ((2 * gap != den) | (mantissa & 1 == 1))
+    return (mantissa + up) << shift, ~cases.domain | ~guard | (q >= _HW_EXACT_INT)

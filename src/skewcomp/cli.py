@@ -314,6 +314,27 @@ def _selftest() -> int:
                     break
     check("compensate matches the exact oracle", oracle_ok)
 
+    # a zero approximate margin makes binary32 intervals miss at large i
+    configs = [(m, p, DEFAULT_EPS_COEFF) for m in METHODS for p in ("binary32", "binary64")]
+    configs.append(("approximate", "binary32", 0))
+    miss_ok, misses = True, 0
+    for _ in range(300):
+        A = rng.randint(1, 10**9)
+        D = rng.randint(1, 2 * A - 1)
+        i = rng.randint(0, 10**9)
+        db = D - A if D > A else D
+        clock = oracle_nearest(i, db, A)
+        for method, precision, eps_coeff in configs:
+            violated = compensate(i, D, A, method, precision, eps_coeff).bounds_violated
+            cand = candidate_interval(i, db, A, method, precision, eps_coeff)
+            miss_ok &= violated == (D != A and not cand.lb <= clock <= cand.ub)
+            misses += violated
+    check(
+        "bounds_violated iff the oracle lies outside the candidate interval",
+        miss_ok and misses > 0,
+        f"({misses} misses)",
+    )
+
     if failures:
         print(f"{len(failures)} selftest failure(s)", file=sys.stderr)
         return 2

@@ -10,9 +10,9 @@ The experiments take the population as a (D, A) -> weight mapping, or as
 a sample sequence that they collapse into one, and evaluate each
 distinct case once.  They split the cases to the remainder slope once,
 as arrays, and evaluate one table row at a time in the private batch
-kernel, which gives exactly what candidate_interval, reference_interval
-and compensate give per case; the cases it cannot prove, and the naive
-baselines, run per case.  With the default 100 ppm range there are only 201
+kernel, which gives exactly what candidate_interval, reference_interval,
+compensate and naive_compensate give per case; only the cases it cannot
+prove run per case.  With the default 100 ppm range there are only 201
 possible A values, so sample_cases draws the weighted case table
 directly: it reproduces random.Random(seed).randint draw for draw from
 the generator's raw 32-bit words, in numpy blocks of bounded size, so
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Union
 
 from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, naive_compensate
-from .formats import format_label, resolve_format
+from .formats import BINARY64, format_label, resolve_format
 
 if TYPE_CHECKING:
     import numpy as np
@@ -296,26 +296,32 @@ def compensation_experiment(
 
     err = floor(t_hat in binary64) - j, so err = 0 means agreement with
     the double-precision floor baseline.  Interval misses are counted in
-    violations, never silently dropped.  The walk-based algorithms run a
-    whole row at a time in the batch kernel, with compensate for the
-    cases it cannot prove; the naive baselines run per case.
+    violations, never silently dropped.  Every row, the baselines
+    included, runs a whole row at a time in the batch kernel, with
+    compensate or naive_compensate for the cases it cannot prove.
     """
     import numpy as np
 
     from . import batch
 
     pairs, weights = _case_counts(population)
-    baseline = {
-        i: batch.int_array([naive_compensate(i, D, A, "binary64") for D, A in pairs])
-        for i in i_list
-    }
     cases = batch.CaseArrays(pairs, weights)
+
+    def naive_row(i, fmt):
+        j, fallback = batch.naive_floors(cases, i, fmt)
+        if fallback.any():
+            j = j.astype(object)
+            for k in fallback.nonzero()[0]:
+                j[k] = naive_compensate(i, *pairs[k], fmt)
+        return j
+
+    baseline = {i: naive_row(i, BINARY64) for i in i_list}
     rows = []
     for algorithm, precision in algorithms:
         fmt = resolve_format(precision)
         for i in i_list:
             if algorithm == "naive":
-                j = batch.int_array([naive_compensate(i, D, A, precision) for D, A in pairs])
+                j = naive_row(i, fmt)
                 iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
             else:
                 j, iterations, violated, fallback = batch.compensate_triples(

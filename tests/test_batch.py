@@ -1,8 +1,9 @@
 """The batch table kernel against the scalar functions, case by case.
 
 Every value the kernel accepts must equal what candidate_interval,
-reference_interval and compensate return for that case; the cases it
-marks as fallback are the ones the experiments hand to those functions.
+reference_interval, compensate and naive_compensate return for that
+case; the cases it marks as fallback are the ones the experiments hand
+to those functions.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from skewcomp.bounds import (
     reference_interval,
     theoretical_coefficients,
 )
-from skewcomp.compensator import compensate, oracle_nearest
+from skewcomp.compensator import compensate, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     DEFAULT_I_LIST,
     TABLE2_CONFIGS,
@@ -133,6 +134,108 @@ def test_batch_matches_scalar_at_route_edges(i, fmt):
         assert not masks[method].any() if on_route else masks[method].all()
 
 
+def _tie(i, p, s, mantissa):
+    """(D, A) with i*D/A exactly halfway between mantissa * 2**s and the next p-bit value."""
+    ratio = Fraction(2 * mantissa + 1, i) * Fraction(2) ** (s - 1)
+    return ratio.numerator, ratio.denominator
+
+
+def _check_naive(pairs, i, fmt):
+    """Assert each accepted naive floor equals naive_compensate; return the fallback mask."""
+    cases = batch.CaseArrays(pairs, [1] * len(pairs))
+    j, fallback = batch.naive_floors(cases, i, fmt)
+    for k in _accepted(fallback):
+        D, A = pairs[k]
+        assert j[k] == naive_compensate(i, D, A, fmt), pairs[k]
+        # the int64 bounds the kernel relies on, with A * 2**(s + 1) left to the product guard
+        q = i * D // A
+        s = max(q.bit_length() - fmt.precision, 0)
+        assert i * D < 2**63 and q < 2**53 and A << (s + 1) < 2**63, pairs[k]
+    return fallback.tolist()
+
+
+@st.composite
+def _naive_case(draw, i, p):
+    """One (D, A) pair for naive_floors, biased to ties and the int64 edges."""
+    a = draw(st.sampled_from(EDGE_A) | st.integers(min_value=1, max_value=2**53 + 2))
+    kind = draw(st.sampled_from(("any", "identity", "steepest", "tie", "product")))
+    if kind == "identity":
+        return a, a
+    if kind == "steepest":
+        return 2 * a - 1, a
+    if kind == "tie" and i > 0:
+        # a midpoint (2M + 1) * 2**(s - 1) below 2i, for either branch of s
+        s = draw(st.integers(min_value=-p, max_value=max((2 * i).bit_length() - p, -p)))
+        limit = i * Fraction(2) ** (2 - s)  # 2M + 1 < limit keeps D < 2A
+        high = min(2**p - 1, (-(-limit.numerator // limit.denominator) - 2) // 2)
+        if high >= 2 ** (p - 1):
+            return _tie(i, p, s, draw(st.integers(min_value=2 ** (p - 1), max_value=high)))
+    if kind == "product" and i > 0:
+        # i*D at 2**63 - 1, or one step above it
+        d = (2**63 - 1) // i + draw(st.sampled_from((0, 1)))
+        return d, max(a, d // 2 + 1)
+    return draw(st.integers(min_value=1, max_value=2 * a - 1)), a
+
+
+@st.composite
+def _naive_rows(draw):
+    i = draw(
+        st.sampled_from((0, 1, 2**24 - 1, 2**24, 2**24 + 1, 2**53 - 1, 2**53, 2**53 + 1))
+        | st.integers(min_value=0, max_value=2**54)
+    )
+    fmt = draw(st.sampled_from((BINARY32, BINARY64, P11)))
+    pairs = draw(st.lists(_naive_case(i, fmt.precision), min_size=1, max_size=6, unique=True))
+    return sorted(pairs), i, fmt
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_naive_rows())
+def test_naive_floors_match_scalar(row):
+    pairs, i, fmt = row
+    fallback = _check_naive(pairs, i, fmt)
+    if i >= 2**53 or fmt == P11:
+        assert all(fallback)
+
+
+def _odd_multiple_tie(i, s, parity):
+    """A binary64 tie below 2**53 with 1 - s low bits in A, so that i*D stays small."""
+    c = (2**53 // i + 2) | 1
+    mantissa = (i * c - 1) // 2
+    return _tie(i, 53, s, mantissa + i * (mantissa % 2 != parity))
+
+
+# (i, D, A, fmt, accepted)
+NAIVE_EDGES = [
+    # numpy's float64 i*D / A rounds these the other way
+    (315, 4775644609732923, 3607501323898971, BINARY64, True),
+    (457, 7664970424358466, 4670521978575759, BINARY64, True),
+    (457, 12177314880440294, 6761886877717150, BINARY64, True),
+    # ties with s < 0 and s >= 0, odd and even mantissa, and q + 1 = 2**k
+    *((1000, *_tie(1000, 24, -14, m), BINARY32, True) for m in (2**23 + 1, 2**23 + 2, 2**24 - 1)),
+    *((10**9, *_tie(10**9, 24, 3, m), BINARY32, True) for m in (2**23 + 1, 2**23 + 2, 2**24 - 1)),
+    *((3001, *_odd_multiple_tie(3001, -40, parity), BINARY64, True) for parity in (0, 1)),
+    # D/A = 3/2 at odd i in [2**53 / 3, 2**54 / 3): ties with s = 0
+    *((i, 3, 2, BINARY64, True) for i in (2**53 // 3 + 1, 2**53 // 3 + 3)),
+    # q = 0 at x = 1 - 2**-(p + 1), which rounds up to 1
+    (1, *_tie(1, 24, -24, 2**24 - 1), BINARY32, True),
+    (1, *_tie(1, 53, -53, 2**53 - 1), BINARY64, False),  # A = 2**54
+    # D = A and D = 2A - 1
+    *((10**9, D, 10**6, fmt, True) for D in (10**6, 2 * 10**6 - 1) for fmt in (BINARY32, BINARY64)),
+    # i*D = 2**63 - 1 (7**2 * 73 * 127 * 337 * 92737 * 649657) and i*D = 2**63
+    (7 * 7 * 73 * 127, 337 * 92737 * 649657, 337 * 92737 * 649657 - 1, BINARY32, True),
+    (2**20, 2**43, 2**43 - 1, BINARY32, False),
+    # the largest A * 2**(s + 1) on the kernel is far below 2**63: i*D bounds it
+    (2**52 - 1, 2**10 - 1, 2**9 + 1, BINARY32, True),
+    (2**53 - 1, 2**10 - 1, 2**9 + 1, BINARY32, False),  # q >= 2**53
+    (10**9, 10**6 + 1, 10**6, P11, False),
+]
+
+
+@pytest.mark.parametrize("i, D, A, fmt, accepted", NAIVE_EDGES)
+def test_naive_floors_at_the_edges(i, D, A, fmt, accepted):
+    assert _check_naive([(D, A)], i, fmt) == [not accepted]
+
+
 def _fallback_masks(pairs, i, fmt=BINARY32, eps_coeff=DEFAULT_EPS_COEFF):
     masks = _check_row(pairs, i, fmt, eps_coeff)
     return {key: mask.tolist() for key, mask in masks.items()}
@@ -178,10 +281,12 @@ def test_fallback_where_the_margin_is_inexact():
 def test_no_fallback_on_table_populations(seed, n, D):
     cases = batch.CaseArrays(*zip(*sorted(sample_cases(seed, n, D, 100).items())))
     for i in DEFAULT_I_LIST:
+        assert not batch.naive_floors(cases, i, BINARY64)[1].any()
         for method, precision in (*TABLE2_CONFIGS, *TABLE3_ALGORITHMS):
-            if method == "naive":
-                continue
             fmt = resolve_format(precision)
+            if method == "naive":
+                assert not batch.naive_floors(cases, i, fmt)[1].any()
+                continue
             assert not batch.candidate_ends(cases, i, method, fmt, DEFAULT_EPS_COEFF)[2].any()
             assert not batch.compensate_triples(cases, i, method, fmt, DEFAULT_EPS_COEFF)[3].any()
             assert not batch.reference_ends(cases, i, fmt)[2].any()
@@ -219,6 +324,18 @@ def test_experiments_merge_fallback_cases():
             assert row.iterations.avg == Fraction(sum(r.iterations * w for r, w in results), 6)
             assert row.violations == sum(w for r, w in results if r.bounds_violated)
     assert rows[-1].algorithm == "approximate" and rows[-1].violations > 0
+    # the naive row and its binary64 baseline merge the same cases; at 1e9 the
+    # added case is past i*D < 2**63 with a nonzero err, so a dropped merge shows
+    population[10**10 + 12345, 10**10] = 1
+    for i in i_list:
+        (row,) = compensation_experiment(population, (i,), [("naive", "binary32")])
+        errs = [
+            (naive_compensate(i, D, A, "binary64") - naive_compensate(i, D, A, "binary32"), weight)
+            for (D, A), weight in sorted(population.items())
+        ]
+        assert (row.err.min, row.err.max) == (min(e for e, _ in errs), max(e for e, _ in errs))
+        assert row.err.avg == Fraction(sum(e * w for e, w in errs), 7)
+        assert row.iterations.max == row.violations == 0
 
 
 def _convergent_denominators(x: Fraction, limit: int) -> list[int]:

@@ -220,6 +220,7 @@ def test_output_file(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
+    assert "ok: bounds_violated iff the oracle lies outside the candidate interval" in out
     assert "selftest passed" in out
 
 

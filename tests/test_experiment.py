@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcomp.compensator import naive_compensate, oracle_nearest
+from skewcomp.compensator import SkewOutOfRange, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     ClockSample,
     bounds_experiment,
@@ -209,3 +209,17 @@ def test_empty_population_rejected():
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError, match="weights must be positive"):
         bounds_experiment({(10**6, 10**6 + 1): 2, (10**6, 10**6): 0}, i_list=(10**6,))
+
+
+@pytest.mark.parametrize(
+    "population, i", [({(0, 5): 1}, 10), ({(3, 5): 1}, -1), ({(3, 0): 1}, 10)]
+)
+def test_invalid_inputs_raise_before_any_row(population, i):
+    # the baselines run first, so naive_compensate's check fires, not compensate's
+    with pytest.raises(ValueError, match="need i >= 0, D > 0, A > 0"):
+        compensation_experiment(population, (i,))
+
+
+def test_skew_out_of_range_raises_at_the_first_walk_row():
+    with pytest.raises(SkewOutOfRange):
+        compensation_experiment({(10, 5): 1}, (10,))
