@@ -296,8 +296,8 @@ def compensation_experiment(
 
     err = floor(t_hat in binary64) - j, so err = 0 means agreement with
     the double-precision floor baseline.  Interval misses are counted in
-    violations, never silently dropped.  Every row, the baselines
-    included, runs a whole row at a time in the batch kernel, with
+    violations, never silently dropped.  Each row, and the binary64
+    baseline for each i, is one pass of the batch kernel, with
     compensate or naive_compensate for the cases it cannot prove.
     """
     import numpy as np

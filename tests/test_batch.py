@@ -171,7 +171,7 @@ def _naive_case(draw, i, p):
         if high >= 2 ** (p - 1):
             return _tie(i, p, s, draw(st.integers(min_value=2 ** (p - 1), max_value=high)))
     if kind == "product" and i > 0:
-        # i*D at 2**63 - 1, or one step above it
+        # the largest D with i*D < 2**63, or one above it
         d = (2**63 - 1) // i + draw(st.sampled_from((0, 1)))
         return d, max(a, d // 2 + 1)
     return draw(st.integers(min_value=1, max_value=2 * a - 1)), a
@@ -179,10 +179,7 @@ def _naive_case(draw, i, p):
 
 @st.composite
 def _naive_rows(draw):
-    i = draw(
-        st.sampled_from((0, 1, 2**24 - 1, 2**24, 2**24 + 1, 2**53 - 1, 2**53, 2**53 + 1))
-        | st.integers(min_value=0, max_value=2**54)
-    )
+    i = draw(st.sampled_from(EDGE_I) | st.integers(min_value=0, max_value=2**54))
     fmt = draw(st.sampled_from((BINARY32, BINARY64, P11)))
     pairs = draw(st.lists(_naive_case(i, fmt.precision), min_size=1, max_size=6, unique=True))
     return sorted(pairs), i, fmt
