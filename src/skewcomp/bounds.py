@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .formats import FloatFormat, format_label, resolve_format, unit_roundoff
@@ -81,18 +81,16 @@ class InvalidSlope(ValueError):
     """Interval construction needs 0 <= D < A and i >= 0."""
 
 
-@dataclass(frozen=True)
-class CandidateInterval:
+class CandidateInterval(namedtuple("CandidateInterval", "lb ub method precision")):
     """Integer range [lb, ub] guaranteed (or claimed) to contain the clock."""
 
-    lb: int
-    ub: int
-    method: str
-    precision: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lb > self.ub:
-            raise ValueError(f"empty interval [{self.lb}, {self.ub}]")
+    def __new__(cls, lb: int, ub: int, method: str, precision: str):
+        if lb > ub:
+            raise ValueError(f"empty interval [{lb}, {ub}]")
+        # tuple.__new__ directly: namedtuple's own __new__ is a second call
+        return tuple.__new__(cls, (lb, ub, method, precision))
 
     @property
     def width(self) -> int:
@@ -186,12 +184,17 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
         raise ValueError(f"need i, D, A >= 0, got i={i} D={D} A={A}")
     if max(i, D, A) >= _HW_EXACT_INT:
         return float(emulated_clock_estimate(i, D, A, fmt))
-    if fmt.base == 2 and fmt.precision == 53:
+    if not _on_hardware_route(fmt, i, D, A):
+        raise ValueError(f"no hardware path for {fmt}; use emulated_clock_estimate")
+    return _hardware_estimate(i, D, A, fmt)
+
+
+def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
+    """clock_estimate for checked inputs on the hardware route."""
+    if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
-    if fmt.base == 2 and fmt.precision == 24:
-        i32, d32, a32 = _BINARY32_TRIPLE.unpack(_BINARY32_TRIPLE.pack(i, D, A))
-        return _to_binary32(i32 * _to_binary32(d32 / a32))
-    raise ValueError(f"no hardware path for {fmt}; use emulated_clock_estimate")
+    i32, d32, a32 = _BINARY32_TRIPLE.unpack(_BINARY32_TRIPLE.pack(i, D, A))
+    return _to_binary32(i32 * _to_binary32(d32 / a32))
 
 
 def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
@@ -246,7 +249,7 @@ def candidate_interval(
     fmt = resolve_format(precision)
     # t_hat = tn / td exactly
     if _on_hardware_route(fmt, i, D, A):
-        tn, td = clock_estimate(i, D, A, fmt).as_integer_ratio()
+        tn, td = _hardware_estimate(i, D, A, fmt).as_integer_ratio()
     else:
         tn, td = _emulated_ratio(i, D, A, fmt)
     if method in ("theoretical", "practical"):

@@ -10,7 +10,7 @@ floating-point operation decides the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import CandidateInterval, DEFAULT_EPS_COEFF, candidate_interval
 from .formats import format_label, resolve_format
@@ -39,15 +39,13 @@ class SkewOutOfRange(ValueError):
     """Compensation requires 0 < D < 2A."""
 
 
-@dataclass(frozen=True)
-class RefineResult:
+class RefineResult(NamedTuple):
     j: int
     iterations: int
     bounds_violated: bool
 
 
-@dataclass(frozen=True)
-class CompResult:
+class CompResult(NamedTuple):
     j: int
     iterations: int
     method: str
@@ -76,10 +74,7 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     set, so a wrong interval never gives a wrong j.  iterations is the
     interval width, which bounds the number of steps.
     """
-    if isinstance(interval, CandidateInterval):
-        lb, ub = interval.lb, interval.ub
-    else:
-        lb, ub = interval
+    lb, ub = interval[:2] if isinstance(interval, CandidateInterval) else interval
     if not 0 <= delta_b < delta_a:
         raise ValueError(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb
@@ -122,13 +117,14 @@ def compensate(
         raise ValueError(f"need i >= 0, got {i}")
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
-    label = format_label(resolve_format(precision))
+    fmt = resolve_format(precision)
+    label = format_label(fmt)
     if D == A:
         return CompResult(i, 0, method, label, "identity", False)
 
     delta_b = D if D < A else D - A
     case = "case1" if D < A else "case2"
-    interval = candidate_interval(i, delta_b, A, method, precision, eps_coeff)
+    interval = candidate_interval(i, delta_b, A, method, fmt, eps_coeff)
     # refine needs width <= i and the clock satisfies 0 <= j <= i, so clipping
     # to [0, i] never drops the true value and the clipped interval misses
     # exactly when the full one does (approximate intervals can stick out

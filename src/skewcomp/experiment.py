@@ -24,12 +24,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
 from operator import mul
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, naive_compensate
@@ -83,8 +82,7 @@ _SKEW_STEPS = _PPM_STEPS * 10**6
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class ClockSample:
+class ClockSample(NamedTuple):
     """One draw: D reference ticks vs A local ticks per interval."""
 
     D: int
@@ -92,16 +90,14 @@ class ClockSample:
     skew_ppm: Fraction
 
 
-@dataclass(frozen=True)
-class StatSummary:
+class StatSummary(NamedTuple):
     min: int
     max: int
     avg: Fraction
     count: int
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     method: str
     precision: str
     i: int
@@ -109,8 +105,7 @@ class BoundsRow:
     dub: StatSummary
 
 
-@dataclass(frozen=True)
-class CompRow:
+class CompRow(NamedTuple):
     algorithm: str
     precision: str
     i: int
@@ -147,15 +142,24 @@ def sample_cases(
     """The generate_samples population as a (D, A) -> count table.
 
     Equal to Counter((s.D, s.A) for s in generate_samples(...)) without
-    building the samples, so time is linear and memory flat in n.
+    building the samples, so time is linear in n and memory in the number
+    of distinct cases: each block merges into sorted arrays of A - D.
     """
     import numpy as np
 
-    counts: Counter = Counter()
+    values, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     for _, offsets in _draw_blocks(seed, n, D, range_ppm):
-        values, weights = np.unique(offsets, return_counts=True)
-        counts.update({(D, D + offset): w for offset, w in zip(values.tolist(), weights.tolist())})
-    return counts
+        if D < 2**63:
+            # |A - D| < D / 2, and int64 sorts far faster than Python ints
+            offsets = offsets.astype(np.int64, copy=False)
+        new, weights = np.unique(offsets, return_counts=True)
+        at = np.searchsorted(values, new)
+        seen = at < len(values)
+        seen[seen] = values[at[seen]] == new[seen]
+        counts[at[seen]] += weights[seen]
+        values = np.insert(values.astype(new.dtype, copy=False), at[~seen], new[~seen])
+        counts = np.insert(counts, at[~seen], weights[~seen])
+    return Counter(dict(zip([(D, D + offset) for offset in values.tolist()], counts.tolist())))
 
 
 def _draw_blocks(

@@ -13,9 +13,10 @@ with u the unit roundoff of the format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .rationals import round_to_format
 
@@ -34,24 +35,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FloatFormat:
+class FloatFormat(namedtuple("FloatFormat", "base precision")):
     """Value set {0} union {M * base**e : base**(precision-1) <= |M| < base**precision}."""
 
-    base: int
-    precision: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.precision < 2:
-            raise ValueError(f"precision must be >= 2, got {self.precision}")
+    def __new__(cls, base: int, precision: int):
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        if precision < 2:
+            raise ValueError(f"precision must be >= 2, got {precision}")
+        return super().__new__(cls, base, precision)
 
 
 BINARY32 = FloatFormat(base=2, precision=24)
 BINARY64 = FloatFormat(base=2, precision=53)
 
 FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
+_LABELS = {fmt: name for name, fmt in FORMATS.items()}
 
 
 def resolve_format(precision) -> FloatFormat:
@@ -67,10 +68,7 @@ def resolve_format(precision) -> FloatFormat:
 
 
 def format_label(fmt: FloatFormat) -> str:
-    for name, known in FORMATS.items():
-        if known == fmt:
-            return name
-    return f"b{fmt.base}p{fmt.precision}"
+    return _LABELS.get(fmt) or f"b{fmt.base}p{fmt.precision}"
 
 
 def unit_roundoff(fmt: FloatFormat) -> Fraction:
@@ -104,8 +102,7 @@ def relative_errors(t: Rational, fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     return err / abs(t), err / abs(rounded)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """Per-stage E1 bounds for fl(fl(i) * fl(fl(D) / fl(A))).
 
     Stages: the three input roundings, the division, the multiplication.

@@ -174,6 +174,18 @@ def test_compensate_does_not_import_numpy():
     assert run_fresh(script).split() == [str((2 * 10**15 + 10**6 + 100) // (2 * (10**6 + 100))), "False"]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the result records are named tuples; dataclasses would load inspect,
+    # ast, dis and tokenize on every import of the package
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import skewcomp.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    assert run_fresh(script).strip() == "[]"
+
+
 def test_range_of_half_the_clock_exits_1(capsys):
     code, out, err = run(capsys, "table2", "--range-ppm", "6e5", "-n", "10")
     assert code == 1

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcomp.bounds import CandidateInterval
+from skewcomp.compensator import compensate
+from skewcomp.experiment import StatSummary
 from skewcomp.formats import (
     BINARY32,
     BINARY64,
@@ -42,6 +45,37 @@ def test_format_label():
     assert format_label(BINARY32) == "binary32"
     assert format_label(BINARY64) == "binary64"
     assert format_label(FloatFormat(2, 11)) == "b2p11"
+    # the label is looked up by value, not identity
+    assert format_label(FloatFormat(2, 24)) == "binary32"
+
+
+@pytest.mark.parametrize(
+    "record, field, text",
+    [
+        (FloatFormat(2, 11), "precision", "FloatFormat(base=2, precision=11)"),
+        (
+            CandidateInterval(3, 5, "practical", "binary32"),
+            "lb",
+            "CandidateInterval(lb=3, ub=5, method='practical', precision='binary32')",
+        ),
+        (
+            compensate(7, 3, 5),
+            "j",
+            "CompResult(j=4, iterations=1, method='practical', precision='binary32', "
+            "case='case1', bounds_violated=False)",
+        ),
+        (
+            StatSummary(-1, 0, Fraction(-1, 2), 4),
+            "count",
+            "StatSummary(min=-1, max=0, avg=Fraction(-1, 2), count=4)",
+        ),
+    ],
+    ids=["FloatFormat", "CandidateInterval", "CompResult", "StatSummary"],
+)
+def test_records_are_immutable_with_field_repr(record, field, text):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert repr(record) == text
 
 
 def test_unit_roundoff_values():
