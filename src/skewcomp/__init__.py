@@ -18,7 +18,6 @@ from .bounds import (
     clock_estimate,
     emulated_clock_estimate,
     interval_deltas,
-    practical_coefficients,
     reference_interval,
     rounded_coefficients,
     theoretical_coefficients,
@@ -95,7 +94,6 @@ __all__ = [
     "METHODS",
     "DEFAULT_EPS_COEFF",
     "theoretical_coefficients",
-    "practical_coefficients",
     "rounded_coefficients",
     "clock_estimate",
     "emulated_clock_estimate",

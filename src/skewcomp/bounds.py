@@ -11,8 +11,10 @@ the true compensated clock around t_hat:
         coefficients (1-u)/(1+2u)^3 and (1+2u)^3;
     approximate: floor/ceil of t_hat -/+ (1 + eps_hat), eps_hat = fl(eps_coeff * i).
 
-The reference interval applies the theoretical coefficients to the exact
-t; it is what the candidates are judged against.
+The exact theoretical coefficients are the product of the per-stage
+bounds in formats.error_budget; they are not restated here.  The
+reference interval applies them to the exact t; it is what the
+candidates are judged against.
 
 Every interval end is the floor or ceil of an exact product, computed as
 one integer floor division of (numerator, denominator) pairs: t_hat comes
@@ -30,7 +32,7 @@ import struct
 from collections import namedtuple
 from fractions import Fraction
 
-from .formats import FloatFormat, format_label, resolve_format, unit_roundoff
+from .formats import BINARY32, FloatFormat, error_budget, format_label, resolve_format, unit_roundoff
 from .rationals import round_ratio, round_to_format
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "InvalidSlope",
     "CandidateInterval",
     "theoretical_coefficients",
-    "practical_coefficients",
     "rounded_coefficients",
     "clock_estimate",
     "emulated_clock_estimate",
@@ -78,7 +79,7 @@ class ZeroDivisor(ZeroDivisionError):
 
 
 class InvalidSlope(ValueError):
-    """Interval construction needs 0 <= D < A and i >= 0."""
+    """The pipeline needs i, D, A >= 0; interval construction also D < A."""
 
 
 class CandidateInterval(namedtuple("CandidateInterval", "lb ub method precision")):
@@ -107,24 +108,14 @@ def _require_base2(fmt: FloatFormat) -> Fraction:
 def theoretical_coefficients(fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     """Exact bracket coefficients: c_lo * t <= t_hat <= c_hi * t.
 
-    Tightest product of the five per-stage optimal bounds of the pipeline.
+    Tightest product of the five per-stage optimal bounds of the pipeline:
+    fl(A) sits in the denominator, so its bound enters inverted.
     """
-    u = _require_base2(fmt)
-    c_lo = (1 - u + 2 * u * u) / ((1 + u) ** 2 * (1 + 2 * u))
-    c_hi = (1 + 2 * u) ** 3 * (1 + u - 2 * u * u) / (1 + u) ** 2
+    _require_base2(fmt)
+    b = error_budget(fmt)
+    c_lo = (1 - b.round_i) * (1 - b.round_d) * (1 - b.divide) * (1 - b.multiply) / (1 + b.round_a)
+    c_hi = (1 + b.round_i) * (1 + b.round_d) * (1 + b.divide) * (1 + b.multiply) / (1 - b.round_a)
     return c_lo, c_hi
-
-
-@functools.lru_cache(maxsize=None)
-def practical_coefficients(fmt: FloatFormat) -> tuple[Fraction, Fraction]:
-    """Loosened coefficients (1-u)/(1+2u)^3 and (1+2u)^3.
-
-    Both are built from 1-u and 1+2u, which are exactly representable in
-    the format, so the working-precision evaluation is cheap and tight.
-    """
-    u = _require_base2(fmt)
-    cube = (1 + 2 * u) ** 3
-    return (1 - u) / cube, cube
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,7 +172,7 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     if A == 0:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
-        raise ValueError(f"need i, D, A >= 0, got i={i} D={D} A={A}")
+        raise InvalidSlope(f"need i, D, A >= 0, got i={i} D={D} A={A}")
     if max(i, D, A) >= _HW_EXACT_INT:
         return float(emulated_clock_estimate(i, D, A, fmt))
     if not _on_hardware_route(fmt, i, D, A):
@@ -275,15 +266,13 @@ def candidate_interval(
     return CandidateInterval(lb=lb, ub=ub, method=method, precision=format_label(fmt))
 
 
-def reference_interval(i: int, D: int, A: int, fmt: FloatFormat = None) -> CandidateInterval:
+def reference_interval(i: int, D: int, A: int, fmt: FloatFormat = BINARY32) -> CandidateInterval:
     """Theoretical interval evaluated on the exact t = i*D/A.
 
-    fmt selects whose unit roundoff the coefficients use (default binary32);
-    the arithmetic itself is exact.
+    fmt selects whose unit roundoff the coefficients use; the arithmetic
+    itself is exact.
     """
     _validate_inputs(i, D, A)
-    if fmt is None:
-        fmt = resolve_format("binary32")
     lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
     tn = i * D  # t = tn / A
     return CandidateInterval(

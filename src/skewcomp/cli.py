@@ -39,6 +39,7 @@ from .experiment import (
     DEFAULT_N,
     DEFAULT_RANGE_PPM,
     DEFAULT_SEED,
+    StatSummary,
     bounds_experiment,
     compensation_experiment,
     sample_cases,
@@ -123,67 +124,35 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
-def _avg_repr(avg: Fraction) -> tuple[str, float]:
-    """Averages print with 4 significant decimals; JSON gets the same value."""
-    text = f"{float(avg):.4e}"
-    return text, float(text)
+def _cells(row) -> list:
+    """A table row's cells in field order; a StatSummary gives min, max, avg.
+
+    Averages print with 4 significant decimals.
+    """
+    cells = []
+    for value in row:
+        if isinstance(value, StatSummary):
+            cells += [value.min, value.max, f"{float(value.avg):.4e}"]
+        else:
+            cells.append(value)
+    return cells
 
 
 def _emit_table(rows, header, meta, fmt, out) -> None:
+    cells = [_cells(row) for row in rows]
     if fmt == "json":
-        _write_json(meta, [{**csv_row, **overrides} for csv_row, overrides in rows], out)
+        # the *_avg cells become the numbers their printed text reads as
+        dict_rows = [
+            {name: float(cell) if name.endswith("_avg") else cell for name, cell in zip(header, row)}
+            for row in cells
+        ]
+        json.dump({"meta": {k: str(v) for k, v in meta.items()}, "rows": dict_rows}, out, indent=2)
+        out.write("\n")
     else:
-        _write_csv(meta, [csv_row for csv_row, _ in rows], header, out)
-
-
-def _write_csv(meta, dict_rows, header, out) -> None:
-    for key, value in meta.items():
-        out.write(f"# {key}={value}\n")
-    out.write(",".join(header) + "\n")
-    for row in dict_rows:
-        out.write(",".join(str(row[name]) for name in header) + "\n")
-
-
-def _write_json(meta, dict_rows, out) -> None:
-    json.dump({"meta": {k: str(v) for k, v in meta.items()}, "rows": dict_rows}, out, indent=2)
-    out.write("\n")
-
-
-def _table2_dicts(rows):
-    for row in rows:
-        dlb_avg, dlb_avg_num = _avg_repr(row.dlb.avg)
-        dub_avg, dub_avg_num = _avg_repr(row.dub.avg)
-        csv_row = {
-            "method": row.method,
-            "precision": row.precision,
-            "i": row.i,
-            "dlb_min": row.dlb.min,
-            "dlb_max": row.dlb.max,
-            "dlb_avg": dlb_avg,
-            "dub_min": row.dub.min,
-            "dub_max": row.dub.max,
-            "dub_avg": dub_avg,
-        }
-        yield csv_row, {"dlb_avg": dlb_avg_num, "dub_avg": dub_avg_num}
-
-
-def _table3_dicts(rows):
-    for row in rows:
-        err_avg, err_avg_num = _avg_repr(row.err.avg)
-        iter_avg, iter_avg_num = _avg_repr(row.iterations.avg)
-        csv_row = {
-            "algorithm": row.algorithm,
-            "precision": row.precision,
-            "i": row.i,
-            "err_min": row.err.min,
-            "err_max": row.err.max,
-            "err_avg": err_avg,
-            "iter_min": row.iterations.min,
-            "iter_max": row.iterations.max,
-            "iter_avg": iter_avg,
-            "violations": row.violations,
-        }
-        yield csv_row, {"err_avg": err_avg_num, "iter_avg": iter_avg_num}
+        for key, value in meta.items():
+            out.write(f"# {key}={value}\n")
+        for row in [header, *cells]:
+            out.write(",".join(map(str, row)) + "\n")
 
 
 def _table_meta(name: str, args) -> dict:
@@ -225,12 +194,10 @@ def _cmd_compensate(args) -> int:
 def _run_table(args, name) -> int:
     cases = sample_cases(args.seed, args.samples, args.D, args.range_ppm)
     if name == "table2":
-        rows = list(_table2_dicts(bounds_experiment(cases, args.i, eps_coeff=args.eps_coeff)))
+        rows = bounds_experiment(cases, args.i, eps_coeff=args.eps_coeff)
         header = TABLE2_HEADER
     else:
-        rows = list(
-            _table3_dicts(compensation_experiment(cases, args.i, eps_coeff=args.eps_coeff))
-        )
+        rows = compensation_experiment(cases, args.i, eps_coeff=args.eps_coeff)
         header = TABLE3_HEADER
     meta = _table_meta(name, args)
     if args.output and args.output != "-":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import CandidateInterval, DEFAULT_EPS_COEFF, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, candidate_interval
 from .formats import format_label, resolve_format
 from .rationals import round_ratio
 
@@ -74,7 +74,7 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     set, so a wrong interval never gives a wrong j.  iterations is the
     interval width, which bounds the number of steps.
     """
-    lb, ub = interval[:2] if isinstance(interval, CandidateInterval) else interval
+    lb, ub = interval[:2]
     if not 0 <= delta_b < delta_a:
         raise ValueError(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb

@@ -239,8 +239,8 @@ def _case_counts(population: Population) -> tuple[list[tuple[int, int]], list[in
         raise ValueError("population must be nonempty")
     cases = sorted(counts)
     weights = [counts[case] for case in cases]
-    if min(weights) < 1:
-        raise ValueError("case weights must be positive")
+    if not all(isinstance(w, int) and w >= 1 for w in weights):
+        raise ValueError("case weights must be positive integers")
     return cases, weights
 
 

@@ -8,7 +8,9 @@ exact value, E2 against the rounded value.  The optimal bounds are
     divide, base 2:       E1 <= u - 2u^2,         E2 <= (u-2u^2)/(1+u-2u^2)
     divide, base > 2:     E1 <= u/(1+u),          E2 <= u
 
-with u the unit roundoff of the format.
+with u the unit roundoff of the format.  error_budget collects the E1
+bounds of the five stages of fl(fl(i) * fl(fl(D) / fl(A))); they define
+the theoretical interval coefficients in bounds.
 """
 
 from __future__ import annotations

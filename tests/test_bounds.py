@@ -18,7 +18,6 @@ from skewcomp.bounds import (
     clock_estimate,
     emulated_clock_estimate,
     interval_deltas,
-    practical_coefficients,
     reference_interval,
     rounded_coefficients,
     theoretical_coefficients,
@@ -32,7 +31,10 @@ U64 = unit_roundoff(BINARY64)
 
 
 def test_theoretical_coefficients_closed_form():
-    for fmt, u in ((BINARY32, U32), (BINARY64, U64)):
+    # the product of the stage bounds, checked against its closed form
+    for p in range(2, 114):
+        fmt = FloatFormat(2, p)
+        u = unit_roundoff(fmt)
         c_lo, c_hi = theoretical_coefficients(fmt)
         assert c_lo * (1 + u) ** 2 * (1 + 2 * u) == 1 - u + 2 * u * u
         assert c_hi * (1 + u) ** 2 == (1 + 2 * u) ** 3 * (1 + u - 2 * u * u)
@@ -40,20 +42,17 @@ def test_theoretical_coefficients_closed_form():
 
 
 def test_practical_coefficients_loosen_theoretical():
-    for fmt in (BINARY32, BINARY64):
+    # the pair candidate_interval applies for the practical method
+    for p in range(2, 114):
+        fmt = FloatFormat(2, p)
         t_lo, t_hi = theoretical_coefficients(fmt)
-        p_lo, p_hi = practical_coefficients(fmt)
-        u = unit_roundoff(fmt)
-        assert p_hi == (1 + 2 * u) ** 3
-        assert p_lo == (1 - u) / p_hi
+        p_lo, p_hi = rounded_coefficients("practical", fmt)
         assert p_lo < t_lo and p_hi > t_hi
 
 
 def test_coefficients_reject_wide_base():
     with pytest.raises(UnsupportedBase):
         theoretical_coefficients(FloatFormat(10, 3))
-    with pytest.raises(UnsupportedBase):
-        practical_coefficients(FloatFormat(10, 3))
     with pytest.raises(UnsupportedBase):
         rounded_coefficients("practical", FloatFormat(10, 3))
 
@@ -83,8 +82,9 @@ def test_clock_estimate_examples():
 def test_clock_estimate_validation():
     with pytest.raises(ZeroDivisor):
         clock_estimate(1, 1, 0)
-    with pytest.raises(ValueError):
-        clock_estimate(-1, 1, 2)
+    for i, D, A in ((-1, 1, 2), (1, -1, 2), (1, 1, -2)):
+        with pytest.raises(InvalidSlope, match="need i, D, A >= 0"):
+            clock_estimate(i, D, A)
 
 
 def test_hardware_agrees_with_emulation():

@@ -1,10 +1,12 @@
-"""Command line surface: output format, exit codes, golden rows."""
+"""Command line and package surface: output format, exit codes, golden rows, exports."""
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -124,20 +126,26 @@ def test_table3_csv_shape(capsys):
     assert naive["violations"] == "0"
 
 
-# sha256 of the CSV bytes, recorded from the per-sample randint draw
+# sha256 of the stdout bytes at --seed 42 -n 2000, keyed by (table, D) for
+# CSV and (table, D, format) otherwise; the CSV digests were recorded from
+# the per-sample randint draw
 GOLDEN_TABLES = {
     ("table2", "1e6"): "ae89943c48cbcff4d40ba6c8ec0297ed8b2929149a316a63ffff18f3ed06473c",
     ("table3", "1e6"): "66526c9d74229f34af302078bcbd5e262dc79a89d180696484e022ba43d4cac9",
     ("table2", "1e9"): "998e7d950de9f631cac84cfb6e856e80e7f604cc3785b411f3645a35cfacd315",
     ("table3", "1e9"): "3f6be8f73392dc762ebf870d623cc80a80be0aef35c77501c4b41d8765b12cdb",
+    ("table2", "1e6", "json"): "34ee137e16cce7a02f10ae45eb211254f59d77e04a1bae833a757f6f2480db97",
+    ("table3", "1e6", "json"): "7801eac5e175680bd4a794f056f4f6e50ac01353a6bcdab29204d1fad22a6c85",
 }
 
 
-@pytest.mark.parametrize("table, D", sorted(GOLDEN_TABLES))
-def test_table_bytes_are_golden(capsys, table, D):
-    code, out, _ = run(capsys, table, "--seed", "42", "-n", "2000", "--D", D)
+@pytest.mark.parametrize("key", sorted(GOLDEN_TABLES), ids="-".join)
+def test_table_bytes_are_golden(capsys, key):
+    table, D, *fmt = key
+    argv = [table, "--seed", "42", "-n", "2000", "--D", D, *(f"--format={f}" for f in fmt)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_TABLES[table, D]
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_TABLES[key]
 
 
 def run_fresh(script, *argv):
@@ -184,6 +192,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
     assert run_fresh(script).strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry otherwise fails only under a star import
+    modules = [skewcomp] + [
+        importlib.import_module(f"skewcomp.{info.name}") for info in pkgutil.iter_modules(skewcomp.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
 
 
 def test_range_of_half_the_clock_exits_1(capsys):

@@ -214,6 +214,10 @@ def test_empty_population_rejected():
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError, match="weights must be positive"):
         bounds_experiment({(10**6, 10**6 + 1): 2, (10**6, 10**6): 0}, i_list=(10**6,))
+    # a fractional weight would be truncated in the case arrays but not in the count
+    for weight in (Fraction(3, 2), 2.0):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            compensation_experiment({(10**6, 10**6 + 1): weight}, (10**6,))
 
 
 @pytest.mark.parametrize(
