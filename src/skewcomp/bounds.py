@@ -79,7 +79,8 @@ class ZeroDivisor(ZeroDivisionError):
 
 
 class InvalidSlope(ValueError):
-    """The pipeline needs i, D, A >= 0; interval construction also D < A."""
+    """An input breaks its sign or slope rule: i >= 0, D and A >= 0 (> 0 for a
+    ratio), and a slope below 1 (D < A) for an interval or the walk."""
 
 
 class CandidateInterval(namedtuple("CandidateInterval", "lb ub method precision")):

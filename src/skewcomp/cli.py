@@ -22,8 +22,6 @@ from . import __version__
 from .bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
-    InvalidSlope,
-    UnsupportedBase,
     ZeroDivisor,
     candidate_interval,
     clock_estimate,
@@ -32,7 +30,7 @@ from .bounds import (
     reference_interval,
     theoretical_coefficients,
 )
-from .compensator import OverflowRisk, SkewOutOfRange, compensate, oracle_nearest
+from .compensator import OverflowRisk, compensate, oracle_nearest
 from .experiment import (
     DEFAULT_D,
     DEFAULT_I_LIST,
@@ -72,15 +70,8 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-_USER_ERRORS = (
-    InvalidSlope,
-    ZeroDivisor,
-    SkewOutOfRange,
-    OverflowRisk,
-    UnsupportedBase,
-    ValueError,
-    TypeError,
-)
+# InvalidSlope, SkewOutOfRange and UnsupportedBase are ValueErrors
+_USER_ERRORS = (ValueError, TypeError, ZeroDivisor, OverflowRisk)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidSlope, candidate_interval
 from .formats import format_label, resolve_format
 from .rationals import round_ratio
 
@@ -57,7 +57,7 @@ class CompResult(NamedTuple):
 def oracle_nearest(i: int, D: int, A: int) -> int:
     """Exact nearest integer to i*D/A, ties rounding up."""
     if i < 0 or D <= 0 or A <= 0:
-        raise ValueError(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
+        raise InvalidSlope(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
     return (2 * i * D + A) // (2 * A)
 
 
@@ -76,7 +76,7 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     """
     lb, ub = interval[:2]
     if not 0 <= delta_b < delta_a:
-        raise ValueError(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
+        raise InvalidSlope(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb
     if width < 0:
         raise ValueError(f"empty interval [{lb}, {ub}]")
@@ -114,7 +114,7 @@ def compensate(
     interval missed the clock, which bounds_violated reports.
     """
     if i < 0:
-        raise ValueError(f"need i >= 0, got {i}")
+        raise InvalidSlope(f"need i >= 0, got {i}")
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
     fmt = resolve_format(precision)
@@ -144,7 +144,7 @@ def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:
     inside half an ulp.
     """
     if i < 0 or D <= 0 or A <= 0:
-        raise ValueError(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
+        raise InvalidSlope(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
     fmt = resolve_format(precision)
     num, den = round_ratio(i * D, A, fmt)
     return num // den

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and round-to-nearest emulation.
+"""Round-to-nearest emulation of a floating-point format on exact integer pairs.
 
 Values are exact rationals throughout; floats only appear at the
 hardware boundary.  The per-case paths hold them as plain integer
@@ -16,39 +16,10 @@ from fractions import Fraction
 from numbers import Rational
 
 __all__ = [
-    "ZeroDenominator",
-    "rat",
-    "floor_rat",
-    "ceil_rat",
-    "round_half_up_rat",
     "round_ratio",
     "round_to_format",
     "is_in_format",
 ]
-
-
-class ZeroDenominator(ValueError):
-    """Raised when a rational is constructed with denominator zero."""
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Exact rational num/den, normalized with positive denominator."""
-    if den == 0:
-        raise ZeroDenominator(f"rational {num}/0 is undefined")
-    return Fraction(num, den)
-
-
-def floor_rat(x: Rational) -> int:
-    return x.numerator // x.denominator
-
-
-def ceil_rat(x: Rational) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def round_half_up_rat(x: Rational) -> int:
-    """Nearest integer, ties toward +inf: floor(x + 1/2)."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def _ilog(num: int, den: int, base: int) -> int:

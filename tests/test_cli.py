@@ -55,9 +55,18 @@ def test_compensate_strict_violation_exits_2(capsys):
 
 
 def test_validation_error_exits_1(capsys):
-    code, _, err = run(capsys, "bounds", "--i", "10", "--D", "5", "--A", "2")
-    assert code == 1
-    assert "need D < A" in err
+    # one input per error class the CLI reports as a usage error
+    cases = [
+        (("bounds", "--i", "10", "--D", "5", "--A", "2"), "need D < A"),  # InvalidSlope
+        (("bounds", "--i", "10", "--D", "1", "--A", "0"), "A = 0"),  # ZeroDivisor
+        (("compensate", "--i", "10", "--D", "10", "--A", "5"), "need 0 < D < 2A"),  # SkewOutOfRange
+        (("compensate", "--i", "4611686018427387904", "--D", "999999", "--A", "1000000"), "2**63"),  # OverflowRisk
+        (("compensate", "--i", "-1", "--D", "3", "--A", "5"), "need i >= 0"),  # InvalidSlope from compensate
+    ]
+    for argv, message in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert message in err, argv
 
 
 def test_unknown_method_exits_1(capsys):
@@ -206,6 +215,12 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+    # a name two modules export would be shadowed by the later star import
+    assert len(skewcomp.__all__) == len(set(skewcomp.__all__))
+    parts = ("rationals", "formats", "bounds", "compensator", "experiment")
+    assert skewcomp.__all__ == ["__version__"] + [
+        name for part in parts for name in importlib.import_module(f"skewcomp.{part}").__all__
+    ]
 
 
 def test_range_of_half_the_clock_exits_1(capsys):

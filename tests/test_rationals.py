@@ -1,61 +1,15 @@
-"""Exact rational helpers and the round-to-nearest-even emulation."""
+"""The round-to-nearest-even emulation."""
 
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, unit_roundoff
-from skewcomp.rationals import (
-    ZeroDenominator,
-    ceil_rat,
-    floor_rat,
-    is_in_format,
-    rat,
-    round_half_up_rat,
-    round_ratio,
-    round_to_format,
-)
+from skewcomp.rationals import is_in_format, round_ratio, round_to_format
 
 P11 = FloatFormat(2, 11)
-
-
-def test_rat_normalizes():
-    assert rat(3, 6) == Fraction(1, 2)
-    assert rat(5) == 5
-    assert rat(-2, 4) == Fraction(-1, 2)
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        rat(1, 0)
-
-
-@pytest.mark.parametrize(
-    "q, fl, ce, rhu",
-    [
-        (Fraction(7, 2), 3, 4, 4),
-        (Fraction(-7, 2), -4, -3, -3),  # half up means toward +inf
-        (Fraction(5, 1), 5, 5, 5),
-        (Fraction(-1, 3), -1, 0, 0),
-        (Fraction(9, 2), 4, 5, 5),
-        (Fraction(0), 0, 0, 0),
-    ],
-)
-def test_floor_ceil_round_half_up(q, fl, ce, rhu):
-    assert floor_rat(q) == fl
-    assert ceil_rat(q) == ce
-    assert round_half_up_rat(q) == rhu
-
-
-def test_floor_ceil_consistent_with_math():
-    for num in range(-25, 26):
-        for den in range(1, 8):
-            q = Fraction(num, den)
-            assert floor_rat(q) == math.floor(q)
-            assert ceil_rat(q) == math.ceil(q)
 
 
 def test_round_tenth_binary32():
@@ -105,8 +59,8 @@ def _neighbors(q: Fraction, fmt: FloatFormat):
     while q / Fraction(2) ** e < lo:
         e -= 1
     scaled = q / Fraction(2) ** e
-    below = Fraction(floor_rat(scaled), 1) * Fraction(2) ** e
-    above = Fraction(ceil_rat(scaled), 1) * Fraction(2) ** e
+    below = Fraction(math.floor(scaled), 1) * Fraction(2) ** e
+    above = Fraction(math.ceil(scaled), 1) * Fraction(2) ** e
     return below, above
 
 
@@ -164,7 +118,7 @@ def _nearest_base2(q: Fraction, p: int) -> Fraction:
         e += 1
     ulp = Fraction(2) ** (e - p + 1)
     m = q / ulp  # in [2^(p-1), 2^p)
-    lower = floor_rat(m)
+    lower = math.floor(m)
     half = m - lower - Fraction(1, 2)
     return (lower + (half > 0 or (half == 0 and lower % 2 == 1))) * ulp
 
