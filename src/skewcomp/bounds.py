@@ -38,7 +38,7 @@ from .rationals import round_ratio, round_to_format
 __all__ = [
     "UnsupportedBase",
     "ZeroDivisor",
-    "InvalidSlope",
+    "InvalidInput",
     "CandidateInterval",
     "theoretical_coefficients",
     "rounded_coefficients",
@@ -65,9 +65,9 @@ def _to_binary32(x: float) -> float:
     return _BINARY32.unpack(_BINARY32.pack(x))[0]
 
 
-def _on_hardware_route(fmt, *values: int) -> bool:
-    """Whether t_hat over these inputs runs on hardware floats, not emulated."""
-    return fmt.base == 2 and fmt.precision in (24, 53) and max(values) < _HW_EXACT_INT
+def _on_hardware_route(fmt, m: int) -> bool:
+    """Whether t_hat runs on hardware floats, not emulated, when m is its largest input."""
+    return fmt.base == 2 and fmt.precision in (24, 53) and m < _HW_EXACT_INT
 
 
 class UnsupportedBase(ValueError):
@@ -78,7 +78,7 @@ class ZeroDivisor(ZeroDivisionError):
     """A = 0 in the clock ratio D/A."""
 
 
-class InvalidSlope(ValueError):
+class InvalidInput(ValueError):
     """An input breaks its sign or slope rule: i >= 0, D and A >= 0 (> 0 for a
     ratio), and a slope below 1 (D < A) for an interval or the walk."""
 
@@ -153,9 +153,9 @@ def _validate_inputs(i: int, D: int, A: int) -> None:
     if A == 0:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
-        raise InvalidSlope(f"need i, D, A >= 0, got i={i} D={D} A={A}")
+        raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
     if D >= A:
-        raise InvalidSlope(f"need D < A after decomposition, got D={D} A={A}")
+        raise InvalidInput(f"need D < A after decomposition, got D={D} A={A}")
 
 
 def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
@@ -173,10 +173,11 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     if A == 0:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
-        raise InvalidSlope(f"need i, D, A >= 0, got i={i} D={D} A={A}")
-    if max(i, D, A) >= _HW_EXACT_INT:
+        raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
+    m = max(i, D, A)
+    if m >= _HW_EXACT_INT:
         return float(emulated_clock_estimate(i, D, A, fmt))
-    if not _on_hardware_route(fmt, i, D, A):
+    if not _on_hardware_route(fmt, m):
         raise ValueError(f"no hardware path for {fmt}; use emulated_clock_estimate")
     return _hardware_estimate(i, D, A, fmt)
 
@@ -239,8 +240,8 @@ def candidate_interval(
     """
     _validate_inputs(i, D, A)
     fmt = resolve_format(precision)
-    # t_hat = tn / td exactly
-    if _on_hardware_route(fmt, i, D, A):
+    # t_hat = tn / td exactly; D < A, so max(i, A) is the largest input
+    if _on_hardware_route(fmt, i if i > A else A):
         tn, td = _hardware_estimate(i, D, A, fmt).as_integer_ratio()
     else:
         tn, td = _emulated_ratio(i, D, A, fmt)
@@ -264,7 +265,7 @@ def candidate_interval(
         ub = -((-mid - margin) // den)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return CandidateInterval(lb=lb, ub=ub, method=method, precision=format_label(fmt))
+    return CandidateInterval(lb, ub, method, format_label(fmt))
 
 
 def reference_interval(i: int, D: int, A: int, fmt: FloatFormat = BINARY32) -> CandidateInterval:
@@ -276,12 +277,9 @@ def reference_interval(i: int, D: int, A: int, fmt: FloatFormat = BINARY32) -> C
     _validate_inputs(i, D, A)
     lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
     tn = i * D  # t = tn / A
-    return CandidateInterval(
-        lb=(lo_n * tn) // (lo_d * A),
-        ub=-((-hi_n * tn) // (hi_d * A)),
-        method="reference",
-        precision="exact",
-    )
+    lb = (lo_n * tn) // (lo_d * A)
+    ub = -((-hi_n * tn) // (hi_d * A))
+    return CandidateInterval(lb, ub, "reference", "exact")
 
 
 def interval_deltas(

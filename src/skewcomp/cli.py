@@ -70,7 +70,7 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-# InvalidSlope, SkewOutOfRange and UnsupportedBase are ValueErrors
+# InvalidInput, SkewOutOfRange and UnsupportedBase are ValueErrors
 _USER_ERRORS = (ValueError, TypeError, ZeroDivisor, OverflowRisk)
 
 

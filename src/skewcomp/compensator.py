@@ -3,16 +3,17 @@
 Given hardware clock i and the per-interval tick counts D (reference)
 and A (local), the compensated clock is the nearest integer to i*D/A.
 The refinement walks the candidate clock values up from the lower bound
-of a candidate interval with Bresenham style integer updates: adds and
-compares only, with no division unless the interval missed, so no
-floating-point operation decides the result.
+of a candidate interval with Bresenham style integer updates: adds,
+shifts and compares only, with no division unless the interval missed,
+so no floating-point operation decides the result.  Strides of halving
+powers of two keep the walk to at most about log2(width) + 3 steps.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidSlope, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, candidate_interval
 from .formats import format_label, resolve_format
 from .rationals import round_ratio
 
@@ -57,7 +58,7 @@ class CompResult(NamedTuple):
 def oracle_nearest(i: int, D: int, A: int) -> int:
     """Exact nearest integer to i*D/A, ties rounding up."""
     if i < 0 or D <= 0 or A <= 0:
-        raise InvalidSlope(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
+        raise InvalidInput(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
     return (2 * i * D + A) // (2 * A)
 
 
@@ -66,17 +67,21 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
 
     interval is a CandidateInterval or a plain (lb, ub) pair.  The state
     r = i*delta_b - y*delta_a - ceil(delta_a/2) is nonnegative exactly
-    while y is below the clock, so starting at y = lb the walk steps
-    y += 1, r -= delta_a while y < ub and r >= 0, and stops at the clock.
-    A miss is read from the state: r + delta_a < 0 at the start means the
-    clock is below lb, r >= 0 at the end means it is above ub.  Only then
-    is the clock computed by one exact division, and bounds_violated is
-    set, so a wrong interval never gives a wrong j.  iterations is the
-    interval width, which bounds the number of steps.
+    while y is below the clock, so y + 2^s is at most the clock exactly
+    when r + delta_a >= delta_a << s.  Starting at y = lb, the walk
+    tries each stride 2^s from the largest below the width down to 4 and
+    takes it when that holds and y + 2^s <= ub; then it steps y += 1,
+    r -= delta_a while y < ub and r >= 0, at most 3 times, and stops at
+    the clock.  It uses adds, shifts and compares only, at most about
+    log2(width) + 3 steps.  A miss is read from the state: r + delta_a < 0
+    at the start means the clock is below lb, r >= 0 at the end means it
+    is above ub.  Only then is the clock computed by one exact division,
+    and bounds_violated is set, so a wrong interval never gives a wrong
+    j.  iterations is the interval width, the ticks the walk covers.
     """
     lb, ub = interval[:2]
     if not 0 <= delta_b < delta_a:
-        raise InvalidSlope(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
+        raise InvalidInput(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb
     if width < 0:
         raise ValueError(f"empty interval [{lb}, {ub}]")
@@ -88,13 +93,21 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     y = lb
     r = i * delta_b - y * delta_a - (delta_a + 1) // 2
     below = r + delta_a < 0
+    if width > 3:
+        s = width.bit_length() - 1
+        stride, step = 1 << s, delta_a << s
+        while stride > 3:
+            if r + delta_a >= step and y + stride <= ub:
+                y += stride
+                r -= step
+            stride >>= 1
+            step >>= 1
     while y < ub and r >= 0:
         y += 1
         r -= delta_a
     if below or r >= 0:
-        j = (2 * i * delta_b + delta_a) // (2 * delta_a)
-        return RefineResult(j=j, iterations=width, bounds_violated=True)
-    return RefineResult(j=y, iterations=width, bounds_violated=False)
+        return RefineResult((2 * i * delta_b + delta_a) // (2 * delta_a), width, True)
+    return RefineResult(y, width, False)
 
 
 def compensate(
@@ -114,7 +127,7 @@ def compensate(
     interval missed the clock, which bounds_violated reports.
     """
     if i < 0:
-        raise InvalidSlope(f"need i >= 0, got {i}")
+        raise InvalidInput(f"need i >= 0, got {i}")
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
     fmt = resolve_format(precision)
@@ -144,7 +157,7 @@ def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:
     inside half an ulp.
     """
     if i < 0 or D <= 0 or A <= 0:
-        raise InvalidSlope(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
+        raise InvalidInput(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
     fmt = resolve_format(precision)
     num, den = round_ratio(i * D, A, fmt)
     return num // den

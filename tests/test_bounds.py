@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     CandidateInterval,
-    InvalidSlope,
+    InvalidInput,
     UnsupportedBase,
     ZeroDivisor,
     candidate_interval,
@@ -83,7 +83,7 @@ def test_clock_estimate_validation():
     with pytest.raises(ZeroDivisor):
         clock_estimate(1, 1, 0)
     for i, D, A in ((-1, 1, 2), (1, -1, 2), (1, 1, -2)):
-        with pytest.raises(InvalidSlope, match="need i, D, A >= 0"):
+        with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
             clock_estimate(i, D, A)
 
 
@@ -133,9 +133,9 @@ def test_candidate_zero_slope_degenerates():
 def test_candidate_validation():
     with pytest.raises(ZeroDivisor):
         candidate_interval(1, 0, 0)
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         candidate_interval(1, 3, 2)  # slope must be decomposed first
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         candidate_interval(-1, 1, 2)
     with pytest.raises(ValueError):
         candidate_interval(1, 1, 2, method="optimal")

@@ -57,11 +57,11 @@ def test_compensate_strict_violation_exits_2(capsys):
 def test_validation_error_exits_1(capsys):
     # one input per error class the CLI reports as a usage error
     cases = [
-        (("bounds", "--i", "10", "--D", "5", "--A", "2"), "need D < A"),  # InvalidSlope
+        (("bounds", "--i", "10", "--D", "5", "--A", "2"), "need D < A"),  # InvalidInput
         (("bounds", "--i", "10", "--D", "1", "--A", "0"), "A = 0"),  # ZeroDivisor
         (("compensate", "--i", "10", "--D", "10", "--A", "5"), "need 0 < D < 2A"),  # SkewOutOfRange
         (("compensate", "--i", "4611686018427387904", "--D", "999999", "--A", "1000000"), "2**63"),  # OverflowRisk
-        (("compensate", "--i", "-1", "--D", "3", "--A", "5"), "need i >= 0"),  # InvalidSlope from compensate
+        (("compensate", "--i", "-1", "--D", "3", "--A", "5"), "need i >= 0"),  # InvalidInput from compensate
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcomp.bounds import DEFAULT_EPS_COEFF, CandidateInterval, InvalidSlope, candidate_interval
+from skewcomp import bounds
+from skewcomp.bounds import (
+    DEFAULT_EPS_COEFF,
+    CandidateInterval,
+    InvalidInput,
+    candidate_interval,
+    emulated_clock_estimate,
+    rounded_coefficients,
+)
 from skewcomp.compensator import (
     CompResult,
     OverflowRisk,
@@ -19,6 +27,7 @@ from skewcomp.compensator import (
     oracle_nearest,
     refine,
 )
+from skewcomp.formats import resolve_format
 
 METHODS = ("theoretical", "practical", "approximate")
 PRECISIONS = ("binary32", "binary64")
@@ -32,11 +41,11 @@ def test_oracle_examples():
 
 
 def test_oracle_validation():
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         oracle_nearest(-1, 1, 2)
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         oracle_nearest(1, 0, 2)
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         oracle_nearest(1, 1, 0)
 
 
@@ -69,7 +78,7 @@ def test_refine_flags_bad_interval():
 
 
 def test_refine_validation():
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         refine(10, 2, 3, (4, 6))  # slope must stay below 1
     with pytest.raises(ValueError):
         refine(2, 5, 1, (0, 6))  # width exceeds i
@@ -87,10 +96,10 @@ def test_refine_overflow_guard():
     i=st.integers(min_value=0, max_value=10**6),
     a=st.integers(min_value=1, max_value=10**4),
     db=st.integers(min_value=0, max_value=10**4 - 1),
-    w1=st.integers(min_value=0, max_value=50),
-    w2=st.integers(min_value=0, max_value=50),
+    w1=st.integers(min_value=0, max_value=2**20),
+    w2=st.integers(min_value=0, max_value=2**20),
     lo2=st.integers(min_value=-100, max_value=10**6),
-    w3=st.integers(min_value=0, max_value=50),
+    w3=st.integers(min_value=0, max_value=2**20),
     shift=st.integers(min_value=-60, max_value=10),
 )
 def test_refine_interval_independent(i, a, db, w1, w2, lo2, w3, shift):
@@ -111,6 +120,43 @@ def test_refine_interval_independent(i, a, db, w1, w2, lo2, w3, shift):
     assert r3.iterations == third[1] - third[0]
     for (lb, ub), result in ((first, r1), (second, r2), (third, r3)):
         assert result.bounds_violated == (not lb <= j <= ub)
+
+
+def _unit_step_refine(i, delta_a, delta_b, lb, ub):
+    """The one-tick-per-step walk the stride walk must agree with."""
+    y = lb
+    r = i * delta_b - y * delta_a - (delta_a + 1) // 2
+    below = r + delta_a < 0
+    while y < ub and r >= 0:
+        y += 1
+        r -= delta_a
+    if below or r >= 0:
+        return (2 * i * delta_b + delta_a) // (2 * delta_a), ub - lb, True
+    return y, ub - lb, False
+
+
+# (i, delta_a, delta_b): an exact tie, a steep and a shallow slope, a tiny i
+REFINE_SLOPES = [(2**20 + 1, 2, 1), (10**6 + 12_345, 999_998, 999_997), (10**9, 10**6 + 100, 100), (600, 3, 1)]
+# every width below 40 mixes the stride bits; 2^k - 1, 2^k, 2^k + 1 flank each new top stride
+STRIDE_WIDTHS = sorted({*range(40), *(2**k + e for k in range(2, 10) for e in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("width", STRIDE_WIDTHS)
+def test_refine_stride_walk_matches_unit_steps(width):
+    for i, a, db in REFINE_SLOPES:
+        j = oracle_nearest(i, db, a)
+        # the clock at every offset inside the interval and one tick outside each side
+        for offset in range(-1, width + 2):
+            lb = j - offset
+            got = refine(i, a, db, (lb, lb + width))
+            assert tuple(got) == _unit_step_refine(i, a, db, lb, lb + width), (i, a, db, lb)
+            assert got.j == j
+            assert got.bounds_violated == (not 0 <= offset <= width)
+
+
+def test_refine_walks_a_2_to_the_40_interval():
+    # a unit-step walk would need 2^39 steps; the stride walk needs about 40
+    assert refine(2**40, 3, 1, (0, 2**40)) == RefineResult(oracle_nearest(2**40, 1, 3), 2**40, False)
 
 
 def test_compensate_identity():
@@ -140,7 +186,7 @@ def test_compensate_validation():
         compensate(10, 10, 5)  # D = 2A
     with pytest.raises(SkewOutOfRange):
         compensate(10, 3, 0)
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         compensate(-1, 3, 5)
 
 
@@ -270,6 +316,32 @@ def test_compensate_at_route_edges(i, d, a, precisions, eps_coeff):
             result = compensate(i, d, a, method, precision, eps_coeff)
             assert result.j == oracle_nearest(i, d, a)
             assert result.bounds_violated == _missed(i, d, a, method, precision, eps_coeff)
+            if d != a:
+                box = candidate_interval(i, d % a, a, method, precision, eps_coeff)
+                assert result.iterations == min(box.ub, i) - max(box.lb, 0)
+
+
+@pytest.mark.parametrize("edge", [2**53 - 1, 2**53, 2**53 + 1])
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_candidate_interval_route_rule_at_2_to_the_53(monkeypatch, edge, precision):
+    # the hardware route runs exactly when max(i, A) < 2^53, with D < A
+    hardware_calls = []
+    hardware = bounds._hardware_estimate
+
+    def spy(*args):
+        hardware_calls.append(args)
+        return hardware(*args)
+
+    monkeypatch.setattr(bounds, "_hardware_estimate", spy)
+    fmt = resolve_format(precision)
+    for i, d, a in ((edge, 1, 2**30), (2**30, 1, edge), (2**30, edge - 1, edge), (edge, edge - 2, edge - 1)):
+        hardware_calls.clear()
+        t_hat = emulated_clock_estimate(i, d, a, fmt)
+        for method in ("theoretical", "practical"):
+            c_lo, c_hi = rounded_coefficients(method, fmt)
+            box = candidate_interval(i, d, a, method, fmt)
+            assert (box.lb, box.ub) == (math.floor(c_lo * t_hat), math.ceil(c_hi * t_hat))
+        assert len(hardware_calls) == (2 if max(i, a) < 2**53 else 0), (i, d, a)
 
 
 def test_naive_identity():
@@ -284,11 +356,11 @@ def test_naive_frozen_values():
 
 
 def test_naive_validation():
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         naive_compensate(-1, 1, 1)
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         naive_compensate(1, 0, 1)
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(InvalidInput):
         naive_compensate(1, 1, 0)
 
 
