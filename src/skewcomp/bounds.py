@@ -61,10 +61,6 @@ _BINARY32 = struct.Struct("f")
 _BINARY32_TRIPLE = struct.Struct("3f")
 
 
-def _to_binary32(x: float) -> float:
-    return _BINARY32.unpack(_BINARY32.pack(x))[0]
-
-
 def _on_hardware_route(fmt, m: int) -> bool:
     """Whether t_hat runs on hardware floats, not emulated, when m is its largest input."""
     return fmt.base == 2 and fmt.precision in (24, 53) and m < _HW_EXACT_INT
@@ -166,20 +162,20 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     exact in binary64, and the binary64 quotient of two binary32 values
     rounds to the correctly rounded binary32 quotient because 53 >= 2*24 + 2
     (Figueroa 1995).  Both are therefore correctly rounded per operation,
-    which the emulated pipeline cross-checks.  Inputs beyond 2^53 fall
-    back to the emulated route.
+    which the emulated pipeline cross-checks.  Other formats have no
+    hardware path whatever the inputs; binary32 and binary64 inputs of
+    2^53 or more fall back to the emulated route.
     """
     fmt = resolve_format(precision)
     if A == 0:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
         raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
-    m = max(i, D, A)
-    if m >= _HW_EXACT_INT:
+    if _on_hardware_route(fmt, max(i, D, A)):
+        return _hardware_estimate(i, D, A, fmt)
+    if _on_hardware_route(fmt, 0):  # binary32 or binary64, an input of 2^53 or more
         return float(emulated_clock_estimate(i, D, A, fmt))
-    if not _on_hardware_route(fmt, m):
-        raise ValueError(f"no hardware path for {fmt}; use emulated_clock_estimate")
-    return _hardware_estimate(i, D, A, fmt)
+    raise ValueError(f"no hardware path for {fmt}; use emulated_clock_estimate")
 
 
 def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
@@ -187,7 +183,8 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
     i32, d32, a32 = _BINARY32_TRIPLE.unpack(_BINARY32_TRIPLE.pack(i, D, A))
-    return _to_binary32(i32 * _to_binary32(d32 / a32))
+    pack, unpack = _BINARY32.pack, _BINARY32.unpack
+    return unpack(pack(i32 * unpack(pack(d32 / a32))[0]))[0]
 
 
 def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
@@ -223,6 +220,10 @@ def _as_eps(eps_coeff) -> Fraction:
             f"a float like {eps_coeff!r} carries binary conversion error"
         )
     return Fraction(eps_coeff)
+
+
+def _unknown_method(method) -> ValueError:
+    return ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def candidate_interval(
@@ -264,7 +265,7 @@ def candidate_interval(
         lb = (mid - margin) // den
         ub = -((-mid - margin) // den)
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise _unknown_method(method)
     return CandidateInterval(lb, ub, method, format_label(fmt))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidInput, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, METHODS, InvalidInput, _as_eps, _unknown_method, candidate_interval
 from .formats import format_label, resolve_format
 from .rationals import round_ratio
 
@@ -105,9 +105,10 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     while y < ub and r >= 0:
         y += 1
         r -= delta_a
+    # tuple.__new__ directly: the named tuple's own __new__ is a second call
     if below or r >= 0:
-        return RefineResult((2 * i * delta_b + delta_a) // (2 * delta_a), width, True)
-    return RefineResult(y, width, False)
+        return tuple.__new__(RefineResult, ((2 * i * delta_b + delta_a) // (2 * delta_a), width, True))
+    return tuple.__new__(RefineResult, (y, width, False))
 
 
 def compensate(
@@ -130,21 +131,26 @@ def compensate(
         raise InvalidInput(f"need i >= 0, got {i}")
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
-    fmt = resolve_format(precision)
-    label = format_label(fmt)
     if D == A:
-        return CompResult(i, 0, method, label, "identity", False)
+        # reject what candidate_interval rejects on the other slopes
+        if method not in METHODS:
+            raise _unknown_method(method)
+        if method == "approximate":
+            _as_eps(eps_coeff)
+        label = format_label(resolve_format(precision))
+        return tuple.__new__(CompResult, (i, 0, method, label, "identity", False))
 
-    delta_b = D if D < A else D - A
-    case = "case1" if D < A else "case2"
-    interval = candidate_interval(i, delta_b, A, method, fmt, eps_coeff)
+    if D < A:
+        delta_b, case, shift = D, "case1", 0
+    else:
+        delta_b, case, shift = D - A, "case2", i
+    lb, ub, _, label = candidate_interval(i, delta_b, A, method, precision, eps_coeff)
     # refine needs width <= i and the clock satisfies 0 <= j <= i, so clipping
     # to [0, i] never drops the true value and the clipped interval misses
     # exactly when the full one does (approximate intervals can stick out
     # below 0 at tiny i)
-    result = refine(i, A, delta_b, (max(interval.lb, 0), min(interval.ub, i)))
-    j = result.j if case == "case1" else i + result.j
-    return CompResult(j, result.iterations, method, label, case, result.bounds_violated)
+    j, iterations, violated = refine(i, A, delta_b, (lb if lb > 0 else 0, ub if ub < i else i))
+    return tuple.__new__(CompResult, (j + shift, iterations, method, label, case, violated))
 
 
 def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:

@@ -104,6 +104,15 @@ def test_large_inputs_fall_back_to_emulation():
     assert Fraction(value) == emulated_clock_estimate(i, 1, 2, BINARY64)
 
 
+@pytest.mark.parametrize("i", [10, 2**53 - 1, 2**53, 2**53 + 1])
+def test_clock_estimate_hardware_path_is_a_property_of_the_format(i):
+    with pytest.raises(ValueError, match="no hardware path"):
+        clock_estimate(i, 3, 7, FloatFormat(2, 11))
+    # binary32 and binary64 have one on either side of 2^53
+    for fmt, label in ((BINARY32, "binary32"), (BINARY64, "binary64")):
+        assert Fraction(clock_estimate(i, 3, 7, label)) == emulated_clock_estimate(i, 3, 7, fmt)
+
+
 def test_candidate_theoretical_example():
     cand = candidate_interval(10, 1, 2, "theoretical", "binary64")
     assert (cand.lb, cand.ub) == (4, 6)

@@ -27,7 +27,7 @@ from skewcomp.compensator import (
     oracle_nearest,
     refine,
 )
-from skewcomp.formats import resolve_format
+from skewcomp.formats import FloatFormat, format_label, resolve_format
 
 METHODS = ("theoretical", "practical", "approximate")
 PRECISIONS = ("binary32", "binary64")
@@ -188,6 +188,17 @@ def test_compensate_validation():
         compensate(10, 3, 0)
     with pytest.raises(InvalidInput):
         compensate(-1, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "method, eps_coeff, error",
+    [("bogus", DEFAULT_EPS_COEFF, ValueError), ("approximate", 1e-7, TypeError)],
+)
+def test_identity_rejects_what_other_slopes_reject(method, eps_coeff, error):
+    for d in (999, 1000, 1001):  # case1, identity, case2
+        with pytest.raises(error) as raised:
+            compensate(10**6, d, 1000, method, "binary32", eps_coeff)
+        assert raised.type is error, d
 
 
 def test_compensate_flags_hopeless_interval():
@@ -373,3 +384,52 @@ def test_naive_binary64_matches_hardware():
         if i * d >= 2**53:
             continue
         assert naive_compensate(i, d, a, "binary64") == math.floor(float(i * d) / a)
+
+
+@st.composite
+def _compensate_inputs(draw):
+    """(i, D, A) for any case, i spread over the 2^24 and 2^53 route switches."""
+    i = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**40),
+            *(st.integers(min_value=e - 64, max_value=e + 64) for e in (2**24, 2**53)),
+        )
+    )
+    # (i + 1) * a < 2^63 keeps i*delta_b + A under refine's product guard
+    a = draw(st.integers(min_value=2, max_value=min(2**31, (2**63 - 1) // (i + 1))))
+    case = draw(st.sampled_from(("case1", "identity", "case2")))
+    if case == "identity":
+        return i, a, a
+    d = draw(st.integers(min_value=1, max_value=a - 1))
+    return i, (d if case == "case1" else a + d), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=_compensate_inputs(),
+    method=st.sampled_from(METHODS),
+    precision=st.sampled_from(("binary32", "binary64", FloatFormat(2, 11))),
+    eps_coeff=st.sampled_from((DEFAULT_EPS_COEFF, 0)),
+)
+def test_compensate_record_equals_interval_then_walk(inputs, method, precision, eps_coeff):
+    i, d, a = inputs
+    result = compensate(i, d, a, method, precision, eps_coeff)
+    assert type(result) is CompResult
+    if d == a:
+        label = format_label(resolve_format(precision))
+        expected = CompResult(i, 0, method, label, "identity", False)
+    else:
+        db = d if d < a else d - a
+        box = candidate_interval(i, db, a, method, precision, eps_coeff)
+        walked = refine(i, a, db, (max(box.lb, 0), min(box.ub, i)))
+        assert type(walked) is RefineResult
+        expected = CompResult(
+            walked.j + (0 if d < a else i),
+            walked.iterations,
+            box.method,
+            box.precision,
+            "case1" if d < a else "case2",
+            walked.bounds_violated,
+        )
+    assert result._asdict() == expected._asdict()
+    assert result.j == oracle_nearest(i, d, a)
