@@ -15,8 +15,8 @@ candidate_interval, reference_interval and compensate return:
   the rest, r/A + (c - 1)*t, in float64 with a proven error bound.  It is
   accepted only where that bound leaves its floor/ceil certain.
 - compensate's triple is refine's contract in closed form: the clock is
-  (2*i*db + A) // (2A), iterations the clipped width, and the interval
-  missed iff the clock lies outside it.
+  (2*i*db + A) // (2A), iterations the clipped width (0 if the clip is
+  empty), and the interval missed iff the clock lies outside it.
 - naive_compensate's floor(RN(i*D/A)) rounds the int64 quotient and
   remainder of i*D by A with shifts and compares.  numpy's int64 / int64
   would round i*D to float64 before it divides, which is not exact:
@@ -221,8 +221,9 @@ def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     width = high - low
     violated = ~cases.identity & ((j < low) | (j > high))
     j = np.where(cases.identity, i, np.where(cases.case2, i + j, j))
-    iterations = np.where(cases.identity, 0, width)
-    return j, iterations, violated, fallback | ~guard | (width < 0)
+    # an interval clipped empty misses without a walk: 0 iterations
+    iterations = np.where(cases.identity, 0, np.maximum(width, 0))
+    return j, iterations, violated, fallback | ~guard
 
 
 def naive_floors(cases: CaseArrays, i: int, fmt):

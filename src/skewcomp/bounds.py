@@ -36,7 +36,6 @@ from .formats import BINARY32, FloatFormat, error_budget, format_label, resolve_
 from .rationals import round_ratio, round_to_format
 
 __all__ = [
-    "UnsupportedBase",
     "ZeroDivisor",
     "InvalidInput",
     "CandidateInterval",
@@ -63,11 +62,7 @@ _BINARY32_TRIPLE = struct.Struct("3f")
 
 def _on_hardware_route(fmt, m: int) -> bool:
     """Whether t_hat runs on hardware floats, not emulated, when m is its largest input."""
-    return fmt.base == 2 and fmt.precision in (24, 53) and m < _HW_EXACT_INT
-
-
-class UnsupportedBase(ValueError):
-    """Coefficient derivations hold for base-2 formats only."""
+    return fmt.precision in (24, 53) and m < _HW_EXACT_INT
 
 
 class ZeroDivisor(ZeroDivisionError):
@@ -95,12 +90,6 @@ class CandidateInterval(namedtuple("CandidateInterval", "lb ub method precision"
         return self.ub - self.lb
 
 
-def _require_base2(fmt: FloatFormat) -> Fraction:
-    if fmt.base != 2:
-        raise UnsupportedBase(f"coefficients are derived for base 2, got base {fmt.base}")
-    return unit_roundoff(fmt)
-
-
 @functools.lru_cache(maxsize=None)
 def theoretical_coefficients(fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     """Exact bracket coefficients: c_lo * t <= t_hat <= c_hi * t.
@@ -108,7 +97,6 @@ def theoretical_coefficients(fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     Tightest product of the five per-stage optimal bounds of the pipeline:
     fl(A) sits in the denominator, so its bound enters inverted.
     """
-    _require_base2(fmt)
     b = error_budget(fmt)
     c_lo = (1 - b.round_i) * (1 - b.round_d) * (1 - b.divide) * (1 - b.multiply) / (1 + b.round_a)
     c_hi = (1 + b.round_i) * (1 + b.round_d) * (1 + b.divide) * (1 + b.multiply) / (1 - b.round_a)
@@ -123,7 +111,7 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
     float implementation.  The evaluation order is fixed so results are
     reproducible: numerator first, one division last.
     """
-    u = _require_base2(fmt)
+    u = unit_roundoff(fmt)
     rtf = lambda q: round_to_format(q, fmt)
     one_minus = rtf(1 - u)  # exact: (2^p - 1) * 2^-p
     w = rtf(1 + 2 * u)  # exact: (2^(p-1) + 1) * 2^(1-p)
@@ -145,6 +133,13 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
     raise ValueError(f"no working-precision coefficients for method {method!r}")
 
 
+def _not_ints(i, D, A) -> TypeError:
+    # raised unless type(i) is type(D) is type(A) is int: a float, bool or
+    # numpy integer would run the exact integer arithmetic in another type
+    # and can give a wrong clock
+    return TypeError(f"need int i, D, A, got {type(i).__name__}, {type(D).__name__}, {type(A).__name__}")
+
+
 def _validate_inputs(i: int, D: int, A: int) -> None:
     if A == 0:
         raise ZeroDivisor("A = 0")
@@ -152,6 +147,8 @@ def _validate_inputs(i: int, D: int, A: int) -> None:
         raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
     if D >= A:
         raise InvalidInput(f"need D < A after decomposition, got D={D} A={A}")
+    if not type(i) is type(D) is type(A) is int:
+        raise _not_ints(i, D, A)
 
 
 def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:

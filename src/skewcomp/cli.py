@@ -70,7 +70,7 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-# InvalidInput, SkewOutOfRange and UnsupportedBase are ValueErrors
+# InvalidInput and SkewOutOfRange are ValueErrors
 _USER_ERRORS = (ValueError, TypeError, ZeroDivisor, OverflowRisk)
 
 

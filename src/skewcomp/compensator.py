@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, METHODS, InvalidInput, _as_eps, _unknown_method, candidate_interval
+from .bounds import (
+    DEFAULT_EPS_COEFF,
+    METHODS,
+    InvalidInput,
+    _as_eps,
+    _not_ints,
+    _unknown_method,
+    candidate_interval,
+)
 from .formats import format_label, resolve_format
 from .rationals import round_ratio
 
@@ -55,10 +63,16 @@ class CompResult(NamedTuple):
     bounds_violated: bool
 
 
-def oracle_nearest(i: int, D: int, A: int) -> int:
-    """Exact nearest integer to i*D/A, ties rounding up."""
+def _validate_ratio(i: int, D: int, A: int) -> None:
     if i < 0 or D <= 0 or A <= 0:
         raise InvalidInput(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
+    if not type(i) is type(D) is type(A) is int:
+        raise _not_ints(i, D, A)
+
+
+def oracle_nearest(i: int, D: int, A: int) -> int:
+    """Exact nearest integer to i*D/A, ties rounding up."""
+    _validate_ratio(i, D, A)
     return (2 * i * D + A) // (2 * A)
 
 
@@ -89,6 +103,8 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
         raise ValueError(f"interval width {width} exceeds i={i}")
     if i * delta_b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
+    if not type(i) is type(delta_b) is type(delta_a) is int:
+        raise _not_ints(i, delta_b, delta_a)
 
     y = lb
     r = i * delta_b - y * delta_a - (delta_a + 1) // 2
@@ -125,7 +141,8 @@ def compensate(
     the remainder slope (D - A)/A and shifts by i, which is exact for the
     round-half-up tie rule.  The walk starts at the lower bound of the
     candidate interval, clipped to [0, i], and divides only if that
-    interval missed the clock, which bounds_violated reports.
+    interval missed the clock, which bounds_violated reports.  An
+    interval wholly outside [0, i] misses without a walk.
     """
     if i < 0:
         raise InvalidInput(f"need i >= 0, got {i}")
@@ -133,6 +150,8 @@ def compensate(
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
     if D == A:
         # reject what candidate_interval rejects on the other slopes
+        if not type(i) is type(D) is type(A) is int:
+            raise _not_ints(i, D, A)
         if method not in METHODS:
             raise _unknown_method(method)
         if method == "approximate":
@@ -148,8 +167,14 @@ def compensate(
     # refine needs width <= i and the clock satisfies 0 <= j <= i, so clipping
     # to [0, i] never drops the true value and the clipped interval misses
     # exactly when the full one does (approximate intervals can stick out
-    # below 0 at tiny i)
-    j, iterations, violated = refine(i, A, delta_b, (lb if lb > 0 else 0, ub if ub < i else i))
+    # below 0 at tiny i, and lie wholly above i where t_hat's rounding error
+    # passes their margin: clipped empty, they miss without a walk)
+    lb = lb if lb > 0 else 0
+    ub = ub if ub < i else i
+    if lb > ub:
+        j, iterations, violated = oracle_nearest(i, delta_b, A), 0, True
+    else:
+        j, iterations, violated = refine(i, A, delta_b, (lb, ub))
     return tuple.__new__(CompResult, (j + shift, iterations, method, label, case, violated))
 
 
@@ -162,8 +187,7 @@ def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:
     the estimate below it), while a single rounding keeps the error
     inside half an ulp.
     """
-    if i < 0 or D <= 0 or A <= 0:
-        raise InvalidInput(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
+    _validate_ratio(i, D, A)
     fmt = resolve_format(precision)
     num, den = round_ratio(i * D, A, fmt)
     return num // den

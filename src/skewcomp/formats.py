@@ -1,12 +1,12 @@
 """Floating-point format descriptions and optimal rounding-error bounds.
 
-A format is a pair (base, precision) with an unbounded exponent range.
+A format is a binary precision with an unbounded exponent range; the
+base field is always 2.
 Bounds come in two flavors per operation: E1 is measured against the
 exact value, E2 against the rounded value.  The optimal bounds are
 
     rounding, multiply:   E1 <= u/(1+u),          E2 <= u
-    divide, base 2:       E1 <= u - 2u^2,         E2 <= (u-2u^2)/(1+u-2u^2)
-    divide, base > 2:     E1 <= u/(1+u),          E2 <= u
+    divide:               E1 <= u - 2u^2,         E2 <= (u-2u^2)/(1+u-2u^2)
 
 with u the unit roundoff of the format.  error_budget collects the E1
 bounds of the five stages of fl(fl(i) * fl(fl(D) / fl(A))); they define
@@ -38,13 +38,13 @@ __all__ = [
 
 
 class FloatFormat(namedtuple("FloatFormat", "base precision")):
-    """Value set {0} union {M * base**e : base**(precision-1) <= |M| < base**precision}."""
+    """Value set {0} union {M * 2**e : 2**(precision-1) <= |M| < 2**precision}."""
 
     __slots__ = ()
 
     def __new__(cls, base: int, precision: int):
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
+        if base != 2:
+            raise ValueError(f"base must be 2, got {base}")
         if precision < 2:
             raise ValueError(f"precision must be >= 2, got {precision}")
         return super().__new__(cls, base, precision)
@@ -70,12 +70,12 @@ def resolve_format(precision) -> FloatFormat:
 
 
 def format_label(fmt: FloatFormat) -> str:
-    return _LABELS.get(fmt) or f"b{fmt.base}p{fmt.precision}"
+    return _LABELS.get(fmt) or f"b2p{fmt.precision}"
 
 
 def unit_roundoff(fmt: FloatFormat) -> Fraction:
-    """u = (1/2) * base**(1-precision), exactly."""
-    return Fraction(1, 2 * fmt.base ** (fmt.precision - 1))
+    """u = 2**-precision, exactly."""
+    return Fraction(1, 2**fmt.precision)
 
 
 def op_error_bound(kind: str, which: str, fmt: FloatFormat) -> Fraction:
@@ -88,7 +88,7 @@ def op_error_bound(kind: str, which: str, fmt: FloatFormat) -> Fraction:
     if which not in ("E1", "E2"):
         raise ValueError(f"unknown error measure {which!r}")
     u = unit_roundoff(fmt)
-    if kind == "divide" and fmt.base == 2:
+    if kind == "divide":
         e1 = u - 2 * u * u
         return e1 if which == "E1" else e1 / (1 + e1)
     return u / (1 + u) if which == "E1" else u

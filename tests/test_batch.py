@@ -53,7 +53,7 @@ def _compensate_contract(i, D, A, method, fmt, eps_coeff):
     cand = candidate_interval(i, db, A, method, fmt, eps_coeff)
     low, high = max(cand.lb, 0), min(cand.ub, i)
     clock = oracle_nearest(i, db, A)
-    return clock + (i if D > A else 0), high - low, not low <= clock <= high
+    return clock + (i if D > A else 0), max(high - low, 0), not low <= clock <= high
 
 
 def _check_row(pairs, i, fmt, eps_coeff):
@@ -333,6 +333,20 @@ def test_experiments_merge_fallback_cases():
         assert (row.err.min, row.err.max) == (min(e for e, _ in errs), max(e for e, _ in errs))
         assert row.err.avg == Fraction(sum(e * w for e, w in errs), 7)
         assert row.iterations.max == row.violations == 0
+
+
+def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
+    # binary32's t_hat passes i + 1 with no margin, so the interval clips
+    # empty: the kernel gives the triple in closed form, no fallback
+    i, pair = 2**26 + 5, (2**31 - 1, 2**31)
+    cases = batch.CaseArrays([pair], [1])
+    j, iterations, violated, fallback = batch.compensate_triples(cases, i, "approximate", BINARY32, 0)
+    res = compensate(i, *pair, "approximate", "binary32", 0)
+    assert not fallback[0]
+    assert (j[0], iterations[0], violated[0]) == (res.j, res.iterations, res.bounds_violated) == (i, 0, True)
+    (row,) = compensation_experiment({pair: 1}, (i,), (("approximate", "binary32"),), eps_coeff=0)
+    assert row.violations == 1
+    assert (row.iterations.max, row.err.min) == (0, naive_compensate(i, *pair, "binary64") - res.j)
 
 
 def _convergent_denominators(x: Fraction, limit: int) -> list[int]:

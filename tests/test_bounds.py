@@ -12,7 +12,6 @@ from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     CandidateInterval,
     InvalidInput,
-    UnsupportedBase,
     ZeroDivisor,
     candidate_interval,
     clock_estimate,
@@ -48,13 +47,6 @@ def test_practical_coefficients_loosen_theoretical():
         t_lo, t_hi = theoretical_coefficients(fmt)
         p_lo, p_hi = rounded_coefficients("practical", fmt)
         assert p_lo < t_lo and p_hi > t_hi
-
-
-def test_coefficients_reject_wide_base():
-    with pytest.raises(UnsupportedBase):
-        theoretical_coefficients(FloatFormat(10, 3))
-    with pytest.raises(UnsupportedBase):
-        rounded_coefficients("practical", FloatFormat(10, 3))
 
 
 def test_rounded_coefficients_frozen():

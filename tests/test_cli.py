@@ -54,6 +54,20 @@ def test_compensate_strict_violation_exits_2(capsys):
     assert "j=333333333" in out  # a miss still yields the exact value
 
 
+def test_compensate_interval_wholly_above_i(capsys):
+    # the approximate interval clips to empty: a miss, not an error
+    argv = (
+        "compensate", "--i", "67108869", "--D", "2147483647", "--A", "2147483648",
+        "--method", "approximate", "--eps-coeff", "0",
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "j=67108869 iterations=0 err=0 case=case1 bounds_violated=True\n"
+    code, out, _ = run(capsys, *argv, "--strict")
+    assert code == 2
+    assert "bounds_violated=True" in out
+
+
 def test_validation_error_exits_1(capsys):
     # one input per error class the CLI reports as a usage error
     cases = [

@@ -4,8 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewcomp import bounds
@@ -15,6 +16,7 @@ from skewcomp.bounds import (
     InvalidInput,
     candidate_interval,
     emulated_clock_estimate,
+    reference_interval,
     rounded_coefficients,
 )
 from skewcomp.compensator import (
@@ -199,6 +201,39 @@ def test_identity_rejects_what_other_slopes_reject(method, eps_coeff, error):
         with pytest.raises(error) as raised:
             compensate(10**6, d, 1000, method, "binary32", eps_coeff)
         assert raised.type is error, d
+
+
+_INT_CALLS = {
+    "identity": (compensate, (1, 1, 1)),
+    "case1": (compensate, (1, 1, 2)),
+    "case2": (compensate, (1, 3, 2)),
+    "candidate": (candidate_interval, (1, 1, 2)),
+    "reference": (reference_interval, (1, 1, 2)),
+    "refine": (lambda i, b, a: refine(i, a, b, (0, 1)), (1, 1, 2)),
+    "oracle": (oracle_nearest, (1, 1, 1)),
+    "naive": (naive_compensate, (1, 1, 1)),
+}
+
+
+def _non_int_inputs():
+    for name, (call, args) in _INT_CALLS.items():
+        for slot, v in enumerate(args):
+            kinds = {"float": float(v), "half": v + 0.5, "np.int64": np.int64(v)}
+            if v == 1:
+                kinds["bool"] = True
+            for kind, value in kinds.items():
+                yield pytest.param(call, args, slot, value, id=f"{name}-{'iDA'[slot]}-{kind}")
+
+
+@pytest.mark.parametrize("call, args, slot, value", _non_int_inputs())
+def test_non_int_inputs_raise_type_error(call, args, slot, value):
+    # the integer arithmetic runs in whatever type comes in, so an integral
+    # float such as 1.0 can give a wrong clock; only exact ints pass
+    call(*args)
+    args = list(args)
+    args[slot] = value
+    with pytest.raises(TypeError):
+        call(*args)
 
 
 def test_compensate_flags_hopeless_interval():
@@ -411,6 +446,9 @@ def _compensate_inputs(draw):
     precision=st.sampled_from(("binary32", "binary64", FloatFormat(2, 11))),
     eps_coeff=st.sampled_from((DEFAULT_EPS_COEFF, 0)),
 )
+# approximate intervals wholly above i, which clip to empty
+@example((2**26 + 5, 2**31 - 1, 2**31), "approximate", "binary32", 0)
+@example((16380, 16773120, 16773121), "approximate", FloatFormat(2, 11), DEFAULT_EPS_COEFF)
 def test_compensate_record_equals_interval_then_walk(inputs, method, precision, eps_coeff):
     i, d, a = inputs
     result = compensate(i, d, a, method, precision, eps_coeff)
@@ -421,8 +459,13 @@ def test_compensate_record_equals_interval_then_walk(inputs, method, precision, 
     else:
         db = d if d < a else d - a
         box = candidate_interval(i, db, a, method, precision, eps_coeff)
-        walked = refine(i, a, db, (max(box.lb, 0), min(box.ub, i)))
-        assert type(walked) is RefineResult
+        lb, ub = max(box.lb, 0), min(box.ub, i)
+        if lb > ub:
+            # clipped empty: a miss, the exact clock without a walk
+            walked = RefineResult(oracle_nearest(i, db, a), 0, True)
+        else:
+            walked = refine(i, a, db, (lb, ub))
+            assert type(walked) is RefineResult
         expected = CompResult(
             walked.j + (0 if d < a else i),
             walked.iterations,
