@@ -168,6 +168,8 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
         raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
+    if not type(i) is type(D) is type(A) is int:
+        raise _not_ints(i, D, A)
     if _on_hardware_route(fmt, max(i, D, A)):
         return _hardware_estimate(i, D, A, fmt)
     if _on_hardware_route(fmt, 0):  # binary32 or binary64, an input of 2^53 or more
@@ -186,13 +188,15 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
 
 def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
     """Same pipeline via round_ratio; exact value of the final float."""
+    if A == 0:
+        raise ZeroDivisor("A = 0")
+    if not type(i) is type(D) is type(A) is int:
+        raise _not_ints(i, D, A)
     return Fraction(*_emulated_ratio(i, D, A, fmt))
 
 
 def _emulated_ratio(i: int, D: int, A: int, fmt: FloatFormat) -> tuple[int, int]:
-    """The emulated t_hat as an unreduced (numerator, denominator > 0) pair."""
-    if A == 0:
-        raise ZeroDivisor("A = 0")
+    """The emulated t_hat of checked inputs as an unreduced (numerator, denominator > 0) pair."""
     i_n, i_d = round_ratio(i, 1, fmt)
     d_n, d_d = round_ratio(D, 1, fmt)
     a_n, a_d = round_ratio(A, 1, fmt)
@@ -217,10 +221,6 @@ def _as_eps(eps_coeff) -> Fraction:
             f"a float like {eps_coeff!r} carries binary conversion error"
         )
     return Fraction(eps_coeff)
-
-
-def _unknown_method(method) -> ValueError:
-    return ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def candidate_interval(
@@ -262,7 +262,7 @@ def candidate_interval(
         lb = (mid - margin) // den
         ub = -((-mid - margin) // den)
     else:
-        raise _unknown_method(method)
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return CandidateInterval(lb, ub, method, format_label(fmt))
 
 

@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__
@@ -30,7 +29,7 @@ from .bounds import (
     reference_interval,
     theoretical_coefficients,
 )
-from .compensator import OverflowRisk, compensate, oracle_nearest
+from .compensator import compensate, oracle_nearest
 from .experiment import (
     DEFAULT_D,
     DEFAULT_I_LIST,
@@ -70,8 +69,9 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-# InvalidInput and SkewOutOfRange are ValueErrors
-_USER_ERRORS = (ValueError, TypeError, ZeroDivisor, OverflowRisk)
+# InvalidInput and SkewOutOfRange are ValueErrors; OverflowError covers
+# OverflowRisk and a float conversion of a huge input or statistic
+_USER_ERRORS = (ValueError, TypeError, ZeroDivisor, OverflowError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,18 +83,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int(text: str) -> int:
-    """Integer, allowing 1e9-style shorthand as long as it is exact."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value != value.to_integral_value():
+    """Integer, allowing 1e9-style shorthand as long as it is exact; no a/b form."""
+    value = _parse_fraction(text)
+    if value.denominator != 1 or "/" in text:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(value)
+    return value.numerator
 
 
 def _parse_i_list(text: str) -> list[int]:
@@ -105,13 +98,10 @@ def _parse_i_list(text: str) -> list[int]:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """Exact rational in integer, decimal, exponent or a/b form; no inf or nan."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
@@ -129,8 +119,7 @@ def _cells(row) -> list:
     return cells
 
 
-def _emit_table(rows, header, meta, fmt, out) -> None:
-    cells = [_cells(row) for row in rows]
+def _emit_table(cells, header, meta, fmt, out) -> None:
     if fmt == "json":
         # the *_avg cells become the numbers their printed text reads as
         dict_rows = [
@@ -190,12 +179,14 @@ def _run_table(args, name) -> int:
     else:
         rows = compensation_experiment(cases, args.i, eps_coeff=args.eps_coeff)
         header = TABLE3_HEADER
+    # cells first: a statistic too large for a float fails before -o truncates a file
+    cells = [_cells(row) for row in rows]
     meta = _table_meta(name, args)
     if args.output and args.output != "-":
         with open(args.output, "w", newline="") as out:
-            _emit_table(rows, header, meta, args.format, out)
+            _emit_table(cells, header, meta, args.format, out)
     else:
-        _emit_table(rows, header, meta, args.format, sys.stdout)
+        _emit_table(cells, header, meta, args.format, sys.stdout)
     return 0
 
 
@@ -226,7 +217,7 @@ def _selftest() -> int:
 
     repr_ok = True
     for p in (11, 24, 53):
-        f = FloatFormat(2, p)
+        f = FloatFormat(p)
         u = unit_roundoff(f)
         repr_ok &= is_in_format(1 - u, f) and is_in_format(1 + 2 * u, f)
         repr_ok &= not is_in_format(1 + u, f)

@@ -13,16 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import (
-    DEFAULT_EPS_COEFF,
-    METHODS,
-    InvalidInput,
-    _as_eps,
-    _not_ints,
-    _unknown_method,
-    candidate_interval,
-)
-from .formats import format_label, resolve_format
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _not_ints, candidate_interval
+from .formats import resolve_format
 from .rationals import round_ratio
 
 __all__ = [
@@ -149,14 +141,11 @@ def compensate(
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
     if D == A:
-        # reject what candidate_interval rejects on the other slopes
+        # candidate_interval rejects what it rejects on the other slopes and
+        # gives the label; its literal D = 0 would pass a float or bool D
         if not type(i) is type(D) is type(A) is int:
             raise _not_ints(i, D, A)
-        if method not in METHODS:
-            raise _unknown_method(method)
-        if method == "approximate":
-            _as_eps(eps_coeff)
-        label = format_label(resolve_format(precision))
+        label = candidate_interval(i, 0, A, method, precision, eps_coeff).precision
         return tuple.__new__(CompResult, (i, 0, method, label, "identity", False))
 
     if D < A:

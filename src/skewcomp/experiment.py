@@ -6,17 +6,17 @@ binary64 floor baseline (errors and iteration counts).  Samples draw a
 skew uniformly from a lattice with 1e-9 ppm steps, which keeps every
 draw an exact rational and makes runs reproducible from the seed alone.
 
-The experiments take the population as a (D, A) -> weight mapping, or as
-a sample sequence that they collapse into one, and evaluate each
-distinct case once.  They split the cases to the remainder slope once,
-as arrays, and evaluate one table row at a time in the private batch
-kernel, which gives exactly what candidate_interval, reference_interval,
-compensate and naive_compensate give per case; only the cases it cannot
-prove run per case.  With the default 100 ppm range there are only 201
-possible A values, so sample_cases draws the weighted case table
-directly: it reproduces random.Random(seed).randint draw for draw from
-the generator's raw 32-bit words, in numpy blocks of bounded size, so
-even 1e7 samples take about a second and a flat amount of memory.
+The experiments take the population as a (D, A) -> weight mapping, such
+as sample_cases returns, and evaluate each distinct case once.  They
+split the cases to the remainder slope once, as arrays, and evaluate one
+table row at a time in the private batch kernel, which gives exactly
+what candidate_interval, reference_interval, compensate and
+naive_compensate give per case; only the cases it cannot prove run per
+case.  With the default 100 ppm range there are only 201 possible A
+values, so sample_cases draws the weighted case table directly: it
+reproduces random.Random(seed).randint draw for draw from the
+generator's raw 32-bit words, in numpy blocks of bounded size, so even
+1e7 samples take about a second and a flat amount of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from numbers import Rational
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, naive_compensate
@@ -226,36 +226,31 @@ def _summary(values, cases) -> StatSummary:
     )
 
 
-Population = Union[Sequence[ClockSample], Mapping[tuple[int, int], int]]
-
-
-def _case_counts(population: Population) -> tuple[list[tuple[int, int]], list[int]]:
+def _case_counts(population: Mapping) -> tuple[list[tuple[int, int]], list[int]]:
     """Sorted distinct (D, A) cases and their weights, as parallel lists."""
-    if isinstance(population, Mapping):
-        counts = population
-    else:
-        counts = Counter((s.D, s.A) for s in population)
-    if not counts:
+    if not isinstance(population, Mapping):
+        raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
+    if not population:
         raise ValueError("population must be nonempty")
-    cases = sorted(counts)
-    weights = [counts[case] for case in cases]
+    cases = sorted(population)
+    weights = [population[case] for case in cases]
     if not all(isinstance(w, int) and w >= 1 for w in weights):
         raise ValueError("case weights must be positive integers")
     return cases, weights
 
 
 def bounds_experiment(
-    population: Population,
+    population: Mapping[tuple[int, int], int],
     i_list: Sequence[int] = DEFAULT_I_LIST,
     configs: Sequence[tuple[str, str]] = TABLE2_CONFIGS,
     eps_coeff=DEFAULT_EPS_COEFF,
 ) -> list[BoundsRow]:
     """Bound deltas per (method, precision, i) over the population.
 
-    The population is a sample sequence or a (D, A) -> weight mapping
-    such as sample_cases returns; each distinct case is evaluated once,
-    a whole row at a time, and the cases the batch kernel cannot prove
-    go through candidate_interval and reference_interval.
+    The population is a (D, A) -> weight mapping such as sample_cases
+    returns; each distinct case is evaluated once, a whole row at a time,
+    and the cases the batch kernel cannot prove go through
+    candidate_interval and reference_interval.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
@@ -291,7 +286,7 @@ def bounds_experiment(
 
 
 def compensation_experiment(
-    population: Population,
+    population: Mapping[tuple[int, int], int],
     i_list: Sequence[int] = DEFAULT_I_LIST,
     algorithms: Sequence[tuple[str, str]] = TABLE3_ALGORITHMS,
     eps_coeff=DEFAULT_EPS_COEFF,

@@ -1,7 +1,6 @@
 """Floating-point format descriptions and optimal rounding-error bounds.
 
-A format is a binary precision with an unbounded exponent range; the
-base field is always 2.
+A format is a binary precision with an unbounded exponent range.
 Bounds come in two flavors per operation: E1 is measured against the
 exact value, E2 against the rounded value.  The optimal bounds are
 
@@ -37,21 +36,24 @@ __all__ = [
 ]
 
 
-class FloatFormat(namedtuple("FloatFormat", "base precision")):
+class FloatFormat(namedtuple("FloatFormat", "precision")):
     """Value set {0} union {M * 2**e : 2**(precision-1) <= |M| < 2**precision}."""
 
     __slots__ = ()
 
-    def __new__(cls, base: int, precision: int):
-        if base != 2:
-            raise ValueError(f"base must be 2, got {base}")
+    def __new__(cls, precision: int):
         if precision < 2:
             raise ValueError(f"precision must be >= 2, got {precision}")
-        return super().__new__(cls, base, precision)
+        return super().__new__(cls, precision)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip __new__'s check
+        return cls(*iterable)
 
 
-BINARY32 = FloatFormat(base=2, precision=24)
-BINARY64 = FloatFormat(base=2, precision=53)
+BINARY32 = FloatFormat(24)
+BINARY64 = FloatFormat(53)
 
 FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
 _LABELS = {fmt: name for name, fmt in FORMATS.items()}

@@ -32,7 +32,7 @@ from skewcomp.experiment import (
 )
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, resolve_format
 
-P11 = FloatFormat(2, 11)
+P11 = FloatFormat(11)
 # compensate walks up to the interval width; wider intervals (binary32 near
 # 2**53, large margins) are checked against its contract instead
 WALK_LIMIT = 10**4

@@ -32,7 +32,7 @@ U64 = unit_roundoff(BINARY64)
 def test_theoretical_coefficients_closed_form():
     # the product of the stage bounds, checked against its closed form
     for p in range(2, 114):
-        fmt = FloatFormat(2, p)
+        fmt = FloatFormat(p)
         u = unit_roundoff(fmt)
         c_lo, c_hi = theoretical_coefficients(fmt)
         assert c_lo * (1 + u) ** 2 * (1 + 2 * u) == 1 - u + 2 * u * u
@@ -43,7 +43,7 @@ def test_theoretical_coefficients_closed_form():
 def test_practical_coefficients_loosen_theoretical():
     # the pair candidate_interval applies for the practical method
     for p in range(2, 114):
-        fmt = FloatFormat(2, p)
+        fmt = FloatFormat(p)
         t_lo, t_hi = theoretical_coefficients(fmt)
         p_lo, p_hi = rounded_coefficients("practical", fmt)
         assert p_lo < t_lo and p_hi > t_hi
@@ -99,7 +99,7 @@ def test_large_inputs_fall_back_to_emulation():
 @pytest.mark.parametrize("i", [10, 2**53 - 1, 2**53, 2**53 + 1])
 def test_clock_estimate_hardware_path_is_a_property_of_the_format(i):
     with pytest.raises(ValueError, match="no hardware path"):
-        clock_estimate(i, 3, 7, FloatFormat(2, 11))
+        clock_estimate(i, 3, 7, FloatFormat(11))
     # binary32 and binary64 have one on either side of 2^53
     for fmt, label in ((BINARY32, "binary32"), (BINARY64, "binary64")):
         assert Fraction(clock_estimate(i, 3, 7, label)) == emulated_clock_estimate(i, 3, 7, fmt)
@@ -224,7 +224,7 @@ def test_pipeline_composition_matches_emulation():
 
 # both sides of the binary32 and binary64 hardware route switches
 ROUTE_EDGES = (0, 2**24 - 1, 2**24, 2**24 + 1, 2**53 - 1, 2**53, 2**53 + 1)
-KERNEL_FORMATS = (BINARY32, BINARY64, FloatFormat(2, 11))
+KERNEL_FORMATS = (BINARY32, BINARY64, FloatFormat(11))
 
 
 def _check_kernel_against_fractions(fmt, i, d, a, eps):

@@ -90,18 +90,47 @@ def test_unknown_method_exits_1(capsys):
 
 
 def test_bad_integer_exits_1(capsys):
-    code, _, err = run(capsys, "bounds", "--i", "1.5", "--D", "1", "--A", "2")
-    assert code == 1
+    # an integer flag takes no a/b form, even one that reduces to an integer
+    for spelling in ("1.5", "4/2"):
+        code, _, err = run(capsys, "bounds", "--i", spelling, "--D", "1", "--A", "2")
+        assert code == 1, spelling
+        assert "not an integer" in err, spelling
 
 
 def test_scientific_shorthand(capsys):
-    code, out, _ = run(
-        capsys,
-        "bounds", "--i", "1e1", "--D", "1", "--A", "2",
-        "--method", "theoretical", "--precision", "binary64",
-    )
-    assert code == 0
-    assert out.startswith("lb=4 ub=6")
+    for spelling in ("1e1", "1_0", " 10 "):
+        code, out, _ = run(
+            capsys,
+            "bounds", "--i", spelling, "--D", "1", "--A", "2",
+            "--method", "theoretical", "--precision", "binary64",
+        )
+        assert code == 0, spelling
+        assert out.startswith("lb=4 ub=6"), spelling
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bounds", "--i", "10", "--D", "1", "--A", "2"), flag)
+        for flag in ("--i", "--D", "--A", "--eps-coeff")
+    ]
+    + [(("table2",), flag) for flag in ("--i", "--D", "-n", "--seed", "--range-ppm", "--eps-coeff")],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
+    for spelling in ("inf", "Infinity", "nan"):
+        code, out, err = run(capsys, *argv, flag, spelling)
+        assert code == 1, spelling
+        assert out == ""
+        assert err.startswith("usage:") and f"{spelling!r}" in err, spelling
+
+
+def test_statistic_too_large_exits_1_and_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, "table2", "-n", "5", "--i", "1e400", "-o", str(target))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_eps_coeff_accepts_rational_spellings(capsys):

@@ -15,6 +15,7 @@ from skewcomp.bounds import (
     CandidateInterval,
     InvalidInput,
     candidate_interval,
+    clock_estimate,
     emulated_clock_estimate,
     reference_interval,
     rounded_coefficients,
@@ -29,7 +30,7 @@ from skewcomp.compensator import (
     oracle_nearest,
     refine,
 )
-from skewcomp.formats import FloatFormat, format_label, resolve_format
+from skewcomp.formats import BINARY32, FloatFormat, format_label, resolve_format
 
 METHODS = ("theoretical", "practical", "approximate")
 PRECISIONS = ("binary32", "binary64")
@@ -194,12 +195,16 @@ def test_compensate_validation():
 
 @pytest.mark.parametrize(
     "method, eps_coeff, error",
-    [("bogus", DEFAULT_EPS_COEFF, ValueError), ("approximate", 1e-7, TypeError)],
+    [
+        ("bogus", DEFAULT_EPS_COEFF, ValueError),
+        ("approximate", 1e-7, TypeError),
+        ("approximate", Fraction(-1, 10**6), ValueError),  # empty interval at i = 1e9
+    ],
 )
 def test_identity_rejects_what_other_slopes_reject(method, eps_coeff, error):
     for d in (999, 1000, 1001):  # case1, identity, case2
         with pytest.raises(error) as raised:
-            compensate(10**6, d, 1000, method, "binary32", eps_coeff)
+            compensate(10**9, d, 1000, method, "binary32", eps_coeff)
         assert raised.type is error, d
 
 
@@ -212,6 +217,9 @@ _INT_CALLS = {
     "refine": (lambda i, b, a: refine(i, a, b, (0, 1)), (1, 1, 2)),
     "oracle": (oracle_nearest, (1, 1, 1)),
     "naive": (naive_compensate, (1, 1, 1)),
+    "estimate": (clock_estimate, (1, 1, 2)),
+    "estimate-wide": (clock_estimate, (2**53, 1, 2)),  # the emulated route
+    "emulated": (lambda i, D, A: emulated_clock_estimate(i, D, A, BINARY32), (1, 1, 2)),
 }
 
 
@@ -443,12 +451,12 @@ def _compensate_inputs(draw):
 @given(
     inputs=_compensate_inputs(),
     method=st.sampled_from(METHODS),
-    precision=st.sampled_from(("binary32", "binary64", FloatFormat(2, 11))),
+    precision=st.sampled_from(("binary32", "binary64", FloatFormat(11))),
     eps_coeff=st.sampled_from((DEFAULT_EPS_COEFF, 0)),
 )
 # approximate intervals wholly above i, which clip to empty
 @example((2**26 + 5, 2**31 - 1, 2**31), "approximate", "binary32", 0)
-@example((16380, 16773120, 16773121), "approximate", FloatFormat(2, 11), DEFAULT_EPS_COEFF)
+@example((16380, 16773120, 16773121), "approximate", FloatFormat(11), DEFAULT_EPS_COEFF)
 def test_compensate_record_equals_interval_then_walk(inputs, method, precision, eps_coeff):
     i, d, a = inputs
     result = compensate(i, d, a, method, precision, eps_coeff)

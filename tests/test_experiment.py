@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from skewcomp.compensator import SkewOutOfRange, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
-    ClockSample,
     bounds_experiment,
     compensation_experiment,
     generate_samples,
@@ -114,8 +113,7 @@ def test_generation_edge_inputs():
 
 
 def test_bounds_rows_shape_and_order():
-    samples = generate_samples(42, 200)
-    rows = bounds_experiment(samples, i_list=(10**6, 10**7))
+    rows = bounds_experiment(sample_cases(42, 200), i_list=(10**6, 10**7))
     keys = [(r.method, r.precision, r.i) for r in rows]
     assert keys == [
         ("theoretical", "binary64", 10**6),
@@ -128,45 +126,42 @@ def test_bounds_rows_shape_and_order():
         ("approximate", "binary32", 10**7),
     ]
     for r in rows:
-        assert r.dlb.count == len(samples)
+        assert r.dlb.count == 200
         assert r.dlb.min <= r.dlb.avg <= r.dlb.max
         assert isinstance(r.dlb.avg, Fraction)
 
 
 def test_stats_are_count_weighted():
-    one = [ClockSample(10**6, 10**6 + 37, Fraction(37))]
-    tripled = one * 3
-    row_one = bounds_experiment(one, i_list=(10**7,))[0]
-    row_tri = bounds_experiment(tripled, i_list=(10**7,))[0]
+    case = (10**6, 10**6 + 37)
+    row_one = bounds_experiment({case: 1}, i_list=(10**7,))[0]
+    row_tri = bounds_experiment({case: 3}, i_list=(10**7,))[0]
     assert row_one.dlb.min == row_tri.dlb.min
     assert row_one.dlb.max == row_tri.dlb.max
     assert row_one.dlb.avg == row_tri.dlb.avg
     assert row_tri.dlb.count == 3
-    assert bounds_experiment({(10**6, 10**6 + 37): 3}, i_list=(10**7,))[0] == row_tri
 
 
 def test_single_sample_bounds_row_matches_direct_computation():
     from skewcomp.bounds import candidate_interval, interval_deltas, reference_interval
 
-    sample = ClockSample(10**6, 999950, Fraction(-50))
+    D, A = 10**6, 999950
     i = 10**8
-    rows = bounds_experiment([sample], i_list=(i,))
+    rows = bounds_experiment({(D, A): 1}, i_list=(i,))
     # case 2: D > A decomposes to slope (D - A) / A
-    db = sample.D - sample.A
+    db = D - A
     for row in rows:
         fmt = row.precision
-        cand = candidate_interval(i, db, sample.A, row.method, fmt)
+        cand = candidate_interval(i, db, A, row.method, fmt)
         from skewcomp.formats import resolve_format
 
-        ref = reference_interval(i, db, sample.A, resolve_format(fmt))
+        ref = reference_interval(i, db, A, resolve_format(fmt))
         dlb, dub = interval_deltas(cand, ref)
         assert (row.dlb.min, row.dlb.max, row.dlb.avg) == (dlb, dlb, dlb)
         assert (row.dub.min, row.dub.max, row.dub.avg) == (dub, dub, dub)
 
 
 def test_compensation_rows_shape():
-    samples = generate_samples(42, 200)
-    rows = compensation_experiment(samples, i_list=(10**6,))
+    rows = compensation_experiment(sample_cases(42, 200), i_list=(10**6,))
     assert [(r.algorithm, r.precision, r.i) for r in rows] == [
         ("naive", "binary32", 10**6),
         ("practical", "binary32", 10**6),
@@ -177,34 +172,32 @@ def test_compensation_rows_shape():
     assert naive.violations == 0
     for r in rows[1:]:
         assert r.violations == 0
-        assert r.err.count == len(samples)
+        assert r.err.count == 200
 
 
 def test_compensation_err_convention():
     # err = floor of the double-precision estimate minus the algorithm's j
-    sample = ClockSample(10**6, 999900, Fraction(-100))
+    D, A = 10**6, 999900
     i = 10**8
-    rows = compensation_experiment([sample], i_list=(i,))
-    base = naive_compensate(i, sample.D, sample.A, "binary64")
+    rows = compensation_experiment({(D, A): 1}, i_list=(i,))
+    base = naive_compensate(i, D, A, "binary64")
     naive_row = rows[0]
-    assert naive_row.err.min == base - naive_compensate(i, sample.D, sample.A, "binary32")
+    assert naive_row.err.min == base - naive_compensate(i, D, A, "binary32")
     practical_row = rows[1]
-    assert practical_row.err.min == base - oracle_nearest(i, sample.D, sample.A)
+    assert practical_row.err.min == base - oracle_nearest(i, D, A)
 
 
-def test_case_table_and_samples_give_the_same_rows():
+def test_experiments_take_only_a_case_mapping():
+    # sample_cases gives the mapping; assert_matches_reference checks it
+    # holds the same draws as generate_samples
     samples = generate_samples(5, 300)
-    cases = sample_cases(5, 300)
-    assert bounds_experiment(cases, i_list=(10**7, 10**9)) == bounds_experiment(
-        samples, i_list=(10**7, 10**9)
-    )
-    assert compensation_experiment(cases, i_list=(10**9,)) == compensation_experiment(
-        samples, i_list=(10**9,)
-    )
+    for experiment in (bounds_experiment, compensation_experiment):
+        with pytest.raises(TypeError, match="mapping"):
+            experiment(samples, (10**7,))
 
 
 def test_empty_population_rejected():
-    for empty in ([], sample_cases(1, 0)):
+    for empty in ({}, sample_cases(1, 0)):
         with pytest.raises(ValueError):
             bounds_experiment(empty, i_list=(10**6,))
         with pytest.raises(ValueError):

@@ -26,18 +26,20 @@ from skewcomp.rationals import round_to_format
 
 def test_format_validation():
     with pytest.raises(ValueError):
-        FloatFormat(1, 24)
+        FloatFormat(1)
+    # _replace builds through _make, which checks like the constructor
     with pytest.raises(ValueError):
-        FloatFormat(2, 1)
-    with pytest.raises(ValueError):
-        FloatFormat(10, 3)  # binary formats only
+        BINARY32._replace(precision=1)
+    assert BINARY32._replace(precision=53) == BINARY64
+    with pytest.raises(TypeError):
+        FloatFormat(10, 3)  # binary formats only: there is no base field
 
 
 def test_resolve_format():
     assert resolve_format("binary32") is BINARY32
     assert resolve_format("binary64") is BINARY64
     assert resolve_format(BINARY32) is BINARY32
-    custom = FloatFormat(2, 11)
+    custom = FloatFormat(11)
     assert resolve_format(custom) is custom
     with pytest.raises(ValueError):
         resolve_format("binary128")
@@ -46,15 +48,15 @@ def test_resolve_format():
 def test_format_label():
     assert format_label(BINARY32) == "binary32"
     assert format_label(BINARY64) == "binary64"
-    assert format_label(FloatFormat(2, 11)) == "b2p11"
+    assert format_label(FloatFormat(11)) == "b2p11"
     # the label is looked up by value, not identity
-    assert format_label(FloatFormat(2, 24)) == "binary32"
+    assert format_label(FloatFormat(24)) == "binary32"
 
 
 @pytest.mark.parametrize(
     "record, field, text",
     [
-        (FloatFormat(2, 11), "precision", "FloatFormat(base=2, precision=11)"),
+        (FloatFormat(11), "precision", "FloatFormat(precision=11)"),
         (
             CandidateInterval(3, 5, "practical", "binary32"),
             "lb",
@@ -105,7 +107,7 @@ def test_op_error_bound_rejects_unknown():
 
 @pytest.mark.parametrize("p", range(2, 64))
 def test_divide_bound_beats_multiply_bound(p):
-    fmt = FloatFormat(2, p)
+    fmt = FloatFormat(p)
     assert op_error_bound("divide", "E1", fmt) < op_error_bound("multiply", "E1", fmt)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, unit_roundoff
 from skewcomp.rationals import is_in_format, round_ratio, round_to_format
 
-P11 = FloatFormat(2, 11)
+P11 = FloatFormat(11)
 
 
 def test_round_tenth_binary32():
@@ -151,7 +151,7 @@ def _base2_ratios(draw):
 @given(ratio=_base2_ratios(), sign=st.sampled_from((1, -1)))
 def test_round_ratio_base2_matches_definition(ratio, sign):
     p, num, den = ratio
-    n, d = round_ratio(sign * num, den, FloatFormat(2, p))
+    n, d = round_ratio(sign * num, den, FloatFormat(p))
     assert d > 0
     assert Fraction(n, d) == sign * _nearest_base2(Fraction(num, den), p)
 
