@@ -34,6 +34,7 @@ approximate margin 1 + eps_hat that is not exact in float64.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -55,46 +56,43 @@ _SPLITTER = float(2**27 + 1)
 _REFERENCE_SLACK = 2.0**-48
 
 
-def int_array(values) -> np.ndarray:
-    """values as int64, or as Python ints where one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 class CaseArrays:
-    """The distinct (D, A) cases and their weights as arrays.
+    """The checked, sorted cases of a (D, A) -> weight mapping, laid out for the kernel.
 
-    db and A are exact (int64, or Python ints when a value needs more
-    than 62 bits); d64, db64 and a64 are the int64 copies of D, db and A
-    on the kernel's domain 0 < D < 2A, A < 2**53, and 0, 0 and 1
+    pairs and weights are the sorted cases and their weights as Python
+    ints, for the scalar fallbacks and the exact sums; count is the total
+    weight.  d64, db64 and a64 are int64 copies of D, the remainder slope
+    db and A on the kernel's domain 0 < D < 2A, A < 2**53, and 0, 0 and 1
     elsewhere.
     """
 
-    def __init__(self, cases, weights) -> None:
-        pairs = int_array(cases)
-        if pairs.dtype != object and not ((-(2**62) < pairs) & (pairs < 2**62)).all():
-            pairs = pairs.astype(object)
-        D, A = pairs.T
-        self.A = A
-        self.db = np.where(D == A, 0, np.where(D < A, D, D - A))
+    def __init__(self, population) -> None:
+        if not isinstance(population, Mapping):
+            raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
+        if not population:
+            raise ValueError("population must be nonempty")
+        self.pairs = sorted(population)
+        self.weights = [population[case] for case in self.pairs]
+        if not all(isinstance(w, int) and w >= 1 for w in self.weights):
+            raise ValueError("case weights must be positive integers")
+        self.count = sum(self.weights)
+        try:
+            D, A = np.array(self.pairs, dtype=np.int64).T
+        except OverflowError:  # a value of 2**63 or more: Python ints, exact
+            D, A = np.array(self.pairs, dtype=object).T
+        # int64 D - A and 2A may wrap, but only where 0 < A < 2**53 fails,
+        # so outside the domain, where db and 2A are never read
+        db = np.where(D < A, D, D - A)
         self.identity = D == A
         self.case2 = D > A
         # with db < A, the hardware route's max(i, db, A) < 2**53 is i and A
-        self.domain = (D > 0) & (D < 2 * A) & (A < _HW_EXACT_INT)
+        self.domain = (0 < A) & (A < _HW_EXACT_INT) & (D > 0) & (D < 2 * A)
         self.d64 = np.where(self.domain, D, 0).astype(np.int64)
-        self.db64 = np.where(self.domain, self.db, 0).astype(np.int64)
+        self.db64 = np.where(self.domain, db, 0).astype(np.int64)
         self.a64 = np.where(self.domain, A, 1).astype(np.int64)
-        self.count = sum(weights)
-        self.weights = int_array(weights) if self.count <= _INT64_MAX else np.array(weights, dtype=object)
 
     def __len__(self) -> int:
-        return len(self.db64)
-
-    def all_scalar(self) -> np.ndarray:
-        """A fresh fallback mask with every case on the scalar path."""
-        return np.ones(len(self), dtype=bool)
+        return len(self.pairs)
 
     def estimate(self, i: int, fmt) -> np.ndarray:
         """t_hat = fl(fl(i) * fl(fl(db) / fl(A))) per case, as float64."""
@@ -161,7 +159,7 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     """(lb, ub, fallback) of candidate_interval(i, db, A, method, fmt, eps_coeff) per case."""
     zeros = np.zeros(len(cases), dtype=np.int64)
     if not _on_route(i, fmt):
-        return zeros, zeros, cases.all_scalar()
+        return zeros, zeros, np.ones(len(cases), dtype=bool)
     t_hat = cases.estimate(i, fmt)
     if method in ("theoretical", "practical"):
         lo, hi = (float(c) for c in rounded_coefficients(method, fmt))
@@ -170,11 +168,11 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     elif method == "approximate":
         margin = _margin(i, fmt, eps_coeff)
         if margin is None:
-            return zeros, zeros, cases.all_scalar()
+            return zeros, zeros, np.ones(len(cases), dtype=bool)
         lb = _exact(np.floor, *_two_sum(t_hat, -margin))
         ub = _exact(np.ceil, *_two_sum(t_hat, margin))
     else:
-        return zeros, zeros, cases.all_scalar()
+        return zeros, zeros, np.ones(len(cases), dtype=bool)
     return lb, ub, ~cases.domain | (lb > ub)
 
 
@@ -190,7 +188,7 @@ def reference_ends(cases: CaseArrays, i: int, fmt):
     """
     zeros = np.zeros(len(cases), dtype=np.int64)
     if not _on_route(i, fmt):
-        return zeros, zeros, cases.all_scalar()
+        return zeros, zeros, np.ones(len(cases), dtype=bool)
     guard = cases.guard(i)
     n = i * np.where(guard, cases.db64, 0)
     q, r = np.divmod(n, cases.a64)
@@ -212,7 +210,7 @@ def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     """(j, iterations, violated, fallback) of compensate(i, D, A, method, fmt, eps_coeff)."""
     zeros = np.zeros(len(cases), dtype=np.int64)
     if not _on_route(i, fmt):
-        return zeros, zeros, zeros.astype(bool), cases.all_scalar()
+        return zeros, zeros, zeros.astype(bool), np.ones(len(cases), dtype=bool)
     lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
     guard = cases.guard(i)
     db = np.where(guard, cases.db64, 0)
@@ -240,7 +238,7 @@ def naive_floors(cases: CaseArrays, i: int, fmt):
     exact while q < 2**53.
     """
     if not _on_route(i, fmt):
-        return np.zeros(len(cases), dtype=np.int64), cases.all_scalar()
+        return np.zeros(len(cases), dtype=np.int64), np.ones(len(cases), dtype=bool)
     a = cases.a64
     guard = cases.d64 <= _INT64_MAX // max(i, 1)
     q, r = np.divmod(i * np.where(guard, cases.d64, 0), a)

@@ -140,15 +140,20 @@ def _not_ints(i, D, A) -> TypeError:
     return TypeError(f"need int i, D, A, got {type(i).__name__}, {type(D).__name__}, {type(A).__name__}")
 
 
-def _validate_inputs(i: int, D: int, A: int) -> None:
+def _validate_estimate(i: int, D: int, A: int) -> None:
+    """The pipeline's input rules, in order: A != 0, signs, then exact ints."""
     if A == 0:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
         raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
-    if D >= A:
-        raise InvalidInput(f"need D < A after decomposition, got D={D} A={A}")
     if not type(i) is type(D) is type(A) is int:
         raise _not_ints(i, D, A)
+
+
+def _validate_inputs(i: int, D: int, A: int) -> None:
+    _validate_estimate(i, D, A)
+    if D >= A:
+        raise InvalidInput(f"need D < A after decomposition, got D={D} A={A}")
 
 
 def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
@@ -164,12 +169,7 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     2^53 or more fall back to the emulated route.
     """
     fmt = resolve_format(precision)
-    if A == 0:
-        raise ZeroDivisor("A = 0")
-    if i < 0 or D < 0 or A < 0:
-        raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
-    if not type(i) is type(D) is type(A) is int:
-        raise _not_ints(i, D, A)
+    _validate_estimate(i, D, A)
     if _on_hardware_route(fmt, max(i, D, A)):
         return _hardware_estimate(i, D, A, fmt)
     if _on_hardware_route(fmt, 0):  # binary32 or binary64, an input of 2^53 or more
@@ -188,10 +188,7 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
 
 def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
     """Same pipeline via round_ratio; exact value of the final float."""
-    if A == 0:
-        raise ZeroDivisor("A = 0")
-    if not type(i) is type(D) is type(A) is int:
-        raise _not_ints(i, D, A)
+    _validate_estimate(i, D, A)
     return Fraction(*_emulated_ratio(i, D, A, fmt))
 
 
@@ -200,10 +197,7 @@ def _emulated_ratio(i: int, D: int, A: int, fmt: FloatFormat) -> tuple[int, int]
     i_n, i_d = round_ratio(i, 1, fmt)
     d_n, d_d = round_ratio(D, 1, fmt)
     a_n, a_d = round_ratio(A, 1, fmt)
-    q_n, q_d = d_n * a_d, d_d * a_n
-    if q_d < 0:
-        q_n, q_d = -q_n, -q_d
-    q_n, q_d = round_ratio(q_n, q_d, fmt)
+    q_n, q_d = round_ratio(d_n * a_d, d_d * a_n, fmt)
     return round_ratio(i_n * q_n, i_d * q_d, fmt)
 
 

@@ -101,7 +101,10 @@ def _parse_fraction(text: str) -> Fraction:
     """Exact rational in integer, decimal, exponent or a/b form; no inf or nan."""
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as exc:
+        if "integer string conversion" in str(exc):  # int(str)'s cap against quadratic-time parsing
+            limit = sys.get_int_max_str_digits()
+            raise argparse.ArgumentTypeError(f"an integer in {text[:12]!r}... is over Python's {limit}-digit limit") from None
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 

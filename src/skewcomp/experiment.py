@@ -25,6 +25,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from numbers import Rational
 from operator import mul
@@ -217,7 +218,7 @@ def _draw_blocks(
 def _summary(values, cases) -> StatSummary:
     """min, max and weighted mean of one integer per case."""
     # Python ints: an int64 dot product could overflow
-    total = sum(map(mul, values.tolist(), cases.weights.tolist()))
+    total = sum(map(mul, values.tolist(), cases.weights))
     return StatSummary(
         min=int(values.min()),
         max=int(values.max()),
@@ -226,17 +227,19 @@ def _summary(values, cases) -> StatSummary:
     )
 
 
-def _case_counts(population: Mapping) -> tuple[list[tuple[int, int]], list[int]]:
-    """Sorted distinct (D, A) cases and their weights, as parallel lists."""
-    if not isinstance(population, Mapping):
-        raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
-    if not population:
-        raise ValueError("population must be nonempty")
-    cases = sorted(population)
-    weights = [population[case] for case in cases]
-    if not all(isinstance(w, int) and w >= 1 for w in weights):
-        raise ValueError("case weights must be positive integers")
-    return cases, weights
+def _fill(values, fallback, scalar):
+    """The kernel's per-case arrays with each fallback case k set from scalar(k).
+
+    scalar(k) returns one Python value per array, in order; the arrays
+    then become object arrays, so no value is truncated.
+    """
+    if not fallback.any():
+        return values
+    values = [v.astype(object) for v in values]
+    for k in fallback.nonzero()[0].tolist():
+        for v, value in zip(values, scalar(k)):
+            v[k] = value
+    return values
 
 
 def bounds_experiment(
@@ -257,22 +260,22 @@ def bounds_experiment(
     """
     from . import batch
 
-    cases = batch.CaseArrays(*_case_counts(population))
+    cases = batch.CaseArrays(population)
+
+    def deltas(k):
+        # called inside the loop below, for its current row
+        D, A = cases.pairs[k]
+        db = D - A if D >= A else D
+        cand = candidate_interval(i, db, A, method, precision, eps_coeff)
+        return interval_deltas(cand, reference_interval(i, db, A, fmt))
+
     rows = []
     for method, precision in configs:
         fmt = resolve_format(precision)
         for i in i_list:
             lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
             ref_lb, ref_ub, ref_fallback = batch.reference_ends(cases, i, fmt)
-            dlb, dub = ref_lb - lb, ub - ref_ub
-            fallback |= ref_fallback
-            if fallback.any():
-                dlb, dub = dlb.astype(object), dub.astype(object)
-                for k in fallback.nonzero()[0]:
-                    db, A = int(cases.db[k]), int(cases.A[k])
-                    cand = candidate_interval(i, db, A, method, precision, eps_coeff)
-                    ref = reference_interval(i, db, A, fmt)
-                    dlb[k], dub[k] = interval_deltas(cand, ref)
+            dlb, dub = _fill((ref_lb - lb, ub - ref_ub), fallback | ref_fallback, deltas)
             rows.append(
                 BoundsRow(
                     method=method,
@@ -303,16 +306,17 @@ def compensation_experiment(
 
     from . import batch
 
-    pairs, weights = _case_counts(population)
-    cases = batch.CaseArrays(pairs, weights)
+    cases = batch.CaseArrays(population)
 
     def naive_row(i, fmt):
         j, fallback = batch.naive_floors(cases, i, fmt)
-        if fallback.any():
-            j = j.astype(object)
-            for k in fallback.nonzero()[0]:
-                j[k] = naive_compensate(i, *pairs[k], fmt)
+        (j,) = _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pairs[k], fmt),))
         return j
+
+    def walk(k):
+        # called inside the loop below, for its current row
+        res = compensate(i, *cases.pairs[k], algorithm, precision, eps_coeff)
+        return res.j, res.iterations, res.bounds_violated
 
     baseline = {i: naive_row(i, BINARY64) for i in i_list}
     rows = []
@@ -323,15 +327,8 @@ def compensation_experiment(
                 j = naive_row(i, fmt)
                 iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
             else:
-                j, iterations, violated, fallback = batch.compensate_triples(
-                    cases, i, algorithm, fmt, eps_coeff
-                )
-                if fallback.any():
-                    j, iterations = j.astype(object), iterations.astype(object)
-                    for k in fallback.nonzero()[0]:
-                        D, A = pairs[k]
-                        res = compensate(i, D, A, algorithm, precision, eps_coeff)
-                        j[k], iterations[k], violated[k] = res.j, res.iterations, res.bounds_violated
+                *triple, fallback = batch.compensate_triples(cases, i, algorithm, fmt, eps_coeff)
+                j, iterations, violated = _fill(triple, fallback, walk)
             rows.append(
                 CompRow(
                     algorithm=algorithm,
@@ -339,7 +336,7 @@ def compensation_experiment(
                     i=i,
                     err=_summary(baseline[i] - j, cases),
                     iterations=_summary(iterations, cases),
-                    violations=int(cases.weights[violated].sum()),
+                    violations=sum(compress(cases.weights, violated.tolist())),
                 )
             )
     return rows

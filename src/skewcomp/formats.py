@@ -42,6 +42,10 @@ class FloatFormat(namedtuple("FloatFormat", "precision")):
     __slots__ = ()
 
     def __new__(cls, precision: int):
+        if type(precision) is not int:
+            # a float, bool or numpy precision compares equal to an int one
+            # but breaks the exact shifts and Fractions built from it
+            raise TypeError(f"need an int precision, got {type(precision).__name__}")
         if precision < 2:
             raise ValueError(f"precision must be >= 2, got {precision}")
         return super().__new__(cls, precision)

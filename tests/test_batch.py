@@ -17,13 +17,16 @@ from skewcomp import batch
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
+    InvalidInput,
     candidate_interval,
+    interval_deltas,
     reference_interval,
     theoretical_coefficients,
 )
 from skewcomp.compensator import compensate, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     DEFAULT_I_LIST,
+    StatSummary,
     TABLE2_CONFIGS,
     TABLE3_ALGORITHMS,
     bounds_experiment,
@@ -56,14 +59,23 @@ def _compensate_contract(i, D, A, method, fmt, eps_coeff):
     return clock + (i if D > A else 0), max(high - low, 0), not low <= clock <= high
 
 
+def _slope(D, A):
+    """The remainder slope (db, A) the kernel splits (D, A) to."""
+    return D - A if D >= A else D, A
+
+
 def _check_row(pairs, i, fmt, eps_coeff):
-    """Assert each accepted kernel value equals the scalar one; return the fallback masks."""
-    cases = batch.CaseArrays(pairs, [1] * len(pairs))
+    """Assert each accepted kernel value equals the scalar one; return the fallback masks.
+
+    The masks follow the sorted cases, cases.pairs.
+    """
+    cases = batch.CaseArrays(dict.fromkeys(pairs, 1))
+    pairs = cases.pairs
     masks = {}
     for method in METHODS:
         lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
         for k in _accepted(fallback):
-            cand = candidate_interval(i, int(cases.db[k]), int(cases.A[k]), method, fmt, eps_coeff)
+            cand = candidate_interval(i, *_slope(*pairs[k]), method, fmt, eps_coeff)
             assert (lb[k], ub[k]) == (cand.lb, cand.ub), (method, pairs[k])
         masks[method] = fallback
         j, iterations, violated, fallback = batch.compensate_triples(cases, i, method, fmt, eps_coeff)
@@ -77,7 +89,7 @@ def _check_row(pairs, i, fmt, eps_coeff):
         masks["compensate", method] = fallback
     lb, ub, fallback = batch.reference_ends(cases, i, fmt)
     for k in _accepted(fallback):
-        ref = reference_interval(i, int(cases.db[k]), int(cases.A[k]), fmt)
+        ref = reference_interval(i, *_slope(*pairs[k]), fmt)
         assert (lb[k], ub[k]) == (ref.lb, ref.ub), pairs[k]
     masks["reference"] = fallback
     return masks
@@ -142,7 +154,8 @@ def _tie(i, p, s, mantissa):
 
 def _check_naive(pairs, i, fmt):
     """Assert each accepted naive floor equals naive_compensate; return the fallback mask."""
-    cases = batch.CaseArrays(pairs, [1] * len(pairs))
+    cases = batch.CaseArrays(dict.fromkeys(pairs, 1))
+    pairs = cases.pairs
     j, fallback = batch.naive_floors(cases, i, fmt)
     for k in _accepted(fallback):
         D, A = pairs[k]
@@ -276,7 +289,7 @@ def test_fallback_where_the_margin_is_inexact():
     "seed, n, D", [(42, 10**5, 10**6), (42, 10**4, 10**9)], ids=["readme", "D1e9"]
 )
 def test_no_fallback_on_table_populations(seed, n, D):
-    cases = batch.CaseArrays(*zip(*sorted(sample_cases(seed, n, D, 100).items())))
+    cases = batch.CaseArrays(sample_cases(seed, n, D, 100))
     for i in DEFAULT_I_LIST:
         assert not batch.naive_floors(cases, i, BINARY64)[1].any()
         for method, precision in (*TABLE2_CONFIGS, *TABLE3_ALGORITHMS):
@@ -335,11 +348,67 @@ def test_experiments_merge_fallback_cases():
         assert row.iterations.max == row.violations == 0
 
 
+def _stats(values, weights):
+    """The StatSummary of one value per case, each repeated by its weight."""
+    spread = [v for v, w in zip(values, weights) for _ in range(w)]
+    return StatSummary(min(spread), max(spread), Fraction(sum(spread), len(spread)), len(spread))
+
+
+def test_experiments_fall_back_for_whole_rows():
+    # i >= 2**53 and an 11-bit format are off the hardware route, so those
+    # rows run every case on the scalar path; 1e6 in binary32 and binary64
+    # stays on the kernel.  Each row must equal its per-case evaluation.
+    population = {(3, 5): 2, (7, 5): 1}
+    pairs, weights = list(population), list(population.values())
+    i_list = (10**6, 2**53 + 1)
+    configs = (("practical", "binary32"), ("approximate", "binary64"), ("theoretical", P11))
+    rows = bounds_experiment(population, i_list, configs)
+    assert len(rows) == len(configs) * len(i_list)
+    for row, ((method, precision), i) in zip(rows, ((c, i) for c in configs for i in i_list)):
+        fmt = resolve_format(precision)
+        deltas = []
+        for D, A in pairs:
+            db = D - A if D > A else D
+            cand = candidate_interval(i, db, A, method, fmt)
+            deltas.append(interval_deltas(cand, reference_interval(i, db, A, fmt)))
+        dlb, dub = zip(*deltas)
+        assert (row.method, row.i, row.dlb, row.dub) == (method, i, _stats(dlb, weights), _stats(dub, weights))
+    algorithms = (("naive", "binary32"), ("naive", P11), ("practical", "binary32"), ("approximate", P11))
+    rows = compensation_experiment(population, i_list, algorithms)
+    assert len(rows) == len(algorithms) * len(i_list)
+    for row, ((algorithm, precision), i) in zip(rows, ((a, i) for a in algorithms for i in i_list)):
+        base = [naive_compensate(i, D, A, BINARY64) for D, A in pairs]
+        if algorithm == "naive":
+            results = [(naive_compensate(i, D, A, precision), 0, False) for D, A in pairs]
+        else:
+            results = [compensate(i, D, A, algorithm, precision) for D, A in pairs]
+            results = [(r.j, r.iterations, r.bounds_violated) for r in results]
+        errs = [b - j for b, (j, _, _) in zip(base, results)]
+        assert row.err == _stats(errs, weights)
+        assert row.iterations == _stats([n for _, n, _ in results], weights)
+        assert row.violations == sum(w for (_, _, v), w in zip(results, weights) if v)
+
+
+def test_rows_do_not_depend_on_insertion_order():
+    # CaseArrays sorts the cases, so the rows, and the first scalar error
+    # of a row, follow the sorted cases whatever order the mapping has
+    population = dict(sample_cases(42, 300, 10**9))
+    population[2**53 + 12, 2**53 + 9] = 2  # a fallback case
+    reordered = dict(reversed(population.items()))
+    i_list = (10**6, 10**9)
+    assert bounds_experiment(population, i_list) == bounds_experiment(reordered, i_list)
+    assert compensation_experiment(population, i_list) == compensation_experiment(reordered, i_list)
+    bad = {(5, 0): 1, (-1, 5): 1}
+    for population in (bad, dict(reversed(bad.items()))):
+        with pytest.raises(InvalidInput, match="D=-1 A=5"):
+            compensation_experiment(population, (10,))
+
+
 def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
     # binary32's t_hat passes i + 1 with no margin, so the interval clips
     # empty: the kernel gives the triple in closed form, no fallback
     i, pair = 2**26 + 5, (2**31 - 1, 2**31)
-    cases = batch.CaseArrays([pair], [1])
+    cases = batch.CaseArrays({pair: 1})
     j, iterations, violated, fallback = batch.compensate_triples(cases, i, "approximate", BINARY32, 0)
     res = compensate(i, *pair, "approximate", "binary32", 0)
     assert not fallback[0]

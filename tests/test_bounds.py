@@ -72,11 +72,14 @@ def test_clock_estimate_examples():
 
 
 def test_clock_estimate_validation():
-    with pytest.raises(ZeroDivisor):
-        clock_estimate(1, 1, 0)
-    for i, D, A in ((-1, 1, 2), (1, -1, 2), (1, 1, -2)):
-        with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
-            clock_estimate(i, D, A)
+    # the hardware and emulated estimates check A != 0, then the signs, then the int rule
+    for estimate in (clock_estimate, lambda i, D, A: emulated_clock_estimate(i, D, A, BINARY32)):
+        for i, D, A in ((1, 1, 0), (-1, 1.0, 0)):
+            with pytest.raises(ZeroDivisor):
+                estimate(i, D, A)
+        for i, D, A in ((-1, 1, 2), (1, -1, 2), (1, 1, -2), (-3, 1, 2), (3, 1, -2), (-1.0, 1, 2)):
+            with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
+                estimate(i, D, A)
 
 
 def test_hardware_agrees_with_emulation():
@@ -330,10 +333,9 @@ def test_binary32_route_matches_numpy_float32(i, x, y):
     i=st.sampled_from(ROUTE_EDGES) | st.integers(min_value=0, max_value=2**60),
     d=st.sampled_from(ROUTE_EDGES) | st.integers(min_value=0, max_value=2**60),
     a=st.integers(min_value=1, max_value=2**60),
-    a_sign=st.sampled_from((1, -1)),
 )
-def test_emulated_estimate_matches_fraction_pipeline(fmt, i, d, a, a_sign):
-    a *= a_sign  # the emulated route takes any sign, as Fraction arithmetic does
+def test_emulated_estimate_matches_fraction_pipeline(fmt, i, d, a):
+    # a negative input is rejected as on the hardware route (test_clock_estimate_validation)
     rtf = lambda q: round_to_format(q, fmt)
     expect = rtf(rtf(Fraction(i)) * rtf(rtf(Fraction(d)) / rtf(Fraction(a))))
     assert emulated_clock_estimate(i, d, a, fmt) == expect

@@ -97,6 +97,16 @@ def test_bad_integer_exits_1(capsys):
         assert "not an integer" in err, spelling
 
 
+def test_integer_over_the_digit_limit_exits_1(capsys):
+    # int(str) stops at 4,300 digits; a power of ten still parses as 1e5000
+    code, _, err = run(capsys, "bounds", "--i", "1" + "0" * 4300, "--D", "1", "--A", "2")
+    assert code == 1
+    assert "Python's 4300-digit limit" in err and "not a rational" not in err
+    # 1e5000 parses, and then its result is over the same limit when printed
+    code, _, err = run(capsys, "bounds", "--i", "1e5000", "--D", "1", "--A", "2")
+    assert code == 1 and "usage" not in err and "4300 digits" in err
+
+
 def test_scientific_shorthand(capsys):
     for spelling in ("1e1", "1_0", " 10 "):
         code, out, _ = run(

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,16 @@ def test_format_validation():
     assert BINARY32._replace(precision=53) == BINARY64
     with pytest.raises(TypeError):
         FloatFormat(10, 3)  # binary formats only: there is no base field
+
+
+@pytest.mark.parametrize("precision", [24.0, 11.0, True, np.int64(24), Fraction(24), "24"])
+def test_format_precision_must_be_an_int(precision):
+    # 24.0 would compare and hash equal to binary32 and then fail deep in
+    # the exact arithmetic, so every constructor path rejects it up front
+    with pytest.raises(TypeError, match="need an int precision"):
+        FloatFormat(precision)
+    with pytest.raises(TypeError, match="need an int precision"):
+        BINARY32._replace(precision=precision)
 
 
 def test_resolve_format():
