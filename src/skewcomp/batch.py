@@ -41,13 +41,12 @@ import numpy as np
 
 from .bounds import (
     _HW_EXACT_INT,
-    _as_eps,
+    _eps_hat,
     _on_hardware_route,
     rounded_coefficients,
     theoretical_coefficients,
 )
 from .formats import BINARY64
-from .rationals import round_ratio
 
 _INT64_MAX = 2**63 - 1
 # Dekker's splitter for binary64, 2**27 + 1
@@ -143,14 +142,13 @@ def _exact(op, p, e) -> np.ndarray:
 
 
 def _margin(i: int, fmt, eps_coeff):
-    """1 + eps_hat as an exact float64 below 2**53, or None."""
+    """1 + eps_hat as an exact float64 below 2**53, or None, also for an eps_coeff the scalar path rejects."""
     try:
-        eps = _as_eps(eps_coeff)
+        en, ed = _eps_hat(eps_coeff, i, fmt)
     except (TypeError, ValueError, ZeroDivisionError):
         return None
-    en, ed = round_ratio(eps.numerator * i, eps.denominator, fmt)
     margin = Fraction(ed + en, ed)
-    if abs(margin) >= _HW_EXACT_INT or float(margin) != margin:
+    if margin >= _HW_EXACT_INT or float(margin) != margin:
         return None
     return float(margin)
 

@@ -1,8 +1,8 @@
 """Candidate intervals for the skew-compensated clock.
 
 The pipeline value is t_hat = fl(fl(i) * fl(fl(D) / fl(A))), the working
-precision estimate of t = i*D/A.  Three interval constructions bracket
-the true compensated clock around t_hat:
+precision estimate of t = i*D/A.  Three interval constructions around
+t_hat claim to bracket the true compensated clock:
 
     theoretical: floor/ceil of c_lo * t_hat, c_hi * t_hat with the exactly
         derived coefficients evaluated in working precision, the final
@@ -14,7 +14,10 @@ the true compensated clock around t_hat:
 The exact theoretical coefficients are the product of the per-stage
 bounds in formats.error_budget; they are not restated here.  The
 reference interval applies them to the exact t; it is what the
-candidates are judged against.
+candidates are judged against.  The bracket is guaranteed for the exact
+coefficients and the practical ones; theoretical coefficients rounded to
+working precision, or too small an approximate margin, can miss, and
+compensate reports the miss.
 
 Every interval end is the floor or ceil of an exact product, computed as
 one integer floor division of (numerator, denominator) pairs: t_hat comes
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .formats import BINARY32, FloatFormat, error_budget, format_label, resolve_format, unit_roundoff
 from .rationals import round_ratio, round_to_format
@@ -74,16 +77,14 @@ class InvalidInput(ValueError):
     ratio), and a slope below 1 (D < A) for an interval or the walk."""
 
 
-class CandidateInterval(namedtuple("CandidateInterval", "lb ub method precision")):
-    """Integer range [lb, ub] guaranteed (or claimed) to contain the clock."""
+class CandidateInterval(NamedTuple):
+    """Integer range [lb, ub] claimed to contain the clock; guaranteed for
+    the reference and practical methods, not the theoretical or approximate."""
 
-    __slots__ = ()
-
-    def __new__(cls, lb: int, ub: int, method: str, precision: str):
-        if lb > ub:
-            raise ValueError(f"empty interval [{lb}, {ub}]")
-        # tuple.__new__ directly: namedtuple's own __new__ is a second call
-        return tuple.__new__(cls, (lb, ub, method, precision))
+    lb: int
+    ub: int
+    method: str
+    precision: str
 
     @property
     def width(self) -> int:
@@ -133,11 +134,11 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
     raise ValueError(f"no working-precision coefficients for method {method!r}")
 
 
-def _not_ints(i, D, A) -> TypeError:
-    # raised unless type(i) is type(D) is type(A) is int: a float, bool or
-    # numpy integer would run the exact integer arithmetic in another type
-    # and can give a wrong clock
-    return TypeError(f"need int i, D, A, got {type(i).__name__}, {type(D).__name__}, {type(A).__name__}")
+def _require_ints(i, D, A) -> None:
+    # a float, bool or numpy integer would run the exact integer arithmetic
+    # in another type and can give a wrong clock
+    if not type(i) is type(D) is type(A) is int:
+        raise TypeError(f"need int i, D, A, got {type(i).__name__}, {type(D).__name__}, {type(A).__name__}")
 
 
 def _validate_estimate(i: int, D: int, A: int) -> None:
@@ -146,8 +147,7 @@ def _validate_estimate(i: int, D: int, A: int) -> None:
         raise ZeroDivisor("A = 0")
     if i < 0 or D < 0 or A < 0:
         raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
-    if not type(i) is type(D) is type(A) is int:
-        raise _not_ints(i, D, A)
+    _require_ints(i, D, A)
 
 
 def _validate_inputs(i: int, D: int, A: int) -> None:
@@ -186,8 +186,9 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     return unpack(pack(i32 * unpack(pack(d32 / a32))[0]))[0]
 
 
-def emulated_clock_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> Fraction:
+def emulated_clock_estimate(i: int, D: int, A: int, fmt) -> Fraction:
     """Same pipeline via round_ratio; exact value of the final float."""
+    fmt = resolve_format(fmt)
     _validate_estimate(i, D, A)
     return Fraction(*_emulated_ratio(i, D, A, fmt))
 
@@ -208,13 +209,15 @@ def _integer_ratios(coefficients, *args) -> tuple[int, int, int, int]:
     return c_lo.numerator, c_lo.denominator, c_hi.numerator, c_hi.denominator
 
 
-def _as_eps(eps_coeff) -> Fraction:
+def _eps_hat(eps_coeff, i: int, fmt: FloatFormat) -> tuple[int, int]:
+    """eps_hat = fl(eps_coeff * i) as an unreduced (numerator, denominator > 0) pair."""
     if isinstance(eps_coeff, float):
-        raise TypeError(
-            "eps_coeff must be exact (int, Fraction, or decimal string); "
-            f"a float like {eps_coeff!r} carries binary conversion error"
-        )
-    return Fraction(eps_coeff)
+        # a float carries its binary conversion error into the margin
+        raise TypeError(f"eps_coeff must be exact (int, Fraction or decimal string), got {eps_coeff!r}")
+    eps = Fraction(eps_coeff)
+    if eps < 0:
+        raise ValueError(f"need eps_coeff >= 0, got {eps}")
+    return round_ratio(eps.numerator * i, eps.denominator, fmt)
 
 
 def candidate_interval(
@@ -246,9 +249,8 @@ def candidate_interval(
         lb = (lo_n * tn) // (lo_d * td)
         ub = -((-hi_n * tn) // (hi_d * td))
     elif method == "approximate":
-        eps = _as_eps(eps_coeff)
         # eps_hat = en / ed, so t_hat -/+ (1 + eps_hat) is over td * ed
-        en, ed = round_ratio(eps.numerator * i, eps.denominator, fmt)
+        en, ed = _eps_hat(eps_coeff, i, fmt)
         mid, margin, den = tn * ed, td * (ed + en), td * ed
         # the margin is applied exactly: rounding t_hat -/+ margin again in
         # working precision would quantize the interval ends to the float
@@ -257,21 +259,22 @@ def candidate_interval(
         ub = -((-mid - margin) // den)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return CandidateInterval(lb, ub, method, format_label(fmt))
+    return tuple.__new__(CandidateInterval, (lb, ub, method, format_label(fmt)))
 
 
-def reference_interval(i: int, D: int, A: int, fmt: FloatFormat = BINARY32) -> CandidateInterval:
+def reference_interval(i: int, D: int, A: int, fmt=BINARY32) -> CandidateInterval:
     """Theoretical interval evaluated on the exact t = i*D/A.
 
-    fmt selects whose unit roundoff the coefficients use; the arithmetic
-    itself is exact.
+    fmt, a FloatFormat or a label, selects whose unit roundoff the
+    coefficients use; the arithmetic itself is exact.
     """
+    fmt = resolve_format(fmt)
     _validate_inputs(i, D, A)
     lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
     tn = i * D  # t = tn / A
     lb = (lo_n * tn) // (lo_d * A)
     ub = -((-hi_n * tn) // (hi_d * A))
-    return CandidateInterval(lb, ub, "reference", "exact")
+    return tuple.__new__(CandidateInterval, (lb, ub, "reference", "exact"))
 
 
 def interval_deltas(

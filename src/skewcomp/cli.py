@@ -41,7 +41,7 @@ from .experiment import (
     compensation_experiment,
     sample_cases,
 )
-from .formats import BINARY32, FORMATS, FloatFormat, resolve_format, unit_roundoff
+from .formats import BINARY32, FORMATS, FloatFormat, unit_roundoff
 from .rationals import is_in_format, round_to_format
 
 TABLE2_HEADER = [
@@ -69,9 +69,9 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-# InvalidInput and SkewOutOfRange are ValueErrors; OverflowError covers
-# OverflowRisk and a float conversion of a huge input or statistic
-_USER_ERRORS = (ValueError, TypeError, ZeroDivisor, OverflowError)
+# InvalidInput and SkewOutOfRange are ValueErrors, OverflowError covers OverflowRisk and
+# huge floats; parsed inputs are ints, Fractions and choices, so a TypeError is a bug
+_USER_ERRORS = (ValueError, ZeroDivisor, OverflowError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +129,7 @@ def _emit_table(cells, header, meta, fmt, out) -> None:
             {name: float(cell) if name.endswith("_avg") else cell for name, cell in zip(header, row)}
             for row in cells
         ]
-        json.dump({"meta": {k: str(v) for k, v in meta.items()}, "rows": dict_rows}, out, indent=2)
+        json.dump({"meta": meta, "rows": dict_rows}, out, indent=2)
         out.write("\n")
     else:
         for key, value in meta.items():
@@ -153,9 +153,8 @@ def _table_meta(name: str, args) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    fmt = resolve_format(args.precision)
-    cand = candidate_interval(args.i, args.D, args.A, args.method, fmt, args.eps_coeff)
-    ref = reference_interval(args.i, args.D, args.A, fmt)
+    cand = candidate_interval(args.i, args.D, args.A, args.method, args.precision, args.eps_coeff)
+    ref = reference_interval(args.i, args.D, args.A, args.precision)
     dlb, dub = interval_deltas(cand, ref)
     print(f"lb={cand.lb} ub={cand.ub} dlb={dlb} dub={dub}")
     return 0
@@ -182,9 +181,9 @@ def _run_table(args, name) -> int:
     else:
         rows = compensation_experiment(cases, args.i, eps_coeff=args.eps_coeff)
         header = TABLE3_HEADER
-    # cells first: a statistic too large for a float fails before -o truncates a file
+    # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
     cells = [_cells(row) for row in rows]
-    meta = _table_meta(name, args)
+    meta = {key: str(value) for key, value in _table_meta(name, args).items()}
     if args.output and args.output != "-":
         with open(args.output, "w", newline="") as out:
             _emit_table(cells, header, meta, args.format, out)
@@ -246,7 +245,7 @@ def _selftest() -> int:
         A = rng.randint(1, 10**6)
         for precision in ("binary32", "binary64"):
             hw = Fraction(clock_estimate(i, D, A, precision))
-            if hw != emulated_clock_estimate(i, D, A, resolve_format(precision)):
+            if hw != emulated_clock_estimate(i, D, A, precision):
                 hw_ok = False
                 break
     check("hardware and emulated pipelines agree", hw_ok)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _not_ints, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _require_ints, candidate_interval
 from .formats import resolve_format
 from .rationals import round_ratio
 
@@ -58,8 +58,7 @@ class CompResult(NamedTuple):
 def _validate_ratio(i: int, D: int, A: int) -> None:
     if i < 0 or D <= 0 or A <= 0:
         raise InvalidInput(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
-    if not type(i) is type(D) is type(A) is int:
-        raise _not_ints(i, D, A)
+    _require_ints(i, D, A)
 
 
 def oracle_nearest(i: int, D: int, A: int) -> int:
@@ -95,8 +94,7 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
         raise ValueError(f"interval width {width} exceeds i={i}")
     if i * delta_b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
-    if not type(i) is type(delta_b) is type(delta_a) is int:
-        raise _not_ints(i, delta_b, delta_a)
+    _require_ints(i, delta_b, delta_a)
 
     y = lb
     r = i * delta_b - y * delta_a - (delta_a + 1) // 2
@@ -143,8 +141,7 @@ def compensate(
     if D == A:
         # candidate_interval rejects what it rejects on the other slopes and
         # gives the label; its literal D = 0 would pass a float or bool D
-        if not type(i) is type(D) is type(A) is int:
-            raise _not_ints(i, D, A)
+        _require_ints(i, D, A)
         label = candidate_interval(i, 0, A, method, precision, eps_coeff).precision
         return tuple.__new__(CompResult, (i, 0, method, label, "identity", False))
 

@@ -21,7 +21,7 @@ from skewcomp.bounds import (
     rounded_coefficients,
     theoretical_coefficients,
 )
-from skewcomp.compensator import naive_compensate
+from skewcomp.compensator import compensate, naive_compensate
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, unit_roundoff
 from skewcomp.rationals import round_to_format
 
@@ -156,9 +156,27 @@ def test_eps_coeff_accepts_exact_types():
     assert (a.lb, a.ub) == (b.lb, b.ub)
 
 
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        CandidateInterval(5, 4, "practical", "binary32")
+def test_eps_coeff_rejects_negative():
+    # the margin 1 + eps_hat = 1 - 1e-3 is still positive at i = 1e9
+    with pytest.raises(ValueError, match="eps_coeff >= 0"):
+        candidate_interval(10**9, 1, 2, "approximate", "binary32", Fraction(-1, 10**12))
+    assert candidate_interval(10**9, 1, 2, "approximate", "binary32", 0).width > 0
+
+
+_FORMAT_CALLS = {
+    "compensate": lambda fmt: compensate(10**9, 999900, 10**6, "practical", fmt),
+    "candidate_interval": lambda fmt: candidate_interval(10**9, 999900, 10**6, "approximate", fmt),
+    "reference_interval": lambda fmt: reference_interval(10**9, 999900, 10**6, fmt),
+    "clock_estimate": lambda fmt: clock_estimate(10**9, 999900, 10**6, fmt),
+    "emulated_clock_estimate": lambda fmt: emulated_clock_estimate(10**9, 999900, 10**6, fmt),
+    "naive_compensate": lambda fmt: naive_compensate(10**9, 999900, 10**6, fmt),
+}
+
+
+@pytest.mark.parametrize("label, fmt", [("binary32", BINARY32), ("binary64", BINARY64)], ids=["binary32", "binary64"])
+@pytest.mark.parametrize("call", list(_FORMAT_CALLS.values()), ids=list(_FORMAT_CALLS))
+def test_every_format_parameter_takes_a_label(call, label, fmt):
+    assert call(label) == call(fmt)
 
 
 def test_reference_interval_formats():

@@ -136,11 +136,28 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
 
 
 def test_statistic_too_large_exits_1_and_writes_no_file(tmp_path, capsys):
+    # a statistic too large for a float, and a metadata integer over the
+    # digit limit for str(): neither creates -o, nor touches an existing one
     target = tmp_path / "out.csv"
-    code, out, err = run(capsys, "table2", "-n", "5", "--i", "1e400", "-o", str(target))
-    assert code == 1
-    assert err.startswith("error: ")
-    assert not target.exists()
+    for argv in (("-n", "5", "--i", "1e400"), ("--D", "1e5000", "-n", "1", "--i", "1")):
+        code, out, err = run(capsys, "table2", *argv, "-o", str(target))
+        assert code == 1, argv
+        assert err.startswith("error: "), argv
+        assert not target.exists(), argv
+        target.write_bytes(b"kept\n")
+        assert run(capsys, "table2", *argv, "-o", str(target))[0] == 1, argv
+        assert target.read_bytes() == b"kept\n", argv
+        target.unlink()
+
+
+def test_negative_eps_coeff_exits_1(capsys):
+    # the = form: argparse reads a bare -1e-12 as a flag
+    triple = ("--i", "1e9", "--D", "1", "--A", "2", "--method", "approximate")
+    for argv in (("bounds", *triple), ("compensate", *triple), ("table2", "-n", "5"), ("table3", "-n", "5")):
+        code, out, err = run(capsys, *argv, "--eps-coeff=-1e-12")
+        assert code == 1, argv
+        assert out == "", argv
+        assert "eps_coeff >= 0" in err, argv
 
 
 def test_eps_coeff_accepts_rational_spellings(capsys):

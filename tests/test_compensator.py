@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewcomp import bounds
+from skewcomp import batch, bounds
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     CandidateInterval,
@@ -198,7 +198,8 @@ def test_compensate_validation():
     [
         ("bogus", DEFAULT_EPS_COEFF, ValueError),
         ("approximate", 1e-7, TypeError),
-        ("approximate", Fraction(-1, 10**6), ValueError),  # empty interval at i = 1e9
+        ("approximate", Fraction(-1, 10**6), ValueError),  # would empty the interval at i = 1e9
+        ("approximate", Fraction(-1, 10**12), ValueError),  # margin 1 - 1e-3 at i = 1e9
     ],
 )
 def test_identity_rejects_what_other_slopes_reject(method, eps_coeff, error):
@@ -330,6 +331,35 @@ def test_compensate_product_guard_edge(d, a):
             assert compensate(i, d, a, method, precision).j == oracle_nearest(i, d, a)
     with pytest.raises(OverflowRisk):
         compensate(i + 1, d, a)
+
+
+# the theoretical coefficients, evaluated in working precision, can lie
+# inside the exact ones, so their interval can miss the clock
+THEORETICAL_MISSES = [
+    (BINARY32, 1074754113, 268486546, 536870881),  # the hardware route
+    (FloatFormat(5), 5764, 123, 180),
+    (FloatFormat(5), 17921, 70, 114),
+    (FloatFormat(6), 1463, 83, 138),
+    (FloatFormat(7), 1593, 135, 157),
+]
+
+
+@pytest.mark.parametrize("fmt, i, d, a", THEORETICAL_MISSES)
+def test_theoretical_interval_can_miss_and_practical_does_not(fmt, i, d, a):
+    theoretical = compensate(i, d, a, "theoretical", fmt)
+    assert theoretical.bounds_violated
+    assert theoretical.j == oracle_nearest(i, d, a)
+    assert not compensate(i, d, a, "practical", fmt).bounds_violated
+
+
+def test_theoretical_miss_on_the_hardware_route_in_the_kernel():
+    i, d, a = 1074754113, 268486546, 536870881
+    assert candidate_interval(i, d, a, "theoretical", BINARY32)[:2] == (537479391, 537479681)
+    assert oracle_nearest(i, d, a) == 537479364
+    cases = batch.CaseArrays({(d, a): 1})
+    for method, missed in (("theoretical", True), ("practical", False)):
+        j, _, violated, fallback = batch.compensate_triples(cases, i, method, BINARY32, DEFAULT_EPS_COEFF)
+        assert (j[0], violated[0], fallback[0]) == (537479364, missed, False), method
 
 
 def _missed(i, d, a, method, precision, eps_coeff=DEFAULT_EPS_COEFF):

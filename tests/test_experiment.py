@@ -222,6 +222,13 @@ def test_invalid_inputs_raise_before_any_row(population, i):
         compensation_experiment(population, (i,))
 
 
+@pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
+def test_negative_eps_coeff_rejected(experiment):
+    # the margin 1 + eps_hat = 1 - 1e-6 is still positive at i = 1e6
+    with pytest.raises(ValueError, match="eps_coeff >= 0"):
+        experiment({(10**6, 10**6 + 1): 1}, (10**6,), eps_coeff=Fraction(-1, 10**12))
+
+
 def test_skew_out_of_range_raises_at_the_first_walk_row():
     with pytest.raises(SkewOutOfRange):
         compensation_experiment({(10, 5): 1}, (10,))
