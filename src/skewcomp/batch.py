@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -71,8 +72,11 @@ class CaseArrays:
         if not population:
             raise ValueError("population must be nonempty")
         self.pairs = sorted(population)
+        # a float, bool or numpy key would reach the int64 arrays as another clock
+        if set(map(type, chain.from_iterable(self.pairs))) != {int}:
+            raise TypeError("case keys must be (D, A) pairs of ints")
         self.weights = [population[case] for case in self.pairs]
-        if not all(isinstance(w, int) and w >= 1 for w in self.weights):
+        if set(map(type, self.weights)) != {int} or min(self.weights) < 1:
             raise ValueError("case weights must be positive integers")
         self.count = sum(self.weights)
         try:
@@ -83,7 +87,8 @@ class CaseArrays:
         # so outside the domain, where db and 2A are never read
         db = np.where(D < A, D, D - A)
         self.identity = D == A
-        self.case2 = D > A
+        # D = A has db = 0, so its clock 0 shifted by i gives j = i
+        self.shift = D >= A
         # with db < A, the hardware route's max(i, db, A) < 2**53 is i and A
         self.domain = (0 < A) & (A < _HW_EXACT_INT) & (D > 0) & (D < 2 * A)
         self.d64 = np.where(self.domain, D, 0).astype(np.int64)
@@ -107,7 +112,7 @@ class CaseArrays:
 
 def _on_route(i, fmt) -> bool:
     """Whether the row is on the scalar hardware route; each case also needs A < 2**53."""
-    return isinstance(i, int) and i >= 0 and _on_hardware_route(fmt, i)
+    return type(i) is int and i >= 0 and _on_hardware_route(fmt, i)
 
 
 def _split(a):
@@ -171,7 +176,7 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
         ub = _exact(np.ceil, *_two_sum(t_hat, margin))
     else:
         return zeros, zeros, np.ones(len(cases), dtype=bool)
-    return lb, ub, ~cases.domain | (lb > ub)
+    return lb, ub, ~cases.domain
 
 
 def reference_ends(cases: CaseArrays, i: int, fmt):
@@ -215,8 +220,8 @@ def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     j = (2 * i * db + cases.a64) // (2 * cases.a64)
     low, high = np.maximum(lb, 0), np.minimum(ub, i)
     width = high - low
-    violated = ~cases.identity & ((j < low) | (j > high))
-    j = np.where(cases.identity, i, np.where(cases.case2, i + j, j))
+    violated = (j < low) | (j > high)
+    j = np.where(cases.shift, i + j, j)
     # an interval clipped empty misses without a walk: 0 iterations
     iterations = np.where(cases.identity, 0, np.maximum(width, 0))
     return j, iterations, violated, fallback | ~guard

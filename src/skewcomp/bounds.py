@@ -35,11 +35,10 @@ import struct
 from fractions import Fraction
 from typing import NamedTuple
 
-from .formats import BINARY32, FloatFormat, error_budget, format_label, resolve_format, unit_roundoff
+from .formats import FloatFormat, error_budget, format_label, resolve_format, unit_roundoff
 from .rationals import round_ratio, round_to_format
 
 __all__ = [
-    "ZeroDivisor",
     "InvalidInput",
     "CandidateInterval",
     "theoretical_coefficients",
@@ -68,13 +67,9 @@ def _on_hardware_route(fmt, m: int) -> bool:
     return fmt.precision in (24, 53) and m < _HW_EXACT_INT
 
 
-class ZeroDivisor(ZeroDivisionError):
-    """A = 0 in the clock ratio D/A."""
-
-
 class InvalidInput(ValueError):
-    """An input breaks its sign or slope rule: i >= 0, D and A >= 0 (> 0 for a
-    ratio), and a slope below 1 (D < A) for an interval or the walk."""
+    """An input breaks its sign or slope rule: i >= 0, D >= 0 and A > 0, and a
+    slope below 1 (D < A) for an interval or the walk."""
 
 
 class CandidateInterval(NamedTuple):
@@ -116,10 +111,9 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
     rtf = lambda q: round_to_format(q, fmt)
     one_minus = rtf(1 - u)  # exact: (2^p - 1) * 2^-p
     w = rtf(1 + 2 * u)  # exact: (2^(p-1) + 1) * 2^(1-p)
+    cube = rtf(rtf(w * w) * w)
     if method == "practical":
-        c_hi = rtf(rtf(w * w) * w)
-        c_lo = rtf(one_minus / c_hi)
-        return c_lo, c_hi
+        return rtf(one_minus / cube), cube
     if method == "theoretical":
         two_usq = rtf(2 * rtf(u * u))
         one_plus = rtf(1 + u)  # rounds to 1: the tie 1 + u goes to the even side
@@ -127,7 +121,6 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
         n_lo = rtf(one_minus + two_usq)
         d_lo = rtf(sq * w)
         c_lo = rtf(n_lo / d_lo)
-        cube = rtf(rtf(w * w) * w)
         n_hi = rtf(cube * rtf(one_plus - two_usq))
         c_hi = rtf(n_hi / sq)
         return c_lo, c_hi
@@ -142,11 +135,9 @@ def _require_ints(i, D, A) -> None:
 
 
 def _validate_estimate(i: int, D: int, A: int) -> None:
-    """The pipeline's input rules, in order: A != 0, signs, then exact ints."""
-    if A == 0:
-        raise ZeroDivisor("A = 0")
-    if i < 0 or D < 0 or A < 0:
-        raise InvalidInput(f"need i, D, A >= 0, got i={i} D={D} A={A}")
+    """The input rule of every (i, D, A) function but compensate: signs, then exact ints."""
+    if i < 0 or D < 0 or A <= 0:
+        raise InvalidInput(f"need i, D, A >= 0 and A > 0, got i={i} D={D} A={A}")
     _require_ints(i, D, A)
 
 
@@ -186,9 +177,9 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     return unpack(pack(i32 * unpack(pack(d32 / a32))[0]))[0]
 
 
-def emulated_clock_estimate(i: int, D: int, A: int, fmt) -> Fraction:
+def emulated_clock_estimate(i: int, D: int, A: int, precision="binary32") -> Fraction:
     """Same pipeline via round_ratio; exact value of the final float."""
-    fmt = resolve_format(fmt)
+    fmt = resolve_format(precision)
     _validate_estimate(i, D, A)
     return Fraction(*_emulated_ratio(i, D, A, fmt))
 
@@ -262,13 +253,13 @@ def candidate_interval(
     return tuple.__new__(CandidateInterval, (lb, ub, method, format_label(fmt)))
 
 
-def reference_interval(i: int, D: int, A: int, fmt=BINARY32) -> CandidateInterval:
+def reference_interval(i: int, D: int, A: int, precision="binary32") -> CandidateInterval:
     """Theoretical interval evaluated on the exact t = i*D/A.
 
-    fmt, a FloatFormat or a label, selects whose unit roundoff the
+    precision, a FloatFormat or a label, selects whose unit roundoff the
     coefficients use; the arithmetic itself is exact.
     """
-    fmt = resolve_format(fmt)
+    fmt = resolve_format(precision)
     _validate_inputs(i, D, A)
     lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
     tn = i * D  # t = tn / A

@@ -21,7 +21,6 @@ from . import __version__
 from .bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
-    ZeroDivisor,
     candidate_interval,
     clock_estimate,
     emulated_clock_estimate,
@@ -71,7 +70,7 @@ TABLE3_HEADER = [
 
 # InvalidInput and SkewOutOfRange are ValueErrors, OverflowError covers OverflowRisk and
 # huge floats; parsed inputs are ints, Fractions and choices, so a TypeError is a bug
-_USER_ERRORS = (ValueError, ZeroDivisor, OverflowError)
+_USER_ERRORS = (ValueError, OverflowError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _require_ints, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _require_ints, _validate_estimate, candidate_interval
 from .formats import resolve_format
 from .rationals import round_ratio
 
@@ -55,15 +55,9 @@ class CompResult(NamedTuple):
     bounds_violated: bool
 
 
-def _validate_ratio(i: int, D: int, A: int) -> None:
-    if i < 0 or D <= 0 or A <= 0:
-        raise InvalidInput(f"need i >= 0, D > 0, A > 0, got i={i} D={D} A={A}")
-    _require_ints(i, D, A)
-
-
 def oracle_nearest(i: int, D: int, A: int) -> int:
     """Exact nearest integer to i*D/A, ties rounding up."""
-    _validate_ratio(i, D, A)
+    _validate_estimate(i, D, A)
     return (2 * i * D + A) // (2 * A)
 
 
@@ -134,8 +128,6 @@ def compensate(
     interval missed the clock, which bounds_violated reports.  An
     interval wholly outside [0, i] misses without a walk.
     """
-    if i < 0:
-        raise InvalidInput(f"need i >= 0, got {i}")
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
     if D == A:
@@ -173,7 +165,7 @@ def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:
     the estimate below it), while a single rounding keeps the error
     inside half an ulp.
     """
-    _validate_ratio(i, D, A)
+    _validate_estimate(i, D, A)
     fmt = resolve_format(precision)
     num, den = round_ratio(i * D, A, fmt)
     return num // den

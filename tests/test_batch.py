@@ -404,6 +404,26 @@ def test_rows_do_not_depend_on_insertion_order():
             compensation_experiment(population, (10,))
 
 
+@pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
+@pytest.mark.parametrize("i", [True, False])
+def test_table_rows_reject_a_bool_clock(experiment, i):
+    # every scalar function rejects a bool i, so the kernel leaves it to them
+    with pytest.raises(TypeError, match="need int i"):
+        experiment({(999, 1000): 1}, (i,))
+
+
+@pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
+@pytest.mark.parametrize(
+    "key",
+    [(999.5, 1000), (999, 1000.0), (True, 2), (np.int64(999), 1000), (999, np.int32(1000))],
+    ids=["float-D", "float-A", "bool-D", "int64-D", "int32-A"],
+)
+def test_table_rows_reject_a_non_int_case(experiment, key):
+    # int64 arrays would read 999.5 as 999 and True as 1
+    with pytest.raises(TypeError, match="pairs of ints"):
+        experiment({key: 1, (999, 1000): 1}, (10**6,))
+
+
 def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
     # binary32's t_hat passes i + 1 with no margin, so the interval clips
     # empty: the kernel gives the triple in closed form, no fallback

@@ -12,7 +12,6 @@ from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     CandidateInterval,
     InvalidInput,
-    ZeroDivisor,
     candidate_interval,
     clock_estimate,
     emulated_clock_estimate,
@@ -72,12 +71,11 @@ def test_clock_estimate_examples():
 
 
 def test_clock_estimate_validation():
-    # the hardware and emulated estimates check A != 0, then the signs, then the int rule
+    # the hardware and emulated estimates check the signs, then the int rule
     for estimate in (clock_estimate, lambda i, D, A: emulated_clock_estimate(i, D, A, BINARY32)):
-        for i, D, A in ((1, 1, 0), (-1, 1.0, 0)):
-            with pytest.raises(ZeroDivisor):
-                estimate(i, D, A)
-        for i, D, A in ((-1, 1, 2), (1, -1, 2), (1, 1, -2), (-3, 1, 2), (3, 1, -2), (-1.0, 1, 2)):
+        for i, D, A in (
+            (1, 1, 0), (-1, 1.0, 0), (-1, 1, 2), (1, -1, 2), (1, 1, -2), (-3, 1, 2), (3, 1, -2), (-1.0, 1, 2)
+        ):
             with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
                 estimate(i, D, A)
 
@@ -135,7 +133,7 @@ def test_candidate_zero_slope_degenerates():
 
 
 def test_candidate_validation():
-    with pytest.raises(ZeroDivisor):
+    with pytest.raises(InvalidInput):
         candidate_interval(1, 0, 0)
     with pytest.raises(InvalidInput):
         candidate_interval(1, 3, 2)  # slope must be decomposed first

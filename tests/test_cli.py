@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -72,10 +73,10 @@ def test_validation_error_exits_1(capsys):
     # one input per error class the CLI reports as a usage error
     cases = [
         (("bounds", "--i", "10", "--D", "5", "--A", "2"), "need D < A"),  # InvalidInput
-        (("bounds", "--i", "10", "--D", "1", "--A", "0"), "A = 0"),  # ZeroDivisor
+        (("bounds", "--i", "10", "--D", "1", "--A", "0"), "A > 0"),  # InvalidInput
         (("compensate", "--i", "10", "--D", "10", "--A", "5"), "need 0 < D < 2A"),  # SkewOutOfRange
         (("compensate", "--i", "4611686018427387904", "--D", "999999", "--A", "1000000"), "2**63"),  # OverflowRisk
-        (("compensate", "--i", "-1", "--D", "3", "--A", "5"), "need i >= 0"),  # InvalidInput from compensate
+        (("compensate", "--i", "-1", "--D", "3", "--A", "5"), "need i, D, A >= 0"),  # InvalidInput from compensate
     ]
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
@@ -291,6 +292,36 @@ def test_every_exported_name_resolves():
     assert skewcomp.__all__ == ["__version__"] + [
         name for part in parts for name in importlib.import_module(f"skewcomp.{part}").__all__
     ]
+
+
+def test_every_format_keyword_is_precision():
+    # an (i, D, A) function takes a label or a FloatFormat as precision="binary32";
+    # the helpers that take only a resolved FloatFormat call it fmt, with no default
+    modules = [importlib.import_module(f"skewcomp.{info.name}") for info in pkgutil.iter_modules(skewcomp.__path__)]
+    takes_a_format, wrong = set(), []
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            function = getattr(module, name)
+            if not inspect.isfunction(function):
+                continue
+            parameters = list(inspect.signature(function).parameters.values())
+            ida = [p.name for p in parameters[:3]] == ["i", "D", "A"]
+            for p in parameters:
+                if p.name not in ("fmt", "precision"):
+                    continue
+                if ida or p.default is not p.empty:
+                    takes_a_format.add(name)
+                    if (p.name, p.default) != ("precision", "binary32"):
+                        wrong.append(f"{module.__name__}.{name}({p.name}={p.default!r})")
+    assert wrong == []
+    assert takes_a_format == {
+        "clock_estimate",
+        "emulated_clock_estimate",
+        "candidate_interval",
+        "reference_interval",
+        "compensate",
+        "naive_compensate",
+    }
 
 
 def test_range_of_half_the_clock_exits_1(capsys):

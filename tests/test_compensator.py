@@ -19,6 +19,7 @@ from skewcomp.bounds import (
     emulated_clock_estimate,
     reference_interval,
     rounded_coefficients,
+    theoretical_coefficients,
 )
 from skewcomp.compensator import (
     CompResult,
@@ -47,9 +48,22 @@ def test_oracle_validation():
     with pytest.raises(InvalidInput):
         oracle_nearest(-1, 1, 2)
     with pytest.raises(InvalidInput):
-        oracle_nearest(1, 0, 2)
-    with pytest.raises(InvalidInput):
         oracle_nearest(1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [clock_estimate, emulated_clock_estimate, candidate_interval, reference_interval, oracle_nearest, naive_compensate],
+    ids=lambda function: function.__name__,
+)
+def test_every_ida_function_shares_one_input_rule(function):
+    # A = 0 is an invalid input like a negative one, whatever D is
+    for d in (0, 1):
+        with pytest.raises(InvalidInput, match="A > 0"):
+            function(10, d, 0)
+    # D = 0 is the exact clock 0: an estimate of 0, an interval [0, 0]
+    value = function(10, 0, 7)
+    assert value[:2] == (0, 0) if isinstance(value, tuple) else value == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,6 +376,23 @@ def test_theoretical_miss_on_the_hardware_route_in_the_kernel():
         assert (j[0], violated[0], fallback[0]) == (537479364, missed, False), method
 
 
+@pytest.mark.parametrize("p", range(4, 9))
+def test_tiny_formats_practical_never_misses(p):
+    # the emulated route in precisions 4..8, where the bracket is widest
+    fmt = FloatFormat(p)
+    c_lo, c_hi = theoretical_coefficients(fmt)
+    rng = random.Random(p)
+    for _ in range(5000):
+        a = rng.randint(1, 1000)
+        d = rng.randint(1, 2 * a - 1)
+        i = rng.randint(0, 2**20)
+        result = compensate(i, d, a, "practical", fmt)
+        assert not result.bounds_violated and result.j == oracle_nearest(i, d, a), (i, d, a)
+        db = d % a
+        t = Fraction(i * db, a)
+        assert c_lo * t <= emulated_clock_estimate(i, db, a, fmt) <= c_hi * t, (i, db, a)
+
+
 def _missed(i, d, a, method, precision, eps_coeff=DEFAULT_EPS_COEFF):
     """Whether the exact walked clock lies outside compensate's candidate interval."""
     if d == a:
@@ -442,8 +473,6 @@ def test_naive_frozen_values():
 def test_naive_validation():
     with pytest.raises(InvalidInput):
         naive_compensate(-1, 1, 1)
-    with pytest.raises(InvalidInput):
-        naive_compensate(1, 0, 1)
     with pytest.raises(InvalidInput):
         naive_compensate(1, 1, 0)
 
