@@ -214,7 +214,9 @@ def test_nonpositive_weight_rejected():
             compensation_experiment({(10**6, 10**6 + 1): weight}, (10**6,))
 
 
-@pytest.mark.parametrize("population, i", [({(3, 5): 1}, -1), ({(3, 0): 1}, 10)])
+@pytest.mark.parametrize(
+    "population, i", [({(-1, 5): 1}, 10), ({(3, 5): 1}, -1), ({(3, 0): 1}, 10)]
+)
 def test_invalid_inputs_raise_before_any_row(population, i):
     # the baselines run first, so naive_compensate's check fires, not compensate's
     with pytest.raises(ValueError, match="need i, D, A >= 0 and A > 0"):
