@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -71,10 +71,12 @@ class CaseArrays:
             raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
         if not population:
             raise ValueError("population must be nonempty")
-        self.pairs = sorted(population)
-        # a float, bool or numpy key would reach the int64 arrays as another clock
-        if set(map(type, chain.from_iterable(self.pairs))) != {int}:
+        # a float, bool or numpy value would reach the int64 arrays as another
+        # clock, and a key that is no pair would fail in the sort or the unpacking
+        are_pairs = all(map(isinstance, population, repeat(tuple))) and set(map(len, population)) == {2}
+        if not are_pairs or set(map(type, chain.from_iterable(population))) != {int}:
             raise TypeError("case keys must be (D, A) pairs of ints")
+        self.pairs = sorted(population)
         self.weights = [population[case] for case in self.pairs]
         if set(map(type, self.weights)) != {int} or min(self.weights) < 1:
             raise ValueError("case weights must be positive integers")

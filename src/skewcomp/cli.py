@@ -137,9 +137,9 @@ def _emit_table(cells, header, meta, fmt, out) -> None:
             out.write(",".join(map(str, row)) + "\n")
 
 
-def _table_meta(name: str, args) -> dict:
+def _table_meta(args) -> dict:
     return {
-        "tool": f"skewcomp {__version__} {name}",
+        "tool": f"skewcomp {__version__} {args.command}",
         "seed": args.seed,
         "samples": args.samples,
         "D": args.D,
@@ -172,17 +172,16 @@ def _cmd_compensate(args) -> int:
     return 0
 
 
-def _run_table(args, name) -> int:
+def _run_table(args) -> int:
     cases = sample_cases(args.seed, args.samples, args.D, args.range_ppm)
-    if name == "table2":
-        rows = bounds_experiment(cases, args.i, eps_coeff=args.eps_coeff)
-        header = TABLE2_HEADER
+    if args.command == "table2":
+        experiment, header = bounds_experiment, TABLE2_HEADER
     else:
-        rows = compensation_experiment(cases, args.i, eps_coeff=args.eps_coeff)
-        header = TABLE3_HEADER
+        experiment, header = compensation_experiment, TABLE3_HEADER
+    rows = experiment(cases, args.i, eps_coeff=args.eps_coeff)
     # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
     cells = [_cells(row) for row in rows]
-    meta = {key: str(value) for key, value in _table_meta(name, args).items()}
+    meta = {key: str(value) for key, value in _table_meta(args).items()}
     if args.output and args.output != "-":
         with open(args.output, "w", newline="") as out:
             _emit_table(cells, header, meta, args.format, out)
@@ -191,108 +190,90 @@ def _run_table(args, name) -> int:
     return 0
 
 
-def _selftest() -> int:
-    failures = []
+def _check_rounding(rng):
+    q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+    r = round_to_format(q, BINARY32)
+    ok = round_to_format(r, BINARY32) == r and is_in_format(r, BINARY32)
+    return ok and abs(q - r) <= abs(q) * Fraction(1, 2**24) or None
 
-    def check(name, ok, detail=""):
-        if ok:
-            print(f"ok: {name}")
-        else:
-            failures.append(name)
-            print(f"FAIL: {name} {detail}")
 
-    rng = random.Random(20260825)
-    fmt32 = BINARY32
-
-    rounded_ok = True
-    for _ in range(2000):
-        q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
-        r = round_to_format(q, fmt32)
-        if round_to_format(r, fmt32) != r or not is_in_format(r, fmt32):
-            rounded_ok = False
-            break
-        if q != 0 and abs(q - r) > abs(q) * Fraction(1, 2**24):
-            rounded_ok = False
-            break
-    check("round_to_format idempotent and within one roundoff", rounded_ok)
-
-    repr_ok = True
-    for p in (11, 24, 53):
-        f = FloatFormat(p)
+def _check_representable(rng):
+    for f in map(FloatFormat, (11, 24, 53)):
         u = unit_roundoff(f)
-        repr_ok &= is_in_format(1 - u, f) and is_in_format(1 + 2 * u, f)
-        repr_ok &= not is_in_format(1 + u, f)
-    check("1-u and 1+2u representable, 1+u not", repr_ok)
+        if not is_in_format(1 - u, f) or not is_in_format(1 + 2 * u, f) or is_in_format(1 + u, f):
+            return None
+    return True
 
-    c_lo, c_hi = theoretical_coefficients(fmt32)
-    bracket_ok = True
-    for _ in range(2000):
-        i = rng.randint(0, 10**9)
-        D = rng.randint(1, 10**6)
-        A = rng.randint(1, 10**6)
-        t_hat = emulated_clock_estimate(i, D, A, fmt32)
-        t = Fraction(i * D, A)
-        if not c_lo * t <= t_hat <= c_hi * t:
-            bracket_ok = False
-            break
-    check("pipeline value stays inside the coefficient bracket", bracket_ok)
 
-    hw_ok = True
-    for _ in range(500):
-        i = rng.randint(0, 10**9)
-        D = rng.randint(1, 10**6)
-        A = rng.randint(1, 10**6)
-        for precision in ("binary32", "binary64"):
-            hw = Fraction(clock_estimate(i, D, A, precision))
-            if hw != emulated_clock_estimate(i, D, A, precision):
-                hw_ok = False
-                break
-    check("hardware and emulated pipelines agree", hw_ok)
+def _check_bracket(rng):
+    i, D, A = rng.randint(0, 10**9), rng.randint(1, 10**6), rng.randint(1, 10**6)
+    c_lo, c_hi = theoretical_coefficients(BINARY32)
+    t = Fraction(i * D, A)
+    return c_lo * t <= emulated_clock_estimate(i, D, A, BINARY32) <= c_hi * t or None
 
-    oracle_ok = True
-    for _ in range(500):
-        A = rng.randint(1, 10**6)
-        D = rng.randint(1, 2 * A - 1)
-        i = rng.randint(0, 10**6)
-        want = oracle_nearest(i, D, A)
-        for method in METHODS:
-            for precision in ("binary32", "binary64"):
-                res = compensate(i, D, A, method, precision)
-                # j is exact even when the interval missed
-                if res.j != want:
-                    oracle_ok = False
-                    break
-    check("compensate matches the exact oracle", oracle_ok)
 
+def _check_hardware(rng):
+    i, D, A = rng.randint(0, 10**9), rng.randint(1, 10**6), rng.randint(1, 10**6)
+    precisions = ("binary32", "binary64")
+    return all(Fraction(clock_estimate(i, D, A, p)) == emulated_clock_estimate(i, D, A, p) for p in precisions) or None
+
+
+def _check_oracle(rng):
+    A = rng.randint(1, 10**6)
+    D = rng.randint(1, 2 * A - 1)
+    i = rng.randint(0, 10**6)
+    want = oracle_nearest(i, D, A)
+    # j is exact even when the interval missed
+    return all(compensate(i, D, A, m, p).j == want for m in METHODS for p in ("binary32", "binary64")) or None
+
+
+def _check_misses(rng):
+    A = rng.randint(1, 10**9)
+    D = rng.randint(1, 2 * A - 1)
+    i = rng.randint(0, 10**9)
+    db = D - A if D >= A else D
+    clock = oracle_nearest(i, db, A)
     # a zero approximate margin makes binary32 intervals miss at large i
     configs = [(m, p, DEFAULT_EPS_COEFF) for m in METHODS for p in ("binary32", "binary64")]
-    configs.append(("approximate", "binary32", 0))
-    miss_ok, misses = True, 0
-    for _ in range(300):
-        A = rng.randint(1, 10**9)
-        D = rng.randint(1, 2 * A - 1)
-        i = rng.randint(0, 10**9)
-        db = D - A if D > A else D
-        clock = oracle_nearest(i, db, A)
-        for method, precision, eps_coeff in configs:
-            violated = compensate(i, D, A, method, precision, eps_coeff).bounds_violated
-            cand = candidate_interval(i, db, A, method, precision, eps_coeff)
-            miss_ok &= violated == (D != A and not cand.lb <= clock <= cand.ub)
-            misses += violated
-    check(
-        "bounds_violated iff the oracle lies outside the candidate interval",
-        miss_ok and misses > 0,
-        f"({misses} misses)",
-    )
+    misses = 0
+    for method, precision, eps_coeff in [*configs, ("approximate", "binary32", 0)]:
+        violated = compensate(i, D, A, method, precision, eps_coeff).bounds_violated
+        cand = candidate_interval(i, db, A, method, precision, eps_coeff)
+        if violated != (not cand.lb <= clock <= cand.ub):
+            return None
+        misses += violated
+    return misses
 
+
+# Each call of a check is one trial on the shared generator.  It returns None
+# when the invariant fails, else a count that must not sum to 0 over the
+# trials: True for a pass, or the misses seen, so the miss check must see one.
+_CHECKS = (
+    ("round_to_format idempotent and within one roundoff", _check_rounding, 2000),
+    ("1-u and 1+2u representable, 1+u not", _check_representable, 1),
+    ("pipeline value stays inside the coefficient bracket", _check_bracket, 2000),
+    ("hardware and emulated pipelines agree", _check_hardware, 500),
+    ("compensate matches the exact oracle", _check_oracle, 500),
+    ("bounds_violated iff the oracle lies outside the candidate interval", _check_misses, 300),
+)
+
+
+def _selftest(args) -> int:
+    rng = random.Random(20260825)
+    failures = 0
+    for name, check, trials in _CHECKS:
+        results = [check(rng) for _ in range(trials)]
+        ok = None not in results and sum(results) > 0
+        failures += not ok
+        print(f"ok: {name}" if ok else f"FAIL: {name} ({results.count(None)} of {trials} trials failed)")
     if failures:
-        print(f"{len(failures)} selftest failure(s)", file=sys.stderr)
+        print(f"{failures} selftest failure(s)", file=sys.stderr)
         return 2
     print("selftest passed")
     return 0
 
 
-def _add_triple_args(sub) -> None:
+def _add_triple_args(sub, run) -> None:
     sub.add_argument("--i", type=_parse_int, required=True, help="hardware clock value")
     sub.add_argument("--D", type=_parse_int, required=True, help="reference ticks per interval")
     sub.add_argument("--A", type=_parse_int, required=True, help="local ticks per interval")
@@ -305,6 +286,7 @@ def _add_triple_args(sub) -> None:
         default=DEFAULT_EPS_COEFF,
         help="margin coefficient for the approximate method (exact rational)",
     )
+    sub.set_defaults(run=run)
 
 
 def _add_table_args(sub) -> None:
@@ -318,6 +300,7 @@ def _add_table_args(sub) -> None:
     )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", "-o", default=None, help="output path, - or omitted for stdout")
+    sub.set_defaults(run=_run_table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,22 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Clock-skew compensation with guaranteed floating-point bounds.",
     )
     parser.add_argument("--version", action="version", version=f"skewcomp {__version__}")
+    # each command's run(args) gives the exit code
     commands = parser.add_subparsers(dest="command", required=True)
-
-    bounds_cmd = commands.add_parser("bounds", help="candidate and reference interval for one triple")
-    _add_triple_args(bounds_cmd)
-
+    _add_triple_args(commands.add_parser("bounds", help="candidate and reference interval for one triple"), _cmd_bounds)
     comp_cmd = commands.add_parser("compensate", help="compensated clock for one triple")
-    _add_triple_args(comp_cmd)
+    _add_triple_args(comp_cmd, _cmd_compensate)
     comp_cmd.add_argument("--strict", action="store_true", help="exit 2 on a bounds violation")
-
-    table2_cmd = commands.add_parser("table2", help="bound deltas vs the exact reference")
-    _add_table_args(table2_cmd)
-
-    table3_cmd = commands.add_parser("table3", help="compensation errors and iteration counts")
-    _add_table_args(table3_cmd)
-
-    commands.add_parser("selftest", help="run the built-in invariant checks")
+    _add_table_args(commands.add_parser("table2", help="bound deltas vs the exact reference"))
+    _add_table_args(commands.add_parser("table3", help="compensation errors and iteration counts"))
+    commands.add_parser("selftest", help="run the built-in invariant checks").set_defaults(run=_selftest)
     return parser
 
 
@@ -354,18 +330,10 @@ def main(argv=None) -> int:
         # keep main() returning codes so callers never need to catch
         return int(exc.code or 0)
     try:
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "compensate":
-            return _cmd_compensate(args)
-        if args.command in ("table2", "table3"):
-            return _run_table(args, args.command)
-        if args.command == "selftest":
-            return _selftest()
+        return args.run(args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

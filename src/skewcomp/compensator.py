@@ -130,6 +130,8 @@ def compensate(
     """
     if A <= 0 or D <= 0 or D >= 2 * A:
         raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
+    if i < 0:  # here, so the error names the caller's D, not the remainder slope
+        _validate_estimate(i, D, A)
     if D == A:
         # candidate_interval rejects what it rejects on the other slopes and
         # gives the label; its literal D = 0 would pass a float or bool D

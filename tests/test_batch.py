@@ -415,11 +415,12 @@ def test_table_rows_reject_a_bool_clock(experiment, i):
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
 @pytest.mark.parametrize(
     "key",
-    [(999.5, 1000), (999, 1000.0), (True, 2), (np.int64(999), 1000), (999, np.int32(1000))],
-    ids=["float-D", "float-A", "bool-D", "int64-D", "int32-A"],
+    [(999.5, 1000), (999, 1000.0), (True, 2), (np.int64(999), 1000), (999, np.int32(1000)), 5, (1, 2, 3), (999,)],
+    ids=["float-D", "float-A", "bool-D", "int64-D", "int32-A", "int", "triple", "single"],
 )
 def test_table_rows_reject_a_non_int_case(experiment, key):
-    # int64 arrays would read 999.5 as 999 and True as 1
+    # int64 arrays would read 999.5 as 999 and True as 1; a key that is not a
+    # pair would fail in the sort, the unpacking or numpy with another message
     with pytest.raises(TypeError, match="pairs of ints"):
         experiment({key: 1, (999, 1000): 1}, (10**6,))
 

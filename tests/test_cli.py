@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import skewcomp
+from skewcomp import cli
 from skewcomp.cli import TABLE2_HEADER, TABLE3_HEADER, main
 
 
@@ -367,11 +368,32 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
 
 
+SELFTEST_CHECKS = [
+    "round_to_format idempotent and within one roundoff",
+    "1-u and 1+2u representable, 1+u not",
+    "pipeline value stays inside the coefficient bracket",
+    "hardware and emulated pipelines agree",
+    "compensate matches the exact oracle",
+    "bounds_violated iff the oracle lies outside the candidate interval",
+]
+
+
 def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest")
+    code, out, err = run(capsys, "selftest")
     assert code == 0
-    assert "ok: bounds_violated iff the oracle lies outside the candidate interval" in out
-    assert "selftest passed" in out
+    assert out == "".join(f"ok: {name}\n" for name in SELFTEST_CHECKS) + "selftest passed\n"
+    assert err == ""
+
+
+def test_selftest_failure_exits_2(capsys, monkeypatch):
+    # an oracle one tick high fails exactly the two checks that read it
+    monkeypatch.setattr(cli, "oracle_nearest", lambda i, D, A: skewcomp.oracle_nearest(i, D, A) + 1)
+    code, out, err = run(capsys, "selftest")
+    assert code == 2
+    expected = [f"ok: {name}" for name in SELFTEST_CHECKS[:4]] + [f"FAIL: {name}" for name in SELFTEST_CHECKS[4:]]
+    lines = out.splitlines()
+    assert len(lines) == 6 and all(map(str.startswith, lines, expected))
+    assert err == "2 selftest failure(s)\n"
 
 
 def test_version(capsys):

@@ -207,6 +207,13 @@ def test_compensate_validation():
         compensate(-1, 3, 5)
 
 
+@pytest.mark.parametrize("D", [8, 5])
+def test_compensate_negative_i_names_the_callers_slope(D):
+    # the remainder slope is 3 for D = 8 and 0 for D = 5
+    with pytest.raises(InvalidInput, match=f"i=-1 D={D} A=5"):
+        compensate(-1, D, 5)
+
+
 @pytest.mark.parametrize(
     "method, eps_coeff, error",
     [
