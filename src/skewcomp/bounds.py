@@ -17,15 +17,21 @@ reference interval applies them to the exact t; it is what the
 candidates are judged against.  The bracket is guaranteed for the exact
 coefficients and the practical ones; theoretical coefficients rounded to
 working precision, or too small an approximate margin, can miss, and
-compensate reports the miss.
+compensate reports the miss; certify gives the t from which the rounded
+coefficients of a method can miss.
 
-Every interval end is the floor or ceil of an exact product, computed as
-one integer floor division of (numerator, denominator) pairs: t_hat comes
-from float.as_integer_ratio() on the hardware route and as a rounded
-integer pair on the emulated route, and the coefficients are cached as
-integer pairs.  The coefficient functions return Fractions.  The binary32
-hardware route runs on Python floats rounded through struct, so importing
-this module does not import numpy.
+Every interval end is the floor or ceil of an exact product.  On the
+binary32 hardware route, t_hat and the theoretical and practical
+coefficients are binary32 values, so each product has at most 48 <= 53
+significant bits and is exact as one binary64 multiply; the end is its
+math.floor or math.ceil.  Everywhere else an end is one integer floor
+division of (numerator, denominator) pairs: t_hat comes from
+float.as_integer_ratio() on the binary64 hardware route and as a rounded
+integer pair on the emulated route.  The coefficients, their integer
+pairs and their float values are cached once per (method, precision).
+The coefficient functions return Fractions.  The binary32 hardware route
+runs on Python floats rounded through struct, so importing this module
+does not import numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import functools
 import struct
 from fractions import Fraction
+from math import ceil, floor
 from typing import NamedTuple
 
 from .formats import FloatFormat, error_budget, format_label, resolve_format, unit_roundoff
@@ -43,6 +50,8 @@ __all__ = [
     "CandidateInterval",
     "theoretical_coefficients",
     "rounded_coefficients",
+    "Certificate",
+    "certify",
     "clock_estimate",
     "emulated_clock_estimate",
     "candidate_interval",
@@ -57,9 +66,11 @@ DEFAULT_EPS_COEFF = Fraction(1, 10**7)
 
 # int -> binary64 -> binary32 is a single correct rounding below this
 _HW_EXACT_INT = 2**53
-# packing a float as "f" rounds it to binary32, to nearest, ties to even
-_BINARY32 = struct.Struct("f")
-_BINARY32_TRIPLE = struct.Struct("3f")
+# packing a float as "f" rounds it to binary32, to nearest, ties to even;
+# the bound methods are looked up once, not on every estimate
+_BINARY32, _BINARY32_TRIPLE = struct.Struct("f"), struct.Struct("3f")
+_pack32, _unpack32 = _BINARY32.pack, _BINARY32.unpack
+_pack32x3, _unpack32x3 = _BINARY32_TRIPLE.pack, _BINARY32_TRIPLE.unpack
 
 
 def _on_hardware_route(fmt, m: int) -> bool:
@@ -127,6 +138,34 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
     raise ValueError(f"no working-precision coefficients for method {method!r}")
 
 
+class Certificate(NamedTuple):
+    """certify's slacks, and the onset of each failing side (None where it holds)."""
+
+    lower_slack: Fraction
+    upper_slack: Fraction
+    lower_onset: Fraction | None
+    upper_onset: Fraction | None
+
+
+def certify(method: str, fmt: FloatFormat) -> Certificate:
+    """Whether floor(lo * t_hat) <= round(t) <= ceil(hi * t_hat) for every input.
+
+    (lo, hi) are the rounded coefficients and (c_lo, c_hi) the exact
+    bracket, c_lo * t <= t_hat <= c_hi * t.  So lo * t_hat is at most
+    t * (1 + lo*c_hi - 1) and hi * t_hat at least t * (1 + hi*c_lo - 1):
+    a lower slack lo*c_hi - 1 <= 0 and an upper slack hi*c_lo - 1 >= 0
+    keep the clock inside for every t.  A side whose slack s has the wrong
+    sign moves its end by at most |s| * t, under 1/2 below the onset
+    1/(2|s|), so it can miss only at t >= onset.  Sufficient, not tight.
+    """
+    lo, hi = rounded_coefficients(method, fmt)
+    c_lo, c_hi = theoretical_coefficients(fmt)
+    lower, upper = lo * c_hi - 1, hi * c_lo - 1
+    return Certificate(
+        lower, upper, 1 / (2 * lower) if lower > 0 else None, -1 / (2 * upper) if upper < 0 else None
+    )
+
+
 def _require_ints(i, D, A) -> None:
     # a float, bool or numpy integer would run the exact integer arithmetic
     # in another type and can give a wrong clock
@@ -159,8 +198,8 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
     hardware path whatever the inputs; binary32 and binary64 inputs of
     2^53 or more fall back to the emulated route.
     """
-    fmt = resolve_format(precision)
     _validate_estimate(i, D, A)
+    fmt = resolve_format(precision)
     if _on_hardware_route(fmt, max(i, D, A)):
         return _hardware_estimate(i, D, A, fmt)
     if _on_hardware_route(fmt, 0):  # binary32 or binary64, an input of 2^53 or more
@@ -172,15 +211,14 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     """clock_estimate for checked inputs on the hardware route."""
     if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
-    i32, d32, a32 = _BINARY32_TRIPLE.unpack(_BINARY32_TRIPLE.pack(i, D, A))
-    pack, unpack = _BINARY32.pack, _BINARY32.unpack
-    return unpack(pack(i32 * unpack(pack(d32 / a32))[0]))[0]
+    i32, d32, a32 = _unpack32x3(_pack32x3(i, D, A))
+    return _unpack32(_pack32(i32 * _unpack32(_pack32(d32 / a32))[0]))[0]
 
 
 def emulated_clock_estimate(i: int, D: int, A: int, precision="binary32") -> Fraction:
     """Same pipeline via round_ratio; exact value of the final float."""
-    fmt = resolve_format(precision)
     _validate_estimate(i, D, A)
+    fmt = resolve_format(precision)
     return Fraction(*_emulated_ratio(i, D, A, fmt))
 
 
@@ -211,6 +249,31 @@ def _eps_hat(eps_coeff, i: int, fmt: FloatFormat) -> tuple[int, int]:
     return round_ratio(eps.numerator * i, eps.denominator, fmt)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _plan(method: str, precision):
+    """The per-(method, precision) part of candidate_interval.
+
+    (fmt, label, hardware, ratios, floats): hardware says whether the
+    format has a hardware route; ratios are the coefficients as
+    (lo_num, lo_den, hi_num, hi_den), None for the approximate method;
+    floats are them as (lo, hi) floats where a product of two values of
+    the format is exact in binary64, else None.  The cache is typed: the
+    plain tuple (24,) hashes and compares equal to BINARY32, and
+    resolve_format must still reject it.
+    """
+    fmt = resolve_format(precision)
+    if method in ("theoretical", "practical"):
+        ratios = _integer_ratios(rounded_coefficients, method, fmt)
+        lo_n, lo_d, hi_n, hi_d = ratios
+        # two p-bit significands multiply to at most 2p bits
+        floats = (lo_n / lo_d, hi_n / hi_d) if 2 * fmt.precision <= 53 else None
+    elif method == "approximate":
+        ratios = floats = None
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return fmt, format_label(fmt), _on_hardware_route(fmt, 0), ratios, floats
+
+
 def candidate_interval(
     i: int,
     D: int,
@@ -224,22 +287,33 @@ def candidate_interval(
     Callers pass the decomposed slope: 0 <= D < A.  D = 0 yields the
     degenerate interval around t = 0.
     """
-    _validate_inputs(i, D, A)
-    fmt = resolve_format(precision)
+    # the rules of _validate_inputs, tested inline; a broken one raises its error there
+    if i < 0 or D < 0 or A <= 0 or D >= A or not type(i) is type(D) is type(A) is int:
+        _validate_inputs(i, D, A)
+    try:
+        fmt, label, hardware, ratios, floats = _plan(method, precision)
+    except TypeError:  # an unhashable method or precision, reported as uncached
+        fmt, label, hardware, ratios, floats = _plan.__wrapped__(method, precision)
     # t_hat = tn / td exactly; D < A, so max(i, A) is the largest input
-    if _on_hardware_route(fmt, i if i > A else A):
-        tn, td = _hardware_estimate(i, D, A, fmt).as_integer_ratio()
+    if hardware and (i if i > A else A) < _HW_EXACT_INT:
+        t_hat = _hardware_estimate(i, D, A, fmt)
+        if floats is not None:
+            # binary32 t_hat and coefficients: each product is exact in
+            # binary64, so its floor/ceil is that of the exact product
+            lo, hi = floats
+            return tuple.__new__(CandidateInterval, (floor(lo * t_hat), ceil(hi * t_hat), method, label))
+        tn, td = t_hat.as_integer_ratio()
     else:
         tn, td = _emulated_ratio(i, D, A, fmt)
-    if method in ("theoretical", "practical"):
-        lo_n, lo_d, hi_n, hi_d = _integer_ratios(rounded_coefficients, method, fmt)
+    if ratios is not None:
+        lo_n, lo_d, hi_n, hi_d = ratios
         # floor/ceil of the exact products: re-rounding c_hi * t_hat to the
         # working grid can pull the upper bound a few integers under the
         # guarantee near t ~ 1e8 (grid spacing 8), so the last multiply is
         # kept exact and only the coefficients live on the float grid
         lb = (lo_n * tn) // (lo_d * td)
         ub = -((-hi_n * tn) // (hi_d * td))
-    elif method == "approximate":
+    else:
         # eps_hat = en / ed, so t_hat -/+ (1 + eps_hat) is over td * ed
         en, ed = _eps_hat(eps_coeff, i, fmt)
         mid, margin, den = tn * ed, td * (ed + en), td * ed
@@ -248,9 +322,7 @@ def candidate_interval(
         # grid (64 at t ~ 1e9 in binary32) and inflate the interval
         lb = (mid - margin) // den
         ub = -((-mid - margin) // den)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return tuple.__new__(CandidateInterval, (lb, ub, method, format_label(fmt)))
+    return tuple.__new__(CandidateInterval, (lb, ub, method, label))
 
 
 def reference_interval(i: int, D: int, A: int, precision="binary32") -> CandidateInterval:
@@ -259,8 +331,8 @@ def reference_interval(i: int, D: int, A: int, precision="binary32") -> Candidat
     precision, a FloatFormat or a label, selects whose unit roundoff the
     coefficients use; the arithmetic itself is exact.
     """
-    fmt = resolve_format(precision)
     _validate_inputs(i, D, A)
+    fmt = resolve_format(precision)
     lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
     tn = i * D  # t = tn / A
     lb = (lo_n * tn) // (lo_d * A)

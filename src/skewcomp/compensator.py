@@ -88,7 +88,8 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
         raise ValueError(f"interval width {width} exceeds i={i}")
     if i * delta_b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
-    _require_ints(i, delta_b, delta_a)
+    if not type(i) is type(delta_b) is type(delta_a) is int:
+        _require_ints(i, delta_b, delta_a)
 
     y = lb
     r = i * delta_b - y * delta_a - (delta_a + 1) // 2

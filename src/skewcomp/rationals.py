@@ -3,7 +3,8 @@
 Values are exact rationals throughout; floats only appear at the
 hardware boundary.  The per-case paths hold them as plain integer
 (numerator, denominator) pairs, so rounding and the floor/ceil of an
-interval end are integer floor divisions with no gcd normalization;
+interval end off the binary32 hardware route are integer floor
+divisions with no gcd normalization;
 `fractions.Fraction` stays at the API boundary.  `round_ratio` emulates
 an idealized IEEE-754 binary format with unbounded exponent (no
 overflow, no subnormals), which is the model the error bounds are

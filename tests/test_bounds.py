@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skewcomp.bounds import (
@@ -13,6 +13,7 @@ from skewcomp.bounds import (
     CandidateInterval,
     InvalidInput,
     candidate_interval,
+    certify,
     clock_estimate,
     emulated_clock_estimate,
     interval_deltas,
@@ -175,6 +176,100 @@ _FORMAT_CALLS = {
 @pytest.mark.parametrize("call", list(_FORMAT_CALLS.values()), ids=list(_FORMAT_CALLS))
 def test_every_format_parameter_takes_a_label(call, label, fmt):
     assert call(label) == call(fmt)
+
+
+_PRECISION_CALLS = {
+    "compensate": lambda i, fmt: compensate(i, 1, 2, "practical", fmt),
+    "candidate_interval": lambda i, fmt: candidate_interval(i, 1, 2, "practical", fmt),
+    "reference_interval": lambda i, fmt: reference_interval(i, 1, 2, fmt),
+    "clock_estimate": lambda i, fmt: clock_estimate(i, 1, 2, fmt),
+    "emulated_clock_estimate": lambda i, fmt: emulated_clock_estimate(i, 1, 2, fmt),
+    "naive_compensate": lambda i, fmt: naive_compensate(i, 1, 2, fmt),
+}
+
+
+@pytest.mark.parametrize("call", list(_PRECISION_CALLS.values()), ids=list(_PRECISION_CALLS))
+def test_inputs_are_checked_before_the_precision(call):
+    with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
+        call(-1, "nope")
+    with pytest.raises(ValueError, match="unknown precision 'nope'"):
+        call(1, "nope")
+
+
+def test_plan_cache_keeps_every_format_and_method_rule():
+    # (24,) hashes and compares equal to BINARY32 but is not a FloatFormat
+    assert (24,) == BINARY32 and hash((24,)) == hash(BINARY32)
+    for call in (candidate_interval, compensate):
+        assert call(10, 1, 2, "practical", BINARY32).precision == "binary32"
+        with pytest.raises(ValueError, match=r"unknown precision \(24,\)"):
+            call(10, 1, 2, "practical", (24,))
+        assert call(10, 1, 2, "practical", FloatFormat(24)).precision == "binary32"
+        with pytest.raises(ValueError, match="unknown precision 'nope'"):
+            call(10, 1, 2, "nope", "nope")
+        with pytest.raises(ValueError, match=r"unknown method \['practical'\]"):
+            call(10, 1, 2, ["practical"])
+        with pytest.raises(TypeError, match="unhashable"):
+            call(10, 1, 2, "practical", ["binary32"])
+    # the identity branch D = A checks the method and eps_coeff too
+    compensate(10, 7, 7, "practical", BINARY32)
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        compensate(10, 7, 7, "nope")
+    with pytest.raises(TypeError, match="eps_coeff must be exact"):
+        compensate(10, 7, 7, "approximate", "binary32", 1e-7)
+
+
+# D = 0, integral t_hat, i = 2^24 -/+ 1 and max(i, A) = 2^53 - 1, the top of the hardware route
+@settings(max_examples=400, deadline=None)
+@given(
+    method=st.sampled_from(("theoretical", "practical")),
+    i=st.integers(min_value=0, max_value=2**53 - 1),
+    a=st.integers(min_value=1, max_value=2**53 - 1),
+    d_frac=st.just(Fraction(0)) | st.fractions(min_value=0, max_value=1),
+)
+@example(method="practical", i=10**6, a=7, d_frac=Fraction(0))
+@example(method="theoretical", i=10, a=2, d_frac=Fraction(1, 2))
+@example(method="practical", i=2**24 + 2, a=4, d_frac=Fraction(3, 4))
+@example(method="theoretical", i=2**24 - 1, a=10**6, d_frac=Fraction(999_999, 10**6))
+@example(method="practical", i=2**24 + 1, a=10**6 + 37, d_frac=Fraction(1, 3))
+@example(method="theoretical", i=2**53 - 1, a=10**6, d_frac=Fraction(1, 7))
+@example(method="practical", i=10**9, a=2**53 - 1, d_frac=Fraction(1, 2))
+@example(method="theoretical", i=2**53 - 1, a=2**53 - 1, d_frac=Fraction(1))
+def test_binary32_ends_equal_the_exact_products(method, i, a, d_frac):
+    # the hardware route's ends come from one binary64 multiply each
+    d = min(int(d_frac * a), a - 1)
+    t_hat = emulated_clock_estimate(i, d, a, BINARY32)
+    c_lo, c_hi = rounded_coefficients(method, BINARY32)
+    cand = candidate_interval(i, d, a, method, BINARY32)
+    assert (cand.lb, cand.ub) == (math.floor(c_lo * t_hat), math.ceil(c_hi * t_hat))
+
+
+def test_binary32_ends_at_the_theoretical_miss_witness():
+    i, d, a = 1074754113, 268486546, 536870881
+    t_hat = emulated_clock_estimate(i, d, a, BINARY32)
+    c_lo, c_hi = rounded_coefficients("theoretical", BINARY32)
+    expect = (math.floor(c_lo * t_hat), math.ceil(c_hi * t_hat))
+    assert candidate_interval(i, d, a, "theoretical", BINARY32)[:2] == expect == (537479391, 537479681)
+
+
+def test_certify_every_precision():
+    for p in range(4, 114):
+        fmt = FloatFormat(p)
+        u = unit_roundoff(fmt)
+        practical = certify("practical", fmt)
+        assert practical.lower_slack <= 0 <= practical.upper_slack, p
+        assert practical.lower_onset is None and practical.upper_onset is None
+        theoretical = certify("theoretical", fmt)
+        # 1 + u rounds to 1, so the rounded lo sits above 1/c_hi
+        assert u < theoretical.lower_slack < 2 * u, p
+        assert theoretical.lower_onset == 1 / (2 * theoretical.lower_slack)
+        assert theoretical.upper_slack >= 0 and theoretical.upper_onset is None
+    onset32 = certify("theoretical", BINARY32).lower_onset
+    assert Fraction("4194305.25") < onset32 < Fraction("4194305.26")
+    # the binary32 witness lies far past it, every binary64 table row before its onset
+    assert Fraction(1074754113 * 268486546, 536870881) > onset32
+    assert 2.25e15 < certify("theoretical", BINARY64).lower_onset < 2.26e15
+    with pytest.raises(ValueError, match="no working-precision coefficients"):
+        certify("approximate", BINARY32)
 
 
 def test_reference_interval_formats():
