@@ -163,12 +163,12 @@ def test_eps_coeff_rejects_negative():
 
 
 _FORMAT_CALLS = {
-    "compensate": lambda fmt: compensate(10**9, 999900, 10**6, "practical", fmt),
-    "candidate_interval": lambda fmt: candidate_interval(10**9, 999900, 10**6, "approximate", fmt),
-    "reference_interval": lambda fmt: reference_interval(10**9, 999900, 10**6, fmt),
-    "clock_estimate": lambda fmt: clock_estimate(10**9, 999900, 10**6, fmt),
-    "emulated_clock_estimate": lambda fmt: emulated_clock_estimate(10**9, 999900, 10**6, fmt),
-    "naive_compensate": lambda fmt: naive_compensate(10**9, 999900, 10**6, fmt),
+    "compensate": lambda fmt, i=10**9: compensate(i, 999900, 10**6, "practical", fmt),
+    "candidate_interval": lambda fmt, i=10**9: candidate_interval(i, 999900, 10**6, "approximate", fmt),
+    "reference_interval": lambda fmt, i=10**9: reference_interval(i, 999900, 10**6, fmt),
+    "clock_estimate": lambda fmt, i=10**9: clock_estimate(i, 999900, 10**6, fmt),
+    "emulated_clock_estimate": lambda fmt, i=10**9: emulated_clock_estimate(i, 999900, 10**6, fmt),
+    "naive_compensate": lambda fmt, i=10**9: naive_compensate(i, 999900, 10**6, fmt),
 }
 
 
@@ -178,22 +178,12 @@ def test_every_format_parameter_takes_a_label(call, label, fmt):
     assert call(label) == call(fmt)
 
 
-_PRECISION_CALLS = {
-    "compensate": lambda i, fmt: compensate(i, 1, 2, "practical", fmt),
-    "candidate_interval": lambda i, fmt: candidate_interval(i, 1, 2, "practical", fmt),
-    "reference_interval": lambda i, fmt: reference_interval(i, 1, 2, fmt),
-    "clock_estimate": lambda i, fmt: clock_estimate(i, 1, 2, fmt),
-    "emulated_clock_estimate": lambda i, fmt: emulated_clock_estimate(i, 1, 2, fmt),
-    "naive_compensate": lambda i, fmt: naive_compensate(i, 1, 2, fmt),
-}
-
-
-@pytest.mark.parametrize("call", list(_PRECISION_CALLS.values()), ids=list(_PRECISION_CALLS))
+@pytest.mark.parametrize("call", list(_FORMAT_CALLS.values()), ids=list(_FORMAT_CALLS))
 def test_inputs_are_checked_before_the_precision(call):
     with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
-        call(-1, "nope")
+        call("nope", -1)
     with pytest.raises(ValueError, match="unknown precision 'nope'"):
-        call(1, "nope")
+        call("nope")
 
 
 def test_plan_cache_keeps_every_format_and_method_rule():
