@@ -213,10 +213,9 @@ def reference_ends(cases: CaseArrays, i: int, fmt):
 
 def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     """(j, iterations, violated, fallback) of compensate(i, D, A, method, fmt, eps_coeff)."""
-    zeros = np.zeros(len(cases), dtype=np.int64)
-    if not _on_route(i, fmt):
-        return zeros, zeros, zeros.astype(bool), np.ones(len(cases), dtype=bool)
     lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
+    if fallback.all():  # off the route or declined: the caller walks every case
+        return lb, ub, ~fallback, fallback
     guard = cases.guard(i)
     db = np.where(guard, cases.db64, 0)
     j = (2 * i * db + cases.a64) // (2 * cases.a64)

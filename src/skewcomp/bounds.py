@@ -79,8 +79,9 @@ def _on_hardware_route(fmt, m: int) -> bool:
 
 
 class InvalidInput(ValueError):
-    """An input breaks its sign or slope rule: i >= 0, D >= 0 and A > 0, and a
-    slope below 1 (D < A) for an interval or the walk."""
+    """A value an (i, D, A) function or the walk rejects: i >= 0, D >= 0 and
+    A > 0; D < A for an interval or the walk, 0 < D < 2A for compensate; a
+    walk interval that is nonempty and no wider than i."""
 
 
 class CandidateInterval(NamedTuple):
@@ -231,13 +232,6 @@ def _emulated_ratio(i: int, D: int, A: int, fmt: FloatFormat) -> tuple[int, int]
     return round_ratio(i_n * q_n, i_d * q_d, fmt)
 
 
-@functools.lru_cache(maxsize=None)
-def _integer_ratios(coefficients, *args) -> tuple[int, int, int, int]:
-    """coefficients(*args) as (lo_num, lo_den, hi_num, hi_den)."""
-    c_lo, c_hi = coefficients(*args)
-    return c_lo.numerator, c_lo.denominator, c_hi.numerator, c_hi.denominator
-
-
 def _eps_hat(eps_coeff, i: int, fmt: FloatFormat) -> tuple[int, int]:
     """eps_hat = fl(eps_coeff * i) as an unreduced (numerator, denominator > 0) pair."""
     if isinstance(eps_coeff, float):
@@ -263,10 +257,10 @@ def _plan(method: str, precision):
     """
     fmt = resolve_format(precision)
     if method in ("theoretical", "practical"):
-        ratios = _integer_ratios(rounded_coefficients, method, fmt)
-        lo_n, lo_d, hi_n, hi_d = ratios
+        lo, hi = rounded_coefficients(method, fmt)
+        ratios = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         # two p-bit significands multiply to at most 2p bits
-        floats = (lo_n / lo_d, hi_n / hi_d) if 2 * fmt.precision <= 53 else None
+        floats = (float(lo), float(hi)) if 2 * fmt.precision <= 53 else None
     elif method == "approximate":
         ratios = floats = None
     else:
@@ -333,10 +327,10 @@ def reference_interval(i: int, D: int, A: int, precision="binary32") -> Candidat
     """
     _validate_inputs(i, D, A)
     fmt = resolve_format(precision)
-    lo_n, lo_d, hi_n, hi_d = _integer_ratios(theoretical_coefficients, fmt)
+    lo, hi = theoretical_coefficients(fmt)
     tn = i * D  # t = tn / A
-    lb = (lo_n * tn) // (lo_d * A)
-    ub = -((-hi_n * tn) // (hi_d * A))
+    lb = (lo.numerator * tn) // (lo.denominator * A)
+    ub = -((-hi.numerator * tn) // (hi.denominator * A))
     return tuple.__new__(CandidateInterval, (lb, ub, "reference", "exact"))
 
 

@@ -68,8 +68,8 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-# InvalidInput and SkewOutOfRange are ValueErrors, OverflowError covers OverflowRisk and
-# huge floats; parsed inputs are ints, Fractions and choices, so a TypeError is a bug
+# InvalidInput is a ValueError, OverflowError covers OverflowRisk and huge floats;
+# parsed inputs are ints, Fractions and choices, so a TypeError is a bug
 _USER_ERRORS = (ValueError, OverflowError)
 
 

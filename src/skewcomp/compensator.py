@@ -19,7 +19,6 @@ from .rationals import round_ratio
 
 __all__ = [
     "OverflowRisk",
-    "SkewOutOfRange",
     "RefineResult",
     "CompResult",
     "oracle_nearest",
@@ -34,10 +33,6 @@ _PRODUCT_LIMIT = 2**63
 
 class OverflowRisk(OverflowError):
     """x * delta_b would not fit the declared 63-bit product width."""
-
-
-class SkewOutOfRange(ValueError):
-    """Compensation requires 0 < D < 2A."""
 
 
 class RefineResult(NamedTuple):
@@ -83,9 +78,9 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
         raise InvalidInput(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb
     if width < 0:
-        raise ValueError(f"empty interval [{lb}, {ub}]")
+        raise InvalidInput(f"empty interval [{lb}, {ub}]")
     if width > i:
-        raise ValueError(f"interval width {width} exceeds i={i}")
+        raise InvalidInput(f"interval width {width} exceeds i={i}")
     if i * delta_b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
     if not type(i) is type(delta_b) is type(delta_a) is int:
@@ -129,8 +124,8 @@ def compensate(
     interval missed the clock, which bounds_violated reports.  An
     interval wholly outside [0, i] misses without a walk.
     """
-    if A <= 0 or D <= 0 or D >= 2 * A:
-        raise SkewOutOfRange(f"need 0 < D < 2A, got D={D} A={A}")
+    if D <= 0 or D >= 2 * A:  # which implies A > 0
+        raise InvalidInput(f"need 0 < D < 2A, got D={D} A={A}")
     if i < 0:  # here, so the error names the caller's D, not the remainder slope
         _validate_estimate(i, D, A)
     if D == A:

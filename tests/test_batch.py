@@ -425,6 +425,13 @@ def test_table_rows_reject_a_non_int_case(experiment, key):
         experiment({key: 1, (999, 1000): 1}, (10**6,))
 
 
+@pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
+def test_experiments_reject_an_unknown_method(experiment):
+    # the kernel declines the whole row, and the scalar path names the method
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        experiment({(999, 1000): 1}, (10**6,), (("nope", "binary32"),))
+
+
 def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
     # binary32's t_hat passes i + 1 with no margin, so the interval clips
     # empty: the kernel gives the triple in closed form, no fallback

@@ -75,7 +75,7 @@ def test_validation_error_exits_1(capsys):
     cases = [
         (("bounds", "--i", "10", "--D", "5", "--A", "2"), "need D < A"),  # InvalidInput
         (("bounds", "--i", "10", "--D", "1", "--A", "0"), "A > 0"),  # InvalidInput
-        (("compensate", "--i", "10", "--D", "10", "--A", "5"), "need 0 < D < 2A"),  # SkewOutOfRange
+        (("compensate", "--i", "10", "--D", "10", "--A", "5"), "need 0 < D < 2A"),  # InvalidInput
         (("compensate", "--i", "4611686018427387904", "--D", "999999", "--A", "1000000"), "2**63"),  # OverflowRisk
         (("compensate", "--i", "-1", "--D", "3", "--A", "5"), "need i, D, A >= 0"),  # InvalidInput from compensate
     ]
@@ -330,6 +330,21 @@ def test_range_of_half_the_clock_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "range_ppm must be below 500000" in err
+
+
+def test_nonpositive_clock_exits_1(capsys):
+    code, out, err = run(capsys, "table2", "--D", "0", "-n", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need D > 0, got 0\n"
+
+
+@pytest.mark.parametrize("command, spelling", [("table2", ","), ("table3", " , ")])
+def test_empty_i_list_is_a_usage_error(capsys, command, spelling):
+    code, out, err = run(capsys, command, "--i", spelling)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage:") and "argument --i: empty i list" in err
 
 
 def test_table_runs_are_deterministic(capsys):

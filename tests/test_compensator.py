@@ -25,7 +25,6 @@ from skewcomp.compensator import (
     CompResult,
     OverflowRisk,
     RefineResult,
-    SkewOutOfRange,
     compensate,
     naive_compensate,
     oracle_nearest,
@@ -64,6 +63,44 @@ def test_every_ida_function_shares_one_input_rule(function):
     # D = 0 is the exact clock 0: an estimate of 0, an interval [0, 0]
     value = function(10, 0, 7)
     assert value[:2] == (0, 0) if isinstance(value, tuple) else value == 0
+
+
+_SIGNS = "need i, D, A >= 0 and A > 0, got "
+_ESTIMATES = (clock_estimate, emulated_clock_estimate, oracle_nearest, naive_compensate)
+_REJECTED = [
+    (compensate, (10, 0, 5), "need 0 < D < 2A, got D=0 A=5"),
+    (compensate, (10, 10, 5), "need 0 < D < 2A, got D=10 A=5"),  # D = 2A
+    (compensate, (10, 3, 0), "need 0 < D < 2A, got D=3 A=0"),
+    (compensate, (-1, 3, 5), _SIGNS + "i=-1 D=3 A=5"),
+    (refine, (10, 2, 1, (5, 4)), "empty interval [5, 4]"),
+    (refine, (2, 5, 1, (0, 6)), "interval width 6 exceeds i=2"),
+    (refine, (10, 2, 3, (4, 6)), "need 0 <= delta_b < delta_a, got delta_b=3 delta_a=2"),
+    *(
+        (function, args, message)
+        for function in (candidate_interval, reference_interval)
+        for args, message in (
+            ((10, 5, 5), "need D < A after decomposition, got D=5 A=5"),
+            ((10, 3, 0), _SIGNS + "i=10 D=3 A=0"),
+            ((-1, 3, 5), _SIGNS + "i=-1 D=3 A=5"),
+        )
+    ),
+    *((function, (-1, 3, 5), _SIGNS + "i=-1 D=3 A=5") for function in _ESTIMATES),
+    *((function, (10, 3, 0), _SIGNS + "i=10 D=3 A=0") for function in _ESTIMATES),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    _REJECTED,
+    ids=[f"{function.__name__}-{args}" for function, args, _ in _REJECTED],
+)
+def test_every_rejected_value_is_invalid_input(function, args, message):
+    # one error model: a value an (i, D, A) function or the walk rejects is
+    # an InvalidInput, not a sibling ValueError class or a bare ValueError
+    with pytest.raises(InvalidInput) as exc:
+        function(*args)
+    assert type(exc.value) is InvalidInput
+    assert str(exc.value) == message
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,11 +234,11 @@ def test_compensate_small_example_all_modes():
 
 
 def test_compensate_validation():
-    with pytest.raises(SkewOutOfRange):
+    with pytest.raises(InvalidInput):
         compensate(10, 0, 5)
-    with pytest.raises(SkewOutOfRange):
+    with pytest.raises(InvalidInput):
         compensate(10, 10, 5)  # D = 2A
-    with pytest.raises(SkewOutOfRange):
+    with pytest.raises(InvalidInput):
         compensate(10, 3, 0)
     with pytest.raises(InvalidInput):
         compensate(-1, 3, 5)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcomp.compensator import SkewOutOfRange, naive_compensate, oracle_nearest
+from skewcomp.bounds import InvalidInput
+from skewcomp.compensator import naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     bounds_experiment,
     compensation_experiment,
@@ -110,6 +111,12 @@ def test_generation_edge_inputs():
         generate_samples(1, 10, range_ppm=Fraction(1, 3))  # off the lattice
     with pytest.raises(ValueError):
         generate_samples(1, -5)
+
+
+def test_sampling_needs_a_positive_clock():
+    for draw, D in ((sample_cases, 0), (generate_samples, -1)):
+        with pytest.raises(ValueError, match=f"need D > 0, got {D}"):
+            draw(1, 5, D)
 
 
 def test_bounds_rows_shape_and_order():
@@ -233,5 +240,5 @@ def test_negative_eps_coeff_rejected(experiment):
 def test_skew_out_of_range_raises_at_the_first_walk_row():
     # D = 0 passes the naive baseline, which gives its exact 0
     for population in ({(10, 5): 1}, {(0, 5): 1}):
-        with pytest.raises(SkewOutOfRange):
+        with pytest.raises(InvalidInput):
             compensation_experiment(population, (10,))
