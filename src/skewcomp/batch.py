@@ -47,6 +47,7 @@ from .bounds import (
     rounded_coefficients,
     theoretical_coefficients,
 )
+from .experiment import CaseTable
 from .formats import BINARY64
 
 _INT64_MAX = 2**63 - 1
@@ -57,34 +58,24 @@ _REFERENCE_SLACK = 2.0**-48
 
 
 class CaseArrays:
-    """The checked, sorted cases of a (D, A) -> weight mapping, laid out for the kernel.
+    """The checked, sorted cases of a CaseTable, or of a (D, A) -> weight mapping, for the kernel.
 
-    pairs and weights are the sorted cases and their weights as Python
-    ints, for the scalar fallbacks and the exact sums; count is the total
-    weight.  d64, db64 and a64 are int64 copies of D, the remainder slope
-    db and A on the kernel's domain 0 < D < 2A, A < 2**53, and 0, 0 and 1
-    elsewhere.
+    D, A and weights are the columns; weights are int64 unless they could
+    sum past it, and count is their sum.  d64, db64 and a64 are int64
+    copies of D, the remainder slope db and A on the kernel's domain
+    0 < D < 2A, A < 2**53, and 0, 0 and 1 elsewhere.
     """
 
     def __init__(self, population) -> None:
-        if not isinstance(population, Mapping):
-            raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
-        if not population:
+        D, A, weights = population if isinstance(population, CaseTable) else _columns(population)
+        if not len(weights):
             raise ValueError("population must be nonempty")
-        # a float, bool or numpy value would reach the int64 arrays as another
-        # clock, and a key that is no pair would fail in the sort or the unpacking
-        are_pairs = all(map(isinstance, population, repeat(tuple))) and set(map(len, population)) == {2}
-        if not are_pairs or set(map(type, chain.from_iterable(population))) != {int}:
-            raise TypeError("case keys must be (D, A) pairs of ints")
-        self.pairs = sorted(population)
-        self.weights = [population[case] for case in self.pairs]
-        if set(map(type, self.weights)) != {int} or min(self.weights) < 1:
+        if not (weights > 0).all():
             raise ValueError("case weights must be positive integers")
-        self.count = sum(self.weights)
-        try:
-            D, A = np.array(self.pairs, dtype=np.int64).T
-        except OverflowError:  # a value of 2**63 or more: Python ints, exact
-            D, A = np.array(self.pairs, dtype=object).T
+        if weights.dtype != object and int(weights.max()) >= 2**63 // len(weights):
+            weights = weights.astype(object)
+        self.D, self.A, self.weights = D, A, weights
+        self.count = int(weights.sum())
         # int64 D - A and 2A may wrap, but only where 0 < A < 2**53 fails,
         # so outside the domain, where db and 2A are never read
         db = np.where(D < A, D, D - A)
@@ -97,8 +88,12 @@ class CaseArrays:
         self.db64 = np.where(self.domain, db, 0).astype(np.int64)
         self.a64 = np.where(self.domain, A, 1).astype(np.int64)
 
+    def pair(self, k: int) -> tuple[int, int]:
+        """Case k as Python ints, for the scalar fallbacks."""
+        return int(self.D[k]), int(self.A[k])
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.A)
 
     def estimate(self, i: int, fmt) -> np.ndarray:
         """t_hat = fl(fl(i) * fl(fl(db) / fl(A))) per case, as float64."""
@@ -110,6 +105,24 @@ class CaseArrays:
     def guard(self, i: int) -> np.ndarray:
         """2*i*db + A < 2**63 per case, tested without forming the product."""
         return self.db64 <= (_INT64_MAX - self.a64) // max(2 * i, 1)
+
+
+def _columns(population):
+    """The D, A and weight arrays of a (D, A) -> weight mapping, sorted by case."""
+    if not isinstance(population, Mapping):
+        raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
+    # a float, bool or numpy value would reach the int64 arrays as another
+    # clock, and a key that is no pair would fail in the sort or the unpacking
+    are_pairs = all(map(isinstance, population, repeat(tuple))) and set(map(len, population)) <= {2}
+    if not are_pairs or not set(map(type, chain.from_iterable(population))) <= {int}:
+        raise TypeError("case keys must be (D, A) pairs of ints")
+    pairs = sorted(population)
+    weights = [population[case] for case in pairs]
+    if not set(map(type, weights)) <= {int}:
+        raise ValueError("case weights must be positive integers")
+    # Python ints, exact, once a value reaches 2**63
+    dtype = np.int64 if max(map(abs, chain(*pairs, weights)), default=0) < 2**63 else object
+    return (*np.array(pairs, dtype=dtype).reshape(-1, 2).T, np.array(weights, dtype=dtype))
 
 
 def _on_route(i, fmt) -> bool:

@@ -339,7 +339,7 @@ def interval_deltas(
 ) -> tuple[int, int]:
     """(reference.lb - candidate.lb, candidate.ub - reference.ub).
 
-    Positive values mean the candidate is conservative; a negative value
-    means it violated the guaranteed bound on that side.
+    A positive value means the candidate is wider than the reference on that
+    side, a negative one tighter; only compensate's bounds_violated reports a miss.
     """
     return reference.lb - candidate.lb, candidate.ub - reference.ub

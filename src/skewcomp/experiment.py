@@ -6,26 +6,26 @@ binary64 floor baseline (errors and iteration counts).  Samples draw a
 skew uniformly from a lattice with 1e-9 ppm steps, which keeps every
 draw an exact rational and makes runs reproducible from the seed alone.
 
-The experiments take the population as a (D, A) -> weight mapping, such
-as sample_cases returns, and evaluate each distinct case once.  They
-split the cases to the remainder slope once, as arrays, and evaluate one
-table row at a time in the private batch kernel, which gives exactly
-what candidate_interval, reference_interval, compensate and
-naive_compensate give per case; only the cases it cannot prove run per
-case.  With the default 100 ppm range there are only 201 possible A
+The experiments take the population as the CaseTable that sample_cases
+returns, or as a (D, A) -> weight mapping, and evaluate each distinct
+case once.  They split the cases to the remainder slope once, as arrays,
+and evaluate one table row at a time in the private batch kernel, which
+gives exactly what candidate_interval, reference_interval, compensate
+and naive_compensate give per case; only the cases it cannot prove run
+per case.  With the default 100 ppm range there are only 201 possible A
 values, so sample_cases draws the weighted case table directly: it
 reproduces random.Random(seed).randint draw for draw from the
-generator's raw 32-bit words, in numpy blocks of bounded size, so even
-1e7 samples take about a second and a flat amount of memory.
+generator's raw 32-bit words, read in place in numpy blocks of 2**15
+attempts, and merges each block into the sorted case columns.  Its
+working set is one block's buffers plus those columns, flat in the
+number of samples, and even 1e7 samples take about a second.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 from numbers import Rational
 from operator import mul
@@ -39,6 +39,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "CaseTable",
     "ClockSample",
     "StatSummary",
     "BoundsRow",
@@ -80,7 +81,15 @@ _PPM_STEPS = 10**9
 # lattice steps per unit of skew
 _SKEW_STEPS = _PPM_STEPS * 10**6
 # rejection-sampling attempts drawn per numpy block
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
+
+
+class CaseTable(NamedTuple):
+    """Distinct (D, A) cases in sorted columns, with their positive weights."""
+
+    D: np.ndarray
+    A: np.ndarray
+    weight: np.ndarray
 
 
 class ClockSample(NamedTuple):
@@ -139,28 +148,27 @@ def sample_cases(
     n: int,
     D: int = DEFAULT_D,
     range_ppm: Rational = DEFAULT_RANGE_PPM,
-) -> Counter:
-    """The generate_samples population as a (D, A) -> count table.
+) -> CaseTable:
+    """The cases and counts of Counter((s.D, s.A) for s in generate_samples(...)) as a CaseTable.
 
-    Equal to Counter((s.D, s.A) for s in generate_samples(...)) without
-    building the samples, so time is linear in n and memory in the number
-    of distinct cases: each block merges into sorted arrays of A - D.
+    The samples are never built, so time is linear in n and memory in the
+    number of distinct cases: each block merges into sorted arrays of A - D.
     """
     import numpy as np
 
-    values, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # |A - D| < D / 2, so A fits int64 too, which sorts far faster than Python ints
+    dtype = np.int64 if D < 2**62 else object
+    values, counts = np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
     for _, offsets in _draw_blocks(seed, n, D, range_ppm):
-        if D < 2**63:
-            # |A - D| < D / 2, and int64 sorts far faster than Python ints
-            offsets = offsets.astype(np.int64, copy=False)
-        new, weights = np.unique(offsets, return_counts=True)
+        new, weights = np.unique(offsets.astype(dtype, copy=False), return_counts=True)
         at = np.searchsorted(values, new)
         seen = at < len(values)
         seen[seen] = values[at[seen]] == new[seen]
         counts[at[seen]] += weights[seen]
-        values = np.insert(values.astype(new.dtype, copy=False), at[~seen], new[~seen])
+        values = np.insert(values, at[~seen], new[~seen])
         counts = np.insert(counts, at[~seen], weights[~seen])
-    return Counter(dict(zip([(D, D + offset) for offset in values.tolist()], counts.tolist())))
+    values += D
+    return CaseTable(D=np.full(len(values), D, dtype=dtype), A=values, weight=counts)
 
 
 def _draw_blocks(
@@ -173,8 +181,9 @@ def _draw_blocks(
     attempt is one generator word w, giving w >> (32 - k); for k <= 64 it
     is an aligned word pair (w0, w1), giving w0 | (w1 >> (64 - k)) << 32.
     getrandbits(32 * W) returns the next W words least significant first,
-    so its little-endian bytes are the raw word stream.  Surplus attempts
-    past the n-th accepted draw are discarded with the generator.
+    so its little-endian bytes are the raw word stream, read in place as
+    <u4 words or as <u8 pairs w0 | w1 << 32.  Surplus attempts past the
+    n-th accepted draw are discarded with the generator.
     numpy is imported here, so that only drawing a population needs it.
     """
     if n < 0:
@@ -204,12 +213,17 @@ def _draw_blocks(
         # more than half of all attempts are accepted, so 2 * left usually suffice
         attempts = min(_BLOCK, 2 * left)
         raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
-        w = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+        raw = np.frombuffer(raw, dtype=f"<u{4 * words}")
         if words == 1:
-            value = w >> np.uint64(32 - k)
+            value = raw >> np.uint64(32 - k)
         else:
-            value = w[0::2] | (w[1::2] >> np.uint64(64 - k)) << np.uint64(32)
-        steps = value[value < span][:left].astype(np.int64) - reach
+            value = raw >> np.uint64(96 - k)
+            value <<= np.uint64(32)
+            value |= raw & np.uint64(0xFFFFFFFF)
+        # one compress; the accepted attempts are below 2**50, so int64 in place
+        steps = value[value < span][:left].view(np.int64)
+        del raw, value  # the block's buffers go before the next draw
+        steps -= reach
         left -= len(steps)
         m = steps if exact_int64 else steps.astype(object)
         yield steps, (2 * d * m + s) // (2 * s)
@@ -217,11 +231,15 @@ def _draw_blocks(
 
 def _summary(values, cases) -> StatSummary:
     """min, max and weighted mean of one integer per case."""
-    # Python ints: an int64 dot product could overflow
-    total = sum(map(mul, values.tolist(), cases.weights))
+    low, high = int(values.min()), int(values.max())
+    if values.dtype.kind == cases.weights.dtype.kind == "i" and max(-low, high) * cases.count < 2**63:
+        # every partial sum is within max|v| * count, so int64 is exact
+        total = int(values @ cases.weights)
+    else:
+        total = sum(map(mul, values.tolist(), cases.weights.tolist()))
     return StatSummary(
-        min=int(values.min()),
-        max=int(values.max()),
+        min=low,
+        max=high,
         avg=Fraction(total, cases.count),
         count=cases.count,
     )
@@ -243,17 +261,17 @@ def _fill(values, fallback, scalar):
 
 
 def bounds_experiment(
-    population: Mapping[tuple[int, int], int],
+    population: CaseTable | Mapping[tuple[int, int], int],
     i_list: Sequence[int] = DEFAULT_I_LIST,
     configs: Sequence[tuple[str, str]] = TABLE2_CONFIGS,
     eps_coeff=DEFAULT_EPS_COEFF,
 ) -> list[BoundsRow]:
     """Bound deltas per (method, precision, i) over the population.
 
-    The population is a (D, A) -> weight mapping such as sample_cases
-    returns; each distinct case is evaluated once, a whole row at a time,
-    and the cases the batch kernel cannot prove go through
-    candidate_interval and reference_interval.
+    The population is a CaseTable such as sample_cases returns, or a
+    (D, A) -> weight mapping; each distinct case is evaluated once, a
+    whole row at a time, and the cases the batch kernel cannot prove go
+    through candidate_interval and reference_interval.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
@@ -264,7 +282,7 @@ def bounds_experiment(
 
     def deltas(k):
         # called inside the loop below, for its current row
-        D, A = cases.pairs[k]
+        D, A = cases.pair(k)
         db = D - A if D >= A else D
         cand = candidate_interval(i, db, A, method, precision, eps_coeff)
         return interval_deltas(cand, reference_interval(i, db, A, fmt))
@@ -289,7 +307,7 @@ def bounds_experiment(
 
 
 def compensation_experiment(
-    population: Mapping[tuple[int, int], int],
+    population: CaseTable | Mapping[tuple[int, int], int],
     i_list: Sequence[int] = DEFAULT_I_LIST,
     algorithms: Sequence[tuple[str, str]] = TABLE3_ALGORITHMS,
     eps_coeff=DEFAULT_EPS_COEFF,
@@ -310,12 +328,12 @@ def compensation_experiment(
 
     def naive_row(i, fmt):
         j, fallback = batch.naive_floors(cases, i, fmt)
-        (j,) = _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pairs[k], fmt),))
+        (j,) = _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pair(k), fmt),))
         return j
 
     def walk(k):
         # called inside the loop below, for its current row
-        res = compensate(i, *cases.pairs[k], algorithm, precision, eps_coeff)
+        res = compensate(i, *cases.pair(k), algorithm, precision, eps_coeff)
         return res.j, res.iterations, res.bounds_violated
 
     baseline = {i: naive_row(i, BINARY64) for i in i_list}
@@ -336,7 +354,7 @@ def compensation_experiment(
                     i=i,
                     err=_summary(baseline[i] - j, cases),
                     iterations=_summary(iterations, cases),
-                    violations=sum(compress(cases.weights, violated.tolist())),
+                    violations=int(cases.weights[violated.astype(bool)].sum()),
                 )
             )
     return rows

@@ -86,9 +86,9 @@ def _expected_average_error(population, i):
     binary64 quotient, which is what the baseline evaluates."""
     total = sum(
         weight * (floor((i * D) / A) - (2 * i * D + A) // (2 * A))
-        for (D, A), weight in population.items()
+        for D, A, weight in zip(*(column.tolist() for column in population))
     )
-    return Fraction(total, sum(population.values()))
+    return Fraction(total, sum(population.weight.tolist()))
 
 
 def test_ac05_algorithm_error_range_and_average(population, comp_rows):
@@ -138,7 +138,7 @@ def test_paper_scale_error_range_and_average():
     the same helper as in ac05, and no constant is pinned.
     """
     cases = sample_cases(42, 10**4, 10**9, 100)
-    assert len(cases) == 9739
+    assert len(cases.A) == 9739
     walks = (("practical", "binary32"), ("approximate", "binary32"))
     rows = compensation_experiment(cases, I_LIST, walks)
     expected = {i: _expected_average_error(cases, i) for i in I_LIST}

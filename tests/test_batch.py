@@ -67,10 +67,10 @@ def _slope(D, A):
 def _check_row(pairs, i, fmt, eps_coeff):
     """Assert each accepted kernel value equals the scalar one; return the fallback masks.
 
-    The masks follow the sorted cases, cases.pairs.
+    The masks follow the sorted cases.
     """
     cases = batch.CaseArrays(dict.fromkeys(pairs, 1))
-    pairs = cases.pairs
+    pairs = sorted(pairs)
     masks = {}
     for method in METHODS:
         lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
@@ -155,7 +155,7 @@ def _tie(i, p, s, mantissa):
 def _check_naive(pairs, i, fmt):
     """Assert each accepted naive floor equals naive_compensate; return the fallback mask."""
     cases = batch.CaseArrays(dict.fromkeys(pairs, 1))
-    pairs = cases.pairs
+    pairs = sorted(pairs)
     j, fallback = batch.naive_floors(cases, i, fmt)
     for k in _accepted(fallback):
         D, A = pairs[k]
@@ -392,7 +392,8 @@ def test_experiments_fall_back_for_whole_rows():
 def test_rows_do_not_depend_on_insertion_order():
     # CaseArrays sorts the cases, so the rows, and the first scalar error
     # of a row, follow the sorted cases whatever order the mapping has
-    population = dict(sample_cases(42, 300, 10**9))
+    table = sample_cases(42, 300, 10**9)
+    population = {(D, A): weight for D, A, weight in zip(*(column.tolist() for column in table))}
     population[2**53 + 12, 2**53 + 9] = 2  # a fallback case
     reordered = dict(reversed(population.items()))
     i_list = (10**6, 10**9)

@@ -280,6 +280,18 @@ def test_interval_deltas_signs():
     assert interval_deltas(tight, ref) == (-1, 1)
 
 
+def test_negative_delta_is_a_tighter_side_not_a_miss():
+    # table2's dub < 0 says the candidate ends below the reference's upper
+    # end; the clock is still inside, so compensate reports no violation
+    i, D, A = 10**8, 77606, 1000077606
+    cand = candidate_interval(i, D, A, "practical", "binary32")
+    ref = reference_interval(i, D, A, "binary32")
+    assert (cand.lb, cand.ub, ref.lb, ref.ub) == (7759, 7760, 7759, 7761)
+    assert interval_deltas(cand, ref) == (0, -1)
+    res = compensate(i, D, A, "practical", "binary32")
+    assert (res.j, res.bounds_violated) == ((2 * i * D + A) // (2 * A), False) == (7760, False)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     i=st.integers(min_value=0, max_value=10**9),

@@ -251,6 +251,18 @@ def test_table_run_does_not_import_numpy_random():
     assert run_fresh(script, os.devnull).split() == ["0", "False"]
 
 
+def test_import_and_csv_table_run_do_not_import_json():
+    # only --format json needs json, whose import costs about 2 ms per process
+    script = (
+        "import sys\n"
+        "import skewcomp.cli\n"
+        "print('json' in sys.modules)\n"
+        "code = skewcomp.cli.main(['table3', '-n', '1000', '--i', '1e6', '-o', sys.argv[1]])\n"
+        "print(code, 'json' in sys.modules)\n"
+    )
+    assert run_fresh(script, os.devnull).split() == ["False", "0", "False"]
+
+
 def test_compensate_does_not_import_numpy():
     # only drawing a table population needs numpy; a node that imports the
     # package and compensates readings does not pay for importing it

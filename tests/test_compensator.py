@@ -420,6 +420,25 @@ def test_theoretical_miss_on_the_hardware_route_in_the_kernel():
         assert (j[0], violated[0], fallback[0]) == (537479364, missed, False), method
 
 
+@pytest.mark.parametrize(
+    "i, d, a, clock",
+    [
+        (1160363541, 511326562, 512469398, 1157775864),
+        (546697957, 351301012, 360814917, 532282720),
+        (1119352504, 674968831, 683078701, 1106062962),
+    ],
+)
+def test_approximate_binary32_misses_at_the_default_margin(i, d, a, clock):
+    # eps_coeff = 1e-7 leaves the binary32 interval short of these clocks;
+    # the walk still returns the exact clock and reports the miss
+    assert oracle_nearest(i, d, a) == clock
+    res = compensate(i, d, a, "approximate", "binary32")
+    assert (res.j, res.bounds_violated) == (clock, True)
+    cases = batch.CaseArrays({(d, a): 1})
+    j, _, violated, fallback = batch.compensate_triples(cases, i, "approximate", BINARY32, DEFAULT_EPS_COEFF)
+    assert (j[0], violated[0], fallback[0]) == (clock, True, False)
+
+
 @pytest.mark.parametrize("p", range(4, 9))
 def test_tiny_formats_practical_never_misses(p):
     # the emulated route in precisions 4..8, where the bracket is widest

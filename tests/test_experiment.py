@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcomp.bounds import InvalidInput
+from skewcomp import experiment
 from skewcomp.compensator import naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     bounds_experiment,
@@ -35,7 +37,9 @@ def assert_matches_reference(seed, n, D, range_ppm):
     want = reference_draws(seed, n, D, range_ppm)
     got = [(s.D, s.skew_ppm * 10**9, s.A) for s in generate_samples(seed, n, D, range_ppm)]
     assert got == [(D, m, A) for m, A in want]
-    assert sample_cases(seed, n, D, range_ppm) == Counter((D, A) for _, A in want)
+    table = sample_cases(seed, n, D, range_ppm)
+    got = list(zip(zip(table.D.tolist(), table.A.tolist()), table.weight.tolist()))
+    assert got == sorted(Counter((D, A) for _, A in want).items())
 
 
 # range_ppm 0, 1e-9, 1 and 2 draw from one 32-bit word per attempt, 100
@@ -49,8 +53,34 @@ def test_draws_match_stdlib_randint(seed, range_ppm, n):
 
 @pytest.mark.parametrize("range_ppm", [Fraction(1, 10**9), 100])
 def test_draws_match_stdlib_randint_across_blocks(range_ppm):
-    # more accepted draws than one block of 2**16 attempts holds
-    assert_matches_reference(42, 70_000, 10**6, range_ppm)
+    # more accepted draws than one block of _BLOCK = 2**15 attempts holds
+    n = 70_000
+    assert n > experiment._BLOCK
+    assert_matches_reference(42, n, 10**6, range_ppm)
+
+
+def traced_peak(draw, *args):
+    """Peak bytes tracemalloc sees during draw(*args), after a warm-up draw."""
+    draw(1, 10, *args[2:])  # numpy's imports are not the draw's memory
+    tracemalloc.start()
+    try:
+        draw(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [10**5, 4 * 10**5])
+def test_draw_memory_is_flat_in_n(n):
+    # one block's buffers at a time: 1.13 MiB at both sizes, 3.77 MiB with
+    # the per-block uint64 copies of the raw words
+    assert traced_peak(sample_cases, 42, n, 10**6) < 1.5 * 2**20
+
+
+def test_wide_draw_memory_is_the_case_columns():
+    # 78,503 distinct cases at D = 1e9, merged and returned as int64
+    # columns: 3.07 MiB, against 12.95 MiB through a Counter of (D, A) tuples
+    assert traced_peak(sample_cases, 42, 10**5, 10**9) < 4 * 2**20
 
 
 def test_draws_match_stdlib_randint_beyond_int64():
