@@ -389,6 +389,26 @@ def test_experiments_fall_back_for_whole_rows():
         assert row.violations == sum(w for (_, _, v), w in zip(results, weights) if v)
 
 
+@pytest.mark.parametrize("weight", [1, 2**61, 2**62], ids=["int64-dot", "int64-weights", "object-weights"])
+def test_row_sums_stay_exact_for_huge_weights(weight):
+    # 2**61 keeps int64 weights but max|v| * count passes 2**63, so the sum
+    # runs on Python ints; with 2**62 the total weight itself passes int64
+    population = {(10**6, 10**6 + 101): weight, (10**6, 10**6 - 99): weight + 1}
+    count = 2 * weight + 1
+    (row,) = bounds_experiment(population, (10**9,), (("practical", "binary32"),))
+    deltas = []
+    for D, A in population:
+        db = D - A if D > A else D
+        deltas.append(interval_deltas(candidate_interval(10**9, db, A), reference_interval(10**9, db, A)))
+    dlb = [d for d, _ in deltas]
+    assert (row.dlb.count, row.dlb.min, row.dlb.max) == (count, min(dlb), max(dlb))
+    assert row.dlb.avg == Fraction(dlb[0] * weight + dlb[1] * (weight + 1), count)
+    (row,) = compensation_experiment(population, (10**9,), (("approximate", "binary32"),), eps_coeff=0)
+    results = [compensate(10**9, D, A, "approximate", "binary32", 0) for D, A in population]
+    assert row.iterations.avg == Fraction(results[0].iterations * weight + results[1].iterations * (weight + 1), count)
+    assert row.violations == results[0].bounds_violated * weight + results[1].bounds_violated * (weight + 1)
+
+
 def test_rows_do_not_depend_on_insertion_order():
     # CaseArrays sorts the cases, so the rows, and the first scalar error
     # of a row, follow the sorted cases whatever order the mapping has
