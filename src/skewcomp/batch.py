@@ -58,24 +58,39 @@ _REFERENCE_SLACK = 2.0**-48
 
 
 class CaseArrays:
-    """The checked, sorted cases of a CaseTable, or of a (D, A) -> weight mapping, for the kernel.
+    """The checked cases of a CaseTable, or of a (D, A) -> weight mapping, for the kernel.
 
-    D, A and weights are the columns; weights are int64 unless they could
-    sum past it, and count is their sum.  d64, db64 and a64 are int64
-    copies of D, the remainder slope db and A on the kernel's domain
+    D and A are the case columns, weights their weights as Python ints,
+    for the exact sums, and count the total weight.  d64, db64 and a64 are
+    int64 copies of D, the remainder slope db and A on the kernel's domain
     0 < D < 2A, A < 2**53, and 0, 0 and 1 elsewhere.
     """
 
     def __init__(self, population) -> None:
-        D, A, weights = population if isinstance(population, CaseTable) else _columns(population)
+        if isinstance(population, Mapping):
+            # a float, bool or numpy value would reach the int64 arrays as another
+            # clock, and a key that is no pair would fail in the sort or the unpacking
+            are_pairs = all(map(isinstance, population, repeat(tuple))) and set(map(len, population)) <= {2}
+            if not are_pairs or not set(map(type, chain.from_iterable(population))) <= {int}:
+                raise TypeError("case keys must be (D, A) pairs of ints")
+            pairs = sorted(population)
+            # Python ints, exact, once a value reaches 2**63; the weights keep their types for the check below
+            dtype = np.int64 if max(map(abs, chain(*pairs)), default=0) < 2**63 else object
+            weights = np.array([population[case] for case in pairs], dtype=object)
+            population = CaseTable(*np.array(pairs, dtype=dtype).reshape(-1, 2).T, weights)
+        if not isinstance(population, CaseTable):
+            raise TypeError(f"population must be a CaseTable or a (D, A) mapping, got {type(population).__name__}")
+        D, A, weights = map(np.asarray, population)
+        if not len(D) == len(A) == len(weights):
+            raise ValueError("case columns must have one length")
         if not len(weights):
             raise ValueError("population must be nonempty")
-        if not (weights > 0).all():
+        if not _ints(D) or not _ints(A):
+            raise TypeError("case keys must be (D, A) pairs of ints")
+        if not _ints(weights) or not (weights > 0).all():
             raise ValueError("case weights must be positive integers")
-        if weights.dtype != object and int(weights.max()) >= 2**63 // len(weights):
-            weights = weights.astype(object)
-        self.D, self.A, self.weights = D, A, weights
-        self.count = int(weights.sum())
+        self.D, self.A, self.weights = D, A, weights.tolist()
+        self.count = sum(self.weights)
         # int64 D - A and 2A may wrap, but only where 0 < A < 2**53 fails,
         # so outside the domain, where db and 2A are never read
         db = np.where(D < A, D, D - A)
@@ -107,22 +122,9 @@ class CaseArrays:
         return self.db64 <= (_INT64_MAX - self.a64) // max(2 * i, 1)
 
 
-def _columns(population):
-    """The D, A and weight arrays of a (D, A) -> weight mapping, sorted by case."""
-    if not isinstance(population, Mapping):
-        raise TypeError(f"population must be a (D, A) -> weight mapping, got {type(population).__name__}")
-    # a float, bool or numpy value would reach the int64 arrays as another
-    # clock, and a key that is no pair would fail in the sort or the unpacking
-    are_pairs = all(map(isinstance, population, repeat(tuple))) and set(map(len, population)) <= {2}
-    if not are_pairs or not set(map(type, chain.from_iterable(population))) <= {int}:
-        raise TypeError("case keys must be (D, A) pairs of ints")
-    pairs = sorted(population)
-    weights = [population[case] for case in pairs]
-    if not set(map(type, weights)) <= {int}:
-        raise ValueError("case weights must be positive integers")
-    # Python ints, exact, once a value reaches 2**63
-    dtype = np.int64 if max(map(abs, chain(*pairs, weights)), default=0) < 2**63 else object
-    return (*np.array(pairs, dtype=dtype).reshape(-1, 2).T, np.array(weights, dtype=dtype))
+def _ints(column) -> bool:
+    """Whether a case column is int64, or an object array of Python ints."""
+    return column.dtype == np.int64 or column.dtype == object and set(map(type, column.tolist())) <= {int}
 
 
 def _on_route(i, fmt) -> bool:

@@ -16,9 +16,8 @@ per case.  With the default 100 ppm range there are only 201 possible A
 values, so sample_cases draws the weighted case table directly: it
 reproduces random.Random(seed).randint draw for draw from the
 generator's raw 32-bit words, read in place in numpy blocks of 2**15
-attempts, and merges each block into the sorted case columns.  Its
-working set is one block's buffers plus those columns, flat in the
-number of samples, and even 1e7 samples take about a second.
+attempts merged into sorted case columns, so its memory is flat in the
+number of samples and even 1e7 samples take about a second.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from numbers import Rational
 from operator import mul
@@ -181,8 +181,8 @@ def _draw_blocks(
     attempt is one generator word w, giving w >> (32 - k); for k <= 64 it
     is an aligned word pair (w0, w1), giving w0 | (w1 >> (64 - k)) << 32.
     getrandbits(32 * W) returns the next W words least significant first,
-    so its little-endian bytes are the raw word stream, read in place as
-    <u4 words or as <u8 pairs w0 | w1 << 32.  Surplus attempts past the
+    so its little-endian bytes, read in place as <u4 words or <u8 pairs
+    w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
     n-th accepted draw are discarded with the generator.
     numpy is imported here, so that only drawing a population needs it.
     """
@@ -215,7 +215,7 @@ def _draw_blocks(
         raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
         raw = np.frombuffer(raw, dtype=f"<u{4 * words}")
         if words == 1:
-            value = raw >> np.uint64(32 - k)
+            value = np.right_shift(raw, np.uint64(32 - k), dtype=np.uint64)
         else:
             value = raw >> np.uint64(96 - k)
             value <<= np.uint64(32)
@@ -231,15 +231,11 @@ def _draw_blocks(
 
 def _summary(values, cases) -> StatSummary:
     """min, max and weighted mean of one integer per case."""
-    low, high = int(values.min()), int(values.max())
-    if values.dtype.kind == cases.weights.dtype.kind == "i" and max(-low, high) * cases.count < 2**63:
-        # every partial sum is within max|v| * count, so int64 is exact
-        total = int(values @ cases.weights)
-    else:
-        total = sum(map(mul, values.tolist(), cases.weights.tolist()))
+    # Python ints: an int64 dot product could overflow
+    total = sum(map(mul, values.tolist(), cases.weights))
     return StatSummary(
-        min=low,
-        max=high,
+        min=int(values.min()),
+        max=int(values.max()),
         avg=Fraction(total, cases.count),
         count=cases.count,
     )
@@ -354,7 +350,7 @@ def compensation_experiment(
                     i=i,
                     err=_summary(baseline[i] - j, cases),
                     iterations=_summary(iterations, cases),
-                    violations=int(cases.weights[violated.astype(bool)].sum()),
+                    violations=sum(compress(cases.weights, violated.tolist())),
                 )
             )
     return rows

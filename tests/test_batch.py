@@ -26,6 +26,7 @@ from skewcomp.bounds import (
 from skewcomp.compensator import compensate, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     DEFAULT_I_LIST,
+    CaseTable,
     StatSummary,
     TABLE2_CONFIGS,
     TABLE3_ALGORITHMS,
@@ -389,10 +390,10 @@ def test_experiments_fall_back_for_whole_rows():
         assert row.violations == sum(w for (_, _, v), w in zip(results, weights) if v)
 
 
-@pytest.mark.parametrize("weight", [1, 2**61, 2**62], ids=["int64-dot", "int64-weights", "object-weights"])
+@pytest.mark.parametrize("weight", [1, 2**61, 2**62], ids=["small", "product-past-int64", "total-past-int64"])
 def test_row_sums_stay_exact_for_huge_weights(weight):
-    # 2**61 keeps int64 weights but max|v| * count passes 2**63, so the sum
-    # runs on Python ints; with 2**62 the total weight itself passes int64
+    # at 2**61 a weight times a delta passes 2**63, and at 2**62 the total
+    # weight itself does; the sums must not wrap as int64 would
     population = {(10**6, 10**6 + 101): weight, (10**6, 10**6 - 99): weight + 1}
     count = 2 * weight + 1
     (row,) = bounds_experiment(population, (10**9,), (("practical", "binary32"),))
@@ -407,6 +408,25 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
     results = [compensate(10**9, D, A, "approximate", "binary32", 0) for D, A in population]
     assert row.iterations.avg == Fraction(results[0].iterations * weight + results[1].iterations * (weight + 1), count)
     assert row.violations == results[0].bounds_violated * weight + results[1].bounds_violated * (weight + 1)
+
+
+@pytest.mark.parametrize(
+    "columns, error, message",
+    [
+        ((np.array([10**6, 10**6]), np.array([10**6 + 1]), np.array([1, 1])), ValueError, "one length"),
+        ((np.array([10**6.0]), np.array([10**6 + 1]), np.array([1])), TypeError, "pairs of ints"),
+        ((np.array([10**6]), np.array([10**6 + 0.5], dtype=object), np.array([1])), TypeError, "pairs of ints"),
+        ((np.array([10**6]), np.array([10**6 + 1]), np.array([1.0])), ValueError, "positive integers"),
+        ((np.array([10**6]), np.array([10**6 + 1]), np.array([True])), ValueError, "positive integers"),
+        ((np.array([10**6]), np.array([10**6 + 1]), np.array([0])), ValueError, "positive integers"),
+    ],
+    ids=["ragged", "float64-D", "object-float-A", "float64-weight", "bool-weight", "zero-weight"],
+)
+def test_case_table_is_held_to_the_mapping_rules(columns, error, message):
+    # a float64 column would be truncated into the int64 copies, and a float
+    # weight would reach the exact sums; a CaseTable passes the checks a mapping does
+    with pytest.raises(error, match=message):
+        bounds_experiment(CaseTable(*columns), (10**6,))
 
 
 def test_rows_do_not_depend_on_insertion_order():
