@@ -34,9 +34,7 @@ approximate margin 1 + eps_hat that is not exact in float64.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -58,7 +56,7 @@ _REFERENCE_SLACK = 2.0**-48
 
 
 class CaseArrays:
-    """The checked cases of a CaseTable, or of a (D, A) -> weight mapping, for the kernel.
+    """The checked cases of a CaseTable, for the kernel.
 
     D and A are the case columns, weights their weights as Python ints,
     for the exact sums, and count the total weight.  d64, db64 and a64 are
@@ -66,27 +64,17 @@ class CaseArrays:
     0 < D < 2A, A < 2**53, and 0, 0 and 1 elsewhere.
     """
 
-    def __init__(self, population) -> None:
-        if isinstance(population, Mapping):
-            # a float, bool or numpy value would reach the int64 arrays as another
-            # clock, and a key that is no pair would fail in the sort or the unpacking
-            are_pairs = all(map(isinstance, population, repeat(tuple))) and set(map(len, population)) <= {2}
-            if not are_pairs or not set(map(type, chain.from_iterable(population))) <= {int}:
-                raise TypeError("case keys must be (D, A) pairs of ints")
-            pairs = sorted(population)
-            # Python ints, exact, once a value reaches 2**63; the weights keep their types for the check below
-            dtype = np.int64 if max(map(abs, chain(*pairs)), default=0) < 2**63 else object
-            weights = np.array([population[case] for case in pairs], dtype=object)
-            population = CaseTable(*np.array(pairs, dtype=dtype).reshape(-1, 2).T, weights)
+    def __init__(self, population: CaseTable) -> None:
         if not isinstance(population, CaseTable):
-            raise TypeError(f"population must be a CaseTable or a (D, A) mapping, got {type(population).__name__}")
+            raise TypeError(f"population must be a CaseTable, got {type(population).__name__}")
         D, A, weights = map(np.asarray, population)
         if not len(D) == len(A) == len(weights):
             raise ValueError("case columns must have one length")
         if not len(weights):
             raise ValueError("population must be nonempty")
         if not _ints(D) or not _ints(A):
-            raise TypeError("case keys must be (D, A) pairs of ints")
+            # a float, bool or numpy value would reach the int64 copies as another clock
+            raise TypeError("case columns D and A must hold ints")
         if not _ints(weights) or not (weights > 0).all():
             raise ValueError("case weights must be positive integers")
         self.D, self.A, self.weights = D, A, weights.tolist()

@@ -67,9 +67,9 @@ TABLE3_HEADER = [
     "violations",
 ]
 
-# InvalidInput is a ValueError, OverflowError covers OverflowRisk and huge floats;
-# parsed inputs are ints, Fractions and choices, so a TypeError is a bug
-_USER_ERRORS = (ValueError, OverflowError)
+# ValueError covers InvalidInput, OverflowError OverflowRisk and huge floats, OSError an unwritable
+# -o path; parsed inputs are ints, Fractions and choices, so a TypeError is a bug
+_USER_ERRORS = (ValueError, OverflowError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -6,8 +6,7 @@ binary64 floor baseline (errors and iteration counts).  Samples draw a
 skew uniformly from a lattice with 1e-9 ppm steps, which keeps every
 draw an exact rational and makes runs reproducible from the seed alone.
 
-The experiments take the population as the CaseTable that sample_cases
-returns, or as a (D, A) -> weight mapping, and evaluate each distinct
+The experiments take a CaseTable population and evaluate each distinct
 case once.  They split the cases to the remainder slope once, as arrays,
 and evaluate one table row at a time in the private batch kernel, which
 gives exactly what candidate_interval, reference_interval, compensate
@@ -23,7 +22,7 @@ number of samples and even 1e7 samples take about a second.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -85,7 +84,7 @@ _BLOCK = 1 << 15
 
 
 class CaseTable(NamedTuple):
-    """Distinct (D, A) cases in sorted columns, with their positive weights."""
+    """(D, A) cases in int columns of one length, with their positive int weights."""
 
     D: np.ndarray
     A: np.ndarray
@@ -257,17 +256,17 @@ def _fill(values, fallback, scalar):
 
 
 def bounds_experiment(
-    population: CaseTable | Mapping[tuple[int, int], int],
+    population: CaseTable,
     i_list: Sequence[int] = DEFAULT_I_LIST,
     configs: Sequence[tuple[str, str]] = TABLE2_CONFIGS,
     eps_coeff=DEFAULT_EPS_COEFF,
 ) -> list[BoundsRow]:
     """Bound deltas per (method, precision, i) over the population.
 
-    The population is a CaseTable such as sample_cases returns, or a
-    (D, A) -> weight mapping; each distinct case is evaluated once, a
-    whole row at a time, and the cases the batch kernel cannot prove go
-    through candidate_interval and reference_interval.
+    The population is a CaseTable such as sample_cases returns; each
+    distinct case is evaluated once, a whole row at a time, and the cases
+    the batch kernel cannot prove go through candidate_interval and
+    reference_interval.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
@@ -303,7 +302,7 @@ def bounds_experiment(
 
 
 def compensation_experiment(
-    population: CaseTable | Mapping[tuple[int, int], int],
+    population: CaseTable,
     i_list: Sequence[int] = DEFAULT_I_LIST,
     algorithms: Sequence[tuple[str, str]] = TABLE3_ALGORITHMS,
     eps_coeff=DEFAULT_EPS_COEFF,

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casetable import case_table
 from skewcomp import batch
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
-    InvalidInput,
     candidate_interval,
     interval_deltas,
     reference_interval,
@@ -70,7 +70,7 @@ def _check_row(pairs, i, fmt, eps_coeff):
 
     The masks follow the sorted cases.
     """
-    cases = batch.CaseArrays(dict.fromkeys(pairs, 1))
+    cases = batch.CaseArrays(case_table(dict.fromkeys(pairs, 1)))
     pairs = sorted(pairs)
     masks = {}
     for method in METHODS:
@@ -155,7 +155,7 @@ def _tie(i, p, s, mantissa):
 
 def _check_naive(pairs, i, fmt):
     """Assert each accepted naive floor equals naive_compensate; return the fallback mask."""
-    cases = batch.CaseArrays(dict.fromkeys(pairs, 1))
+    cases = batch.CaseArrays(case_table(dict.fromkeys(pairs, 1)))
     pairs = sorted(pairs)
     j, fallback = batch.naive_floors(cases, i, fmt)
     for k in _accepted(fallback):
@@ -308,7 +308,7 @@ def test_experiments_merge_fallback_cases():
     # guard at i = 1e9; each row must equal its per-case scalar evaluation
     population = {(10**6, 10**6 + 7): 3, (2**53 + 12, 2**53 + 9): 2, (10**10, 10**10 + 1): 1}
     i_list = (10**6, 10**9)
-    for row in bounds_experiment(population, i_list):
+    for row in bounds_experiment(case_table(population), i_list):
         deltas = []
         for (D, A), weight in sorted(population.items()):
             fmt = resolve_format(row.precision)
@@ -321,11 +321,11 @@ def test_experiments_merge_fallback_cases():
         assert row.dub.avg == Fraction(sum(d[1] for d in deltas), len(deltas))
     walks = [(a, p) for a, p in TABLE3_ALGORITHMS if a != "naive"]
     with pytest.raises(OverflowError, match="2\\*\\*63"):
-        compensation_experiment(population, (10**9,), walks)
+        compensation_experiment(case_table(population), (10**9,), walks)
     # with eps_coeff 1e-30, 1 + eps_hat is not exact in float64, so the
     # approximate row at 1e8 runs on compensate alone, and its intervals miss
     for i, eps_coeff in ((10**6, DEFAULT_EPS_COEFF), (10**8, Fraction(1, 10**30))):
-        rows = compensation_experiment(population, (i,), walks, eps_coeff)
+        rows = compensation_experiment(case_table(population), (i,), walks, eps_coeff)
         for row in rows:
             results = [
                 (compensate(i, D, A, row.algorithm, row.precision, eps_coeff), weight)
@@ -339,7 +339,7 @@ def test_experiments_merge_fallback_cases():
     # added case is past i*D < 2**63 with a nonzero err, so a dropped merge shows
     population[10**10 + 12345, 10**10] = 1
     for i in i_list:
-        (row,) = compensation_experiment(population, (i,), [("naive", "binary32")])
+        (row,) = compensation_experiment(case_table(population), (i,), [("naive", "binary32")])
         errs = [
             (naive_compensate(i, D, A, "binary64") - naive_compensate(i, D, A, "binary32"), weight)
             for (D, A), weight in sorted(population.items())
@@ -363,7 +363,7 @@ def test_experiments_fall_back_for_whole_rows():
     pairs, weights = list(population), list(population.values())
     i_list = (10**6, 2**53 + 1)
     configs = (("practical", "binary32"), ("approximate", "binary64"), ("theoretical", P11))
-    rows = bounds_experiment(population, i_list, configs)
+    rows = bounds_experiment(case_table(population), i_list, configs)
     assert len(rows) == len(configs) * len(i_list)
     for row, ((method, precision), i) in zip(rows, ((c, i) for c in configs for i in i_list)):
         fmt = resolve_format(precision)
@@ -375,7 +375,7 @@ def test_experiments_fall_back_for_whole_rows():
         dlb, dub = zip(*deltas)
         assert (row.method, row.i, row.dlb, row.dub) == (method, i, _stats(dlb, weights), _stats(dub, weights))
     algorithms = (("naive", "binary32"), ("naive", P11), ("practical", "binary32"), ("approximate", P11))
-    rows = compensation_experiment(population, i_list, algorithms)
+    rows = compensation_experiment(case_table(population), i_list, algorithms)
     assert len(rows) == len(algorithms) * len(i_list)
     for row, ((algorithm, precision), i) in zip(rows, ((a, i) for a in algorithms for i in i_list)):
         base = [naive_compensate(i, D, A, BINARY64) for D, A in pairs]
@@ -396,7 +396,7 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
     # weight itself does; the sums must not wrap as int64 would
     population = {(10**6, 10**6 + 101): weight, (10**6, 10**6 - 99): weight + 1}
     count = 2 * weight + 1
-    (row,) = bounds_experiment(population, (10**9,), (("practical", "binary32"),))
+    (row,) = bounds_experiment(case_table(population), (10**9,), (("practical", "binary32"),))
     deltas = []
     for D, A in population:
         db = D - A if D > A else D
@@ -404,7 +404,7 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
     dlb = [d for d, _ in deltas]
     assert (row.dlb.count, row.dlb.min, row.dlb.max) == (count, min(dlb), max(dlb))
     assert row.dlb.avg == Fraction(dlb[0] * weight + dlb[1] * (weight + 1), count)
-    (row,) = compensation_experiment(population, (10**9,), (("approximate", "binary32"),), eps_coeff=0)
+    (row,) = compensation_experiment(case_table(population), (10**9,), (("approximate", "binary32"),), eps_coeff=0)
     results = [compensate(10**9, D, A, "approximate", "binary32", 0) for D, A in population]
     assert row.iterations.avg == Fraction(results[0].iterations * weight + results[1].iterations * (weight + 1), count)
     assert row.violations == results[0].bounds_violated * weight + results[1].bounds_violated * (weight + 1)
@@ -414,8 +414,8 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
     "columns, error, message",
     [
         ((np.array([10**6, 10**6]), np.array([10**6 + 1]), np.array([1, 1])), ValueError, "one length"),
-        ((np.array([10**6.0]), np.array([10**6 + 1]), np.array([1])), TypeError, "pairs of ints"),
-        ((np.array([10**6]), np.array([10**6 + 0.5], dtype=object), np.array([1])), TypeError, "pairs of ints"),
+        ((np.array([10**6.0]), np.array([10**6 + 1]), np.array([1])), TypeError, "D and A must hold ints"),
+        ((np.array([10**6]), np.array([10**6 + 0.5], dtype=object), np.array([1])), TypeError, "D and A must hold ints"),
         ((np.array([10**6]), np.array([10**6 + 1]), np.array([1.0])), ValueError, "positive integers"),
         ((np.array([10**6]), np.array([10**6 + 1]), np.array([True])), ValueError, "positive integers"),
         ((np.array([10**6]), np.array([10**6 + 1]), np.array([0])), ValueError, "positive integers"),
@@ -424,25 +424,36 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
 )
 def test_case_table_is_held_to_the_mapping_rules(columns, error, message):
     # a float64 column would be truncated into the int64 copies, and a float
-    # weight would reach the exact sums; a CaseTable passes the checks a mapping does
+    # weight would reach the exact sums
     with pytest.raises(error, match=message):
         bounds_experiment(CaseTable(*columns), (10**6,))
 
 
 def test_rows_do_not_depend_on_insertion_order():
-    # CaseArrays sorts the cases, so the rows, and the first scalar error
-    # of a row, follow the sorted cases whatever order the mapping has
+    # each case is read on its own and the row sums are exact, so neither the
+    # order of a CaseTable's rows nor a case split over duplicate rows, whose
+    # weights sum to its own, changes a row
     table = sample_cases(42, 300, 10**9)
     population = {(D, A): weight for D, A, weight in zip(*(column.tolist() for column in table))}
+    population[min(population)] = 3
     population[2**53 + 12, 2**53 + 9] = 2  # a fallback case
-    reordered = dict(reversed(population.items()))
+    table = case_table(population)
+    permuted = CaseTable(*(column[np.random.default_rng(7).permutation(len(table.A))] for column in table))
+    # split the two heavy cases, one on the kernel and the fallback case
+    heavy = np.flatnonzero(table.weight > 1)
+    assert table.A[heavy].tolist() == [min(population)[1], 2**53 + 9]
+    weight = table.weight.copy()
+    weight[heavy] -= 1
+    split = CaseTable(
+        np.concatenate([table.D, table.D[heavy]]),
+        np.concatenate([table.A, table.A[heavy]]),
+        np.concatenate([weight, np.ones(len(heavy), dtype=object)]),
+    )
     i_list = (10**6, 10**9)
-    assert bounds_experiment(population, i_list) == bounds_experiment(reordered, i_list)
-    assert compensation_experiment(population, i_list) == compensation_experiment(reordered, i_list)
-    bad = {(5, 0): 1, (-1, 5): 1}
-    for population in (bad, dict(reversed(bad.items()))):
-        with pytest.raises(InvalidInput, match="D=-1 A=5"):
-            compensation_experiment(population, (10,))
+    for experiment in (bounds_experiment, compensation_experiment):
+        rows = experiment(table, i_list)
+        assert experiment(permuted, i_list) == rows
+        assert experiment(split, i_list) == rows
 
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
@@ -450,39 +461,39 @@ def test_rows_do_not_depend_on_insertion_order():
 def test_table_rows_reject_a_bool_clock(experiment, i):
     # every scalar function rejects a bool i, so the kernel leaves it to them
     with pytest.raises(TypeError, match="need int i"):
-        experiment({(999, 1000): 1}, (i,))
+        experiment(case_table({(999, 1000): 1}), (i,))
 
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
 @pytest.mark.parametrize(
     "key",
-    [(999.5, 1000), (999, 1000.0), (True, 2), (np.int64(999), 1000), (999, np.int32(1000)), 5, (1, 2, 3), (999,)],
-    ids=["float-D", "float-A", "bool-D", "int64-D", "int32-A", "int", "triple", "single"],
+    [(999.5, 1000), (999, 1000.0), (True, 2), (np.int64(999), 1000), (999, np.int32(1000))],
+    ids=["float-D", "float-A", "bool-D", "int64-D", "int32-A"],
 )
 def test_table_rows_reject_a_non_int_case(experiment, key):
-    # int64 arrays would read 999.5 as 999 and True as 1; a key that is not a
-    # pair would fail in the sort, the unpacking or numpy with another message
-    with pytest.raises(TypeError, match="pairs of ints"):
-        experiment({key: 1, (999, 1000): 1}, (10**6,))
+    # the value lands in object D and A columns, where int64 copies would
+    # read 999.5 as 999 and True as 1
+    with pytest.raises(TypeError, match="D and A must hold ints"):
+        experiment(case_table({key: 1, (999, 1000): 1}), (10**6,))
 
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
 def test_experiments_reject_an_unknown_method(experiment):
     # the kernel declines the whole row, and the scalar path names the method
     with pytest.raises(ValueError, match="unknown method 'nope'"):
-        experiment({(999, 1000): 1}, (10**6,), (("nope", "binary32"),))
+        experiment(case_table({(999, 1000): 1}), (10**6,), (("nope", "binary32"),))
 
 
 def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
     # binary32's t_hat passes i + 1 with no margin, so the interval clips
     # empty: the kernel gives the triple in closed form, no fallback
     i, pair = 2**26 + 5, (2**31 - 1, 2**31)
-    cases = batch.CaseArrays({pair: 1})
+    cases = batch.CaseArrays(case_table({pair: 1}))
     j, iterations, violated, fallback = batch.compensate_triples(cases, i, "approximate", BINARY32, 0)
     res = compensate(i, *pair, "approximate", "binary32", 0)
     assert not fallback[0]
     assert (j[0], iterations[0], violated[0]) == (res.j, res.iterations, res.bounds_violated) == (i, 0, True)
-    (row,) = compensation_experiment({pair: 1}, (i,), (("approximate", "binary32"),), eps_coeff=0)
+    (row,) = compensation_experiment(case_table({pair: 1}), (i,), (("approximate", "binary32"),), eps_coeff=0)
     assert row.violations == 1
     assert (row.iterations.max, row.err.min) == (0, naive_compensate(i, *pair, "binary64") - res.j)
 

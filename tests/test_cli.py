@@ -395,6 +395,16 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
 
 
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "t.csv"):
+        code, out, err = run(capsys, "table2", "-n", "5", "-o", str(target))
+        assert code == 1, target
+        assert out == "", target
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(str(target)) in err and "Traceback" not in err, err
+
+
 SELFTEST_CHECKS = [
     "round_to_format idempotent and within one roundoff",
     "1-u and 1+2u representable, 1+u not",

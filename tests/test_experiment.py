@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casetable import case_table
 from skewcomp.bounds import InvalidInput
 from skewcomp import experiment
 from skewcomp.compensator import naive_compensate, oracle_nearest
@@ -170,8 +171,8 @@ def test_bounds_rows_shape_and_order():
 
 def test_stats_are_count_weighted():
     case = (10**6, 10**6 + 37)
-    row_one = bounds_experiment({case: 1}, i_list=(10**7,))[0]
-    row_tri = bounds_experiment({case: 3}, i_list=(10**7,))[0]
+    row_one = bounds_experiment(case_table({case: 1}), i_list=(10**7,))[0]
+    row_tri = bounds_experiment(case_table({case: 3}), i_list=(10**7,))[0]
     assert row_one.dlb.min == row_tri.dlb.min
     assert row_one.dlb.max == row_tri.dlb.max
     assert row_one.dlb.avg == row_tri.dlb.avg
@@ -183,7 +184,7 @@ def test_single_sample_bounds_row_matches_direct_computation():
 
     D, A = 10**6, 999950
     i = 10**8
-    rows = bounds_experiment({(D, A): 1}, i_list=(i,))
+    rows = bounds_experiment(case_table({(D, A): 1}), i_list=(i,))
     # case 2: D > A decomposes to slope (D - A) / A
     db = D - A
     for row in rows:
@@ -216,7 +217,7 @@ def test_compensation_err_convention():
     # err = floor of the double-precision estimate minus the algorithm's j
     D, A = 10**6, 999900
     i = 10**8
-    rows = compensation_experiment({(D, A): 1}, i_list=(i,))
+    rows = compensation_experiment(case_table({(D, A): 1}), i_list=(i,))
     base = naive_compensate(i, D, A, "binary64")
     naive_row = rows[0]
     assert naive_row.err.min == base - naive_compensate(i, D, A, "binary32")
@@ -224,17 +225,17 @@ def test_compensation_err_convention():
     assert practical_row.err.min == base - oracle_nearest(i, D, A)
 
 
-def test_experiments_take_only_a_case_mapping():
-    # sample_cases gives the mapping; assert_matches_reference checks it
+def test_experiments_take_only_a_case_table():
+    # sample_cases gives the CaseTable; assert_matches_reference checks it
     # holds the same draws as generate_samples
-    samples = generate_samples(5, 300)
-    for experiment in (bounds_experiment, compensation_experiment):
-        with pytest.raises(TypeError, match="mapping"):
-            experiment(samples, (10**7,))
+    for population in (generate_samples(5, 300), {(999, 1000): 1}):
+        for experiment in (bounds_experiment, compensation_experiment):
+            with pytest.raises(TypeError, match="must be a CaseTable"):
+                experiment(population, (10**7,))
 
 
 def test_empty_population_rejected():
-    for empty in ({}, sample_cases(1, 0)):
+    for empty in (case_table({}), sample_cases(1, 0)):
         with pytest.raises(ValueError):
             bounds_experiment(empty, i_list=(10**6,))
         with pytest.raises(ValueError):
@@ -243,12 +244,12 @@ def test_empty_population_rejected():
 
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError, match="weights must be positive"):
-        bounds_experiment({(10**6, 10**6 + 1): 2, (10**6, 10**6): 0}, i_list=(10**6,))
+        bounds_experiment(case_table({(10**6, 10**6 + 1): 2, (10**6, 10**6): 0}), i_list=(10**6,))
     # a fractional weight would be truncated in the case arrays but not in the
     # count, and a bool weight breaks the int rule
     for weight in (Fraction(3, 2), 2.0, True):
         with pytest.raises(ValueError, match="weights must be positive"):
-            compensation_experiment({(10**6, 10**6 + 1): weight}, (10**6,))
+            compensation_experiment(case_table({(10**6, 10**6 + 1): weight}), (10**6,))
 
 
 @pytest.mark.parametrize(
@@ -257,18 +258,18 @@ def test_nonpositive_weight_rejected():
 def test_invalid_inputs_raise_before_any_row(population, i):
     # the baselines run first, so naive_compensate's check fires, not compensate's
     with pytest.raises(ValueError, match="need i, D, A >= 0 and A > 0"):
-        compensation_experiment(population, (i,))
+        compensation_experiment(case_table(population), (i,))
 
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
 def test_negative_eps_coeff_rejected(experiment):
     # the margin 1 + eps_hat = 1 - 1e-6 is still positive at i = 1e6
     with pytest.raises(ValueError, match="eps_coeff >= 0"):
-        experiment({(10**6, 10**6 + 1): 1}, (10**6,), eps_coeff=Fraction(-1, 10**12))
+        experiment(case_table({(10**6, 10**6 + 1): 1}), (10**6,), eps_coeff=Fraction(-1, 10**12))
 
 
 def test_skew_out_of_range_raises_at_the_first_walk_row():
     # D = 0 passes the naive baseline, which gives its exact 0
     for population in ({(10, 5): 1}, {(0, 5): 1}):
         with pytest.raises(InvalidInput):
-            compensation_experiment(population, (10,))
+            compensation_experiment(case_table(population), (10,))
