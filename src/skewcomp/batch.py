@@ -68,6 +68,8 @@ class CaseArrays:
         if not isinstance(population, CaseTable):
             raise TypeError(f"population must be a CaseTable, got {type(population).__name__}")
         D, A, weights = map(np.asarray, population)
+        if not D.ndim == A.ndim == weights.ndim == 1:
+            raise ValueError("case columns must be 1-D")
         if not len(D) == len(A) == len(weights):
             raise ValueError("case columns must have one length")
         if not len(weights):
@@ -226,7 +228,7 @@ def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     width = high - low
     violated = (j < low) | (j > high)
     j = np.where(cases.shift, i + j, j)
-    # an interval clipped empty misses without a walk: 0 iterations
+    # an interval wholly above i misses in 0 iterations, as compensate walks it as one point
     iterations = np.where(cases.identity, 0, np.maximum(width, 0))
     return j, iterations, violated, fallback | ~guard
 

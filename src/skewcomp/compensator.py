@@ -2,11 +2,11 @@
 
 Given hardware clock i and the per-interval tick counts D (reference)
 and A (local), the compensated clock is the nearest integer to i*D/A.
-The refinement walks the candidate clock values up from the lower bound
-of a candidate interval with Bresenham style integer updates: adds,
-shifts and compares only, with no division unless the interval missed,
-so no floating-point operation decides the result.  Strides of halving
-powers of two keep the walk to at most about log2(width) + 3 steps.
+The refinement walks candidates y up from a candidate interval's lower
+bound on the Bresenham error term r = i*D + floor(A/2) - y*A (slope
+D/A < 1), in [0, A) exactly at the clock, in at most bit_length(width)
+halving strides: adds, shifts and compares only, and no division
+unless the interval missed, so no floating-point operation decides j.
 """
 
 from __future__ import annotations
@@ -59,19 +59,20 @@ def oracle_nearest(i: int, D: int, A: int) -> int:
 def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     """Round-half-up of i*delta_b/delta_a, walked up from the interval's lower bound.
 
-    interval is a CandidateInterval or a plain (lb, ub) pair.  The state
-    r = i*delta_b - y*delta_a - ceil(delta_a/2) is nonnegative exactly
-    while y is below the clock, so y + 2^s is at most the clock exactly
-    when r + delta_a >= delta_a << s.  Starting at y = lb, the walk
-    tries each stride 2^s from the largest below the width down to 4 and
-    takes it when that holds and y + 2^s <= ub; then it steps y += 1,
-    r -= delta_a while y < ub and r >= 0, at most 3 times, and stops at
-    the clock.  It uses adds, shifts and compares only, at most about
-    log2(width) + 3 steps.  A miss is read from the state: r + delta_a < 0
-    at the start means the clock is below lb, r >= 0 at the end means it
-    is above ub.  Only then is the clock computed by one exact division,
-    and bounds_violated is set, so a wrong interval never gives a wrong
-    j.  iterations is the interval width, the ticks the walk covers.
+    interval is a CandidateInterval or a plain (lb, ub) pair.  The walk
+    keeps the Bresenham error term
+    r = i*delta_b + floor(delta_a/2) - y*delta_a, for which y is at most
+    the clock exactly while r >= 0, y + 2^k is at most the clock exactly
+    while r >= delta_a << k, and y is the clock exactly when
+    0 <= r < delta_a.  Starting at y = lb, it tries each stride 2^k from
+    the largest not above the width down to 1, and takes it (y += 2^k,
+    r -= delta_a << k) when r >= delta_a << k and y + 2^k <= ub, so it
+    ends at the clock if the interval holds it.  It uses adds, shifts and
+    compares only, at most bit_length(width) strides.  At the end, r
+    outside [0, delta_a) is a miss: only then is the clock computed by
+    one exact division, and bounds_violated is set, so a wrong interval
+    never gives a wrong j.  iterations is the interval width, the ticks
+    the walk covers.
     """
     lb, ub = interval[:2]
     if not 0 <= delta_b < delta_a:
@@ -83,26 +84,22 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
         raise InvalidInput(f"interval width {width} exceeds i={i}")
     if i * delta_b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
-    if not type(i) is type(delta_b) is type(delta_a) is int:
+    if not type(i) is type(delta_b) is type(delta_a) is type(lb) is type(ub) is int:
         _require_ints(i, delta_b, delta_a)
+        raise TypeError(f"need int interval ends, got {type(lb).__name__}, {type(ub).__name__}")
 
     y = lb
-    r = i * delta_b - y * delta_a - (delta_a + 1) // 2
-    below = r + delta_a < 0
-    if width > 3:
-        s = width.bit_length() - 1
-        stride, step = 1 << s, delta_a << s
-        while stride > 3:
-            if r + delta_a >= step and y + stride <= ub:
-                y += stride
-                r -= step
-            stride >>= 1
-            step >>= 1
-    while y < ub and r >= 0:
-        y += 1
-        r -= delta_a
+    r = i * delta_b + delta_a // 2 - y * delta_a
+    s = width.bit_length()
+    stride, step = 1 << s >> 1, delta_a << s >> 1
+    while stride:
+        if r >= step and y + stride <= ub:
+            y += stride
+            r -= step
+        stride >>= 1
+        step >>= 1
     # tuple.__new__ directly: the named tuple's own __new__ is a second call
-    if below or r >= 0:
+    if not 0 <= r < delta_a:
         return tuple.__new__(RefineResult, ((2 * i * delta_b + delta_a) // (2 * delta_a), width, True))
     return tuple.__new__(RefineResult, (y, width, False))
 
@@ -122,7 +119,7 @@ def compensate(
     round-half-up tie rule.  The walk starts at the lower bound of the
     candidate interval, clipped to [0, i], and divides only if that
     interval missed the clock, which bounds_violated reports.  An
-    interval wholly outside [0, i] misses without a walk.
+    interval wholly above i is walked as the one point [lb, lb] and misses.
     """
     if D <= 0 or D >= 2 * A:  # which implies A > 0
         raise InvalidInput(f"need 0 < D < 2A, got D={D} A={A}")
@@ -144,13 +141,11 @@ def compensate(
     # to [0, i] never drops the true value and the clipped interval misses
     # exactly when the full one does (approximate intervals can stick out
     # below 0 at tiny i, and lie wholly above i where t_hat's rounding error
-    # passes their margin: clipped empty, they miss without a walk)
+    # passes their margin: those are clipped to the point [lb, lb], which
+    # the walk reports as a miss in 0 iterations)
     lb = lb if lb > 0 else 0
-    ub = ub if ub < i else i
-    if lb > ub:
-        j, iterations, violated = oracle_nearest(i, delta_b, A), 0, True
-    else:
-        j, iterations, violated = refine(i, A, delta_b, (lb, ub))
+    ub = ub if ub < i else i if i > lb else lb
+    j, iterations, violated = refine(i, A, delta_b, (lb, ub))
     return tuple.__new__(CompResult, (j + shift, iterations, method, label, case, violated))
 
 

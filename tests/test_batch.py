@@ -410,23 +410,51 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
     assert row.violations == results[0].bounds_violated * weight + results[1].bounds_violated * (weight + 1)
 
 
+def _object_case(D, A):
+    """Object D and A columns with the case (D, A) beside the int case (999, 1000)."""
+    return np.array([D, 999], dtype=object), np.array([A, 1000], dtype=object), np.array([1, 1])
+
+
+@pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
 @pytest.mark.parametrize(
     "columns, error, message",
     [
         ((np.array([10**6, 10**6]), np.array([10**6 + 1]), np.array([1, 1])), ValueError, "one length"),
+        ((np.array([[10**6]]), np.array([[10**6 + 1]]), np.array([[1]])), ValueError, "1-D"),
+        ((np.array(10**6), np.array(10**6 + 1), np.array(1)), ValueError, "1-D"),
         ((np.array([10**6.0]), np.array([10**6 + 1]), np.array([1])), TypeError, "D and A must hold ints"),
         ((np.array([10**6]), np.array([10**6 + 0.5], dtype=object), np.array([1])), TypeError, "D and A must hold ints"),
+        # object columns, where int64 copies would read 999.5 as 999 and True as 1
+        (_object_case(999.5, 1000), TypeError, "D and A must hold ints"),
+        (_object_case(999, 1000.0), TypeError, "D and A must hold ints"),
+        (_object_case(True, 2), TypeError, "D and A must hold ints"),
+        (_object_case(np.int64(999), 1000), TypeError, "D and A must hold ints"),
+        (_object_case(999, np.int32(1000)), TypeError, "D and A must hold ints"),
         ((np.array([10**6]), np.array([10**6 + 1]), np.array([1.0])), ValueError, "positive integers"),
         ((np.array([10**6]), np.array([10**6 + 1]), np.array([True])), ValueError, "positive integers"),
         ((np.array([10**6]), np.array([10**6 + 1]), np.array([0])), ValueError, "positive integers"),
     ],
-    ids=["ragged", "float64-D", "object-float-A", "float64-weight", "bool-weight", "zero-weight"],
+    ids=[
+        "ragged",
+        "2-D",
+        "0-d",
+        "float64-D",
+        "object-float-A",
+        "float-D",
+        "float-A",
+        "bool-D",
+        "int64-D",
+        "int32-A",
+        "float64-weight",
+        "bool-weight",
+        "zero-weight",
+    ],
 )
-def test_case_table_is_held_to_the_mapping_rules(columns, error, message):
+def test_case_table_columns_are_checked(columns, error, message, experiment):
     # a float64 column would be truncated into the int64 copies, and a float
     # weight would reach the exact sums
     with pytest.raises(error, match=message):
-        bounds_experiment(CaseTable(*columns), (10**6,))
+        experiment(CaseTable(*columns), (10**6,))
 
 
 def test_rows_do_not_depend_on_insertion_order():
@@ -462,19 +490,6 @@ def test_table_rows_reject_a_bool_clock(experiment, i):
     # every scalar function rejects a bool i, so the kernel leaves it to them
     with pytest.raises(TypeError, match="need int i"):
         experiment(case_table({(999, 1000): 1}), (i,))
-
-
-@pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
-@pytest.mark.parametrize(
-    "key",
-    [(999.5, 1000), (999, 1000.0), (True, 2), (np.int64(999), 1000), (999, np.int32(1000))],
-    ids=["float-D", "float-A", "bool-D", "int64-D", "int32-A"],
-)
-def test_table_rows_reject_a_non_int_case(experiment, key):
-    # the value lands in object D and A columns, where int64 copies would
-    # read 999.5 as 999 and True as 1
-    with pytest.raises(TypeError, match="D and A must hold ints"):
-        experiment(case_table({key: 1, (999, 1000): 1}), (10**6,))
 
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])

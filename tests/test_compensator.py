@@ -200,13 +200,13 @@ STRIDE_WIDTHS = sorted({*range(40), *(2**k + e for k in range(2, 10) for e in (-
 def test_refine_stride_walk_matches_unit_steps(width):
     for i, a, db in REFINE_SLOPES:
         j = oracle_nearest(i, db, a)
-        # the clock at every offset inside the interval and one tick outside each side
-        for offset in range(-1, width + 2):
-            lb = j - offset
+        # the clock at every offset inside the interval and one tick outside
+        # each side, and an interval wholly above i, as compensate clips one
+        for lb in [*(j - offset for offset in range(-1, width + 2)), i + 1]:
             got = refine(i, a, db, (lb, lb + width))
             assert tuple(got) == _unit_step_refine(i, a, db, lb, lb + width), (i, a, db, lb)
             assert got.j == j
-            assert got.bounds_violated == (not 0 <= offset <= width)
+            assert got.bounds_violated == (not lb <= j <= lb + width)
 
 
 def test_refine_walks_a_2_to_the_40_interval():
@@ -275,6 +275,7 @@ _INT_CALLS = {
     "candidate": (candidate_interval, (1, 1, 2)),
     "reference": (reference_interval, (1, 1, 2)),
     "refine": (lambda i, b, a: refine(i, a, b, (0, 1)), (1, 1, 2)),
+    "refine-ends": (lambda lb, ub: refine(2, 2, 1, (lb, ub)), (0, 1)),
     "oracle": (oracle_nearest, (1, 1, 1)),
     "naive": (naive_compensate, (1, 1, 1)),
     "estimate": (clock_estimate, (1, 1, 2)),
@@ -285,12 +286,13 @@ _INT_CALLS = {
 
 def _non_int_inputs():
     for name, (call, args) in _INT_CALLS.items():
+        slots = ("lb", "ub") if name == "refine-ends" else "iDA"
         for slot, v in enumerate(args):
             kinds = {"float": float(v), "half": v + 0.5, "np.int64": np.int64(v)}
-            if v == 1:
-                kinds["bool"] = True
+            if v in (0, 1):
+                kinds["bool"] = bool(v)
             for kind, value in kinds.items():
-                yield pytest.param(call, args, slot, value, id=f"{name}-{'iDA'[slot]}-{kind}")
+                yield pytest.param(call, args, slot, value, id=f"{name}-{slots[slot]}-{kind}")
 
 
 @pytest.mark.parametrize("call, args, slot, value", _non_int_inputs())
@@ -378,18 +380,31 @@ def test_compensate_steepest_slope(a, i):
 
 
 # 2**63 - a is a multiple of db, so the first rejected i lands exactly on 2**63
+GUARD_EDGES = [(999_999_999_983, 1_037_011_573_115), (3_036_863_999_177, 2_036_863_999_178)]
+# far past the guard, where binary32's t_hat with no margin puts the interval
+# wholly above i, so compensate clips it to one point
+GUARD_ABOVE_I = (2**33 + 2**9 + 1, 2**31 - 1, 2**31, "approximate", "binary32", 0)
+
+
 @pytest.mark.parametrize(
-    "d, a", [(999_999_999_983, 1_037_011_573_115), (3_036_863_999_177, 2_036_863_999_178)]
+    "d, a, rejected",
+    [
+        *(pytest.param(d, a, None, id=f"{d}-{a}") for d, a in GUARD_EDGES),
+        pytest.param(*GUARD_ABOVE_I[1:3], GUARD_ABOVE_I, id="interval-above-i"),
+    ],
 )
-def test_compensate_product_guard_edge(d, a):
+def test_compensate_product_guard_edge(d, a, rejected):
     db = d if d < a else d - a
     i = (2**63 - 1 - a) // db  # the largest i with i*db + a < 2**63
-    assert (i + 1) * db + a == 2**63
+    if rejected is None:
+        assert (i + 1) * db + a == 2**63
+        rejected = (i + 1, d, a)
     for method in METHODS:
         for precision in PRECISIONS:
             assert compensate(i, d, a, method, precision).j == oracle_nearest(i, d, a)
+    assert rejected[0] * db + a >= 2**63
     with pytest.raises(OverflowRisk):
-        compensate(i + 1, d, a)
+        compensate(*rejected)
 
 
 # the theoretical coefficients, evaluated in working precision, can lie
