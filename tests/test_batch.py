@@ -451,8 +451,9 @@ def _object_case(D, A):
     ],
 )
 def test_case_table_columns_are_checked(columns, error, message, experiment):
-    # a float64 column would be truncated into the int64 copies, and a float
-    # weight would reach the exact sums
+    # a float64 column would be truncated into the int64 copies, a float
+    # weight would reach the exact sums, and a column that is not 1-D would
+    # reach them as rows or as no length at all
     with pytest.raises(error, match=message):
         experiment(CaseTable(*columns), (10**6,))
 

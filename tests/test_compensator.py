@@ -201,7 +201,7 @@ def test_refine_stride_walk_matches_unit_steps(width):
     for i, a, db in REFINE_SLOPES:
         j = oracle_nearest(i, db, a)
         # the clock at every offset inside the interval and one tick outside
-        # each side, and an interval wholly above i, as compensate clips one
+        # each side, and an interval wholly above i
         for lb in [*(j - offset for offset in range(-1, width + 2)), i + 1]:
             got = refine(i, a, db, (lb, lb + width))
             assert tuple(got) == _unit_step_refine(i, a, db, lb, lb + width), (i, a, db, lb)
