@@ -284,10 +284,7 @@ def candidate_interval(
     # the rules of _validate_inputs, tested inline; a broken one raises its error there
     if i < 0 or D < 0 or A <= 0 or D >= A or not type(i) is type(D) is type(A) is int:
         _validate_inputs(i, D, A)
-    try:
-        fmt, label, hardware, ratios, floats = _plan(method, precision)
-    except TypeError:  # an unhashable method or precision, reported as uncached
-        fmt, label, hardware, ratios, floats = _plan.__wrapped__(method, precision)
+    fmt, label, hardware, ratios, floats = _plan(method, precision)
     # t_hat = tn / td exactly; D < A, so max(i, A) is the largest input
     if hardware and (i if i > A else A) < _HW_EXACT_INT:
         t_hat = _hardware_estimate(i, D, A, fmt)

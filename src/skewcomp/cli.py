@@ -174,19 +174,15 @@ def _cmd_compensate(args) -> int:
 
 def _run_table(args) -> int:
     cases = sample_cases(args.seed, args.samples, args.D, args.range_ppm)
-    if args.command == "table2":
-        experiment, header = bounds_experiment, TABLE2_HEADER
-    else:
-        experiment, header = compensation_experiment, TABLE3_HEADER
-    rows = experiment(cases, args.i, eps_coeff=args.eps_coeff)
+    rows = args.experiment(cases, args.i, eps_coeff=args.eps_coeff)
     # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
     cells = [_cells(row) for row in rows]
     meta = {key: str(value) for key, value in _table_meta(args).items()}
     if args.output and args.output != "-":
         with open(args.output, "w", newline="") as out:
-            _emit_table(cells, header, meta, args.format, out)
+            _emit_table(cells, args.header, meta, args.format, out)
     else:
-        _emit_table(cells, header, meta, args.format, sys.stdout)
+        _emit_table(cells, args.header, meta, args.format, sys.stdout)
     return 0
 
 
@@ -289,7 +285,7 @@ def _add_triple_args(sub, run) -> None:
     sub.set_defaults(run=run)
 
 
-def _add_table_args(sub) -> None:
+def _add_table_args(sub, experiment, header) -> None:
     sub.add_argument("--samples", "-n", type=_parse_int, default=DEFAULT_N)
     sub.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
     sub.add_argument("--D", type=_parse_int, default=DEFAULT_D)
@@ -300,7 +296,7 @@ def _add_table_args(sub) -> None:
     )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", "-o", default=None, help="output path, - or omitted for stdout")
-    sub.set_defaults(run=_run_table)
+    sub.set_defaults(run=_run_table, experiment=experiment, header=header)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp_cmd = commands.add_parser("compensate", help="compensated clock for one triple")
     _add_triple_args(comp_cmd, _cmd_compensate)
     comp_cmd.add_argument("--strict", action="store_true", help="exit 2 on a bounds violation")
-    _add_table_args(commands.add_parser("table2", help="bound deltas vs the exact reference"))
-    _add_table_args(commands.add_parser("table3", help="compensation errors and iteration counts"))
+    table2_cmd = commands.add_parser("table2", help="bound deltas vs the exact reference")
+    _add_table_args(table2_cmd, bounds_experiment, TABLE2_HEADER)
+    table3_cmd = commands.add_parser("table3", help="compensation errors and iteration counts")
+    _add_table_args(table3_cmd, compensation_experiment, TABLE3_HEADER)
     commands.add_parser("selftest", help="run the built-in invariant checks").set_defaults(run=_selftest)
     return parser
 

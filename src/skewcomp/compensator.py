@@ -2,11 +2,10 @@
 
 Given hardware clock i and the per-interval tick counts D (reference)
 and A (local), the compensated clock is the nearest integer to i*D/A.
-The refinement walks candidates y up from a candidate interval's lower
-bound on the Bresenham error term r = i*D + floor(A/2) - y*A (slope
-D/A < 1), in [0, A) exactly at the clock, in at most bit_length(width)
-halving strides: adds, shifts and compares only, and no division
-unless the interval missed, so no floating-point operation decides j.
+refine walks candidates y up from a candidate interval's lower bound in
+halving strides decided by the Bresenham error term alone (slope
+D/A < 1): adds, shifts and compares only, and no division unless the
+interval missed, so no floating-point operation decides j.
 """
 
 from __future__ import annotations
@@ -61,18 +60,17 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
 
     interval is a CandidateInterval or a plain (lb, ub) pair.  The walk
     keeps the Bresenham error term
-    r = i*delta_b + floor(delta_a/2) - y*delta_a, for which y is at most
-    the clock exactly while r >= 0, y + 2^k is at most the clock exactly
-    while r >= delta_a << k, and y is the clock exactly when
-    0 <= r < delta_a.  Starting at y = lb, it tries each stride 2^k from
-    the largest not above the width down to 1, and takes it (y += 2^k,
-    r -= delta_a << k) when r >= delta_a << k and y + 2^k <= ub, so it
-    ends at the clock if the interval holds it.  It uses adds, shifts and
-    compares only, at most bit_length(width) strides.  At the end, r
-    outside [0, delta_a) is a miss: only then is the clock computed by
-    one exact division, and bounds_violated is set, so a wrong interval
-    never gives a wrong j.  iterations is the interval width, the ticks
-    the walk covers.
+    r = i*delta_b + floor(delta_a/2) - y*delta_a, for which y + 2^k is at
+    most the clock exactly while r >= delta_a << k, and y is the clock
+    exactly when 0 <= r < delta_a.  Starting at y = lb, it tries each
+    stride 2^k from the largest not above the width down to 1 and takes
+    it (y += 2^k, r -= delta_a << k) iff r >= delta_a << k, until y is
+    the clock or the strides run out: adds, shifts and compares only, at
+    most bit_length(width) strides.  The strides can pass ub, so the end
+    is a miss iff y > ub or r is outside [0, delta_a): only then is the
+    clock computed by one exact division, and bounds_violated is set, so
+    a wrong interval never gives a wrong j.  iterations is the interval
+    width, the ticks the walk covers.
     """
     lb, ub = interval[:2]
     if not 0 <= delta_b < delta_a:
@@ -92,14 +90,14 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     r = i * delta_b + delta_a // 2 - y * delta_a
     s = width.bit_length()
     stride, step = 1 << s >> 1, delta_a << s >> 1
-    while stride:
-        if r >= step and y + stride <= ub:
+    while r >= delta_a and stride:
+        if r >= step:
             y += stride
             r -= step
         stride >>= 1
         step >>= 1
     # tuple.__new__ directly: the named tuple's own __new__ is a second call
-    if not 0 <= r < delta_a:
+    if y > ub or not 0 <= r < delta_a:
         return tuple.__new__(RefineResult, ((2 * i * delta_b + delta_a) // (2 * delta_a), width, True))
     return tuple.__new__(RefineResult, (y, width, False))
 

@@ -190,8 +190,16 @@ def _unit_step_refine(i, delta_a, delta_b, lb, ub):
     return y, ub - lb, False
 
 
-# (i, delta_a, delta_b): an exact tie, a steep and a shallow slope, a tiny i
-REFINE_SLOPES = [(2**20 + 1, 2, 1), (10**6 + 12_345, 999_998, 999_997), (10**9, 10**6 + 100, 100), (600, 3, 1)]
+# (i, delta_a, delta_b): an exact tie, a steep and a shallow slope, a tiny i,
+# delta_a = 1 (each step equals its stride) and products near 2^62
+REFINE_SLOPES = [
+    (2**20 + 1, 2, 1),
+    (10**6 + 12_345, 999_998, 999_997),
+    (10**9, 10**6 + 100, 100),
+    (600, 3, 1),
+    (10**3, 1, 0),
+    (2**40 + 3, 2**22 + 1, 2**22),
+]
 # every width below 40 mixes the stride bits; 2^k - 1, 2^k, 2^k + 1 flank each new top stride
 STRIDE_WIDTHS = sorted({*range(40), *(2**k + e for k in range(2, 10) for e in (-1, 0, 1))})
 
