@@ -8,9 +8,10 @@ candidate_interval, reference_interval and compensate return:
 - t_hat runs in numpy float32/float64, with the same correctly rounded
   operations as clock_estimate's hardware route.
 - A candidate end is floor/ceil of the exact c * t_hat or t_hat -/+ m.
-  Dekker's TwoProduct and Knuth's TwoSum give it as p + e exactly, with
-  p the rounded value.  floor(p + e) is floor(p), unless p is an
-  integer, where it is p + floor(e); ceil likewise.
+  One float64 product is c * t_hat exactly for binary32 (24 + 24 bits),
+  and for binary64 has its floor/ceil unless it rounds to an integer.
+  Knuth's TwoSum gives t_hat -/+ m as p + e exactly, p the rounded value:
+  floor(p + e) is floor(p), or p + floor(e) for an integer p; ceil alike.
 - A reference end splits t = i*db/A into q + r/A on int64 and estimates
   the rest, r/A + (c - 1)*t, in float64 with a proven error bound.  It is
   accepted only where that bound leaves its floor/ceil certain.
@@ -28,8 +29,9 @@ and the caller evaluates it with the scalar functions, which also raise
 whatever they raise for it.  That covers inputs off the hardware route
 (i, D or A >= 2**53, formats other than binary32/binary64), cases
 outside 0 < D < 2A, 2*i*db + A >= 2**63 (i*D >= 2**63 for the naive
-floor, and its quotient >= 2**53), an uncertain reference end, and an
-approximate margin 1 + eps_hat that is not exact in float64.
+floor, and its quotient >= 2**53), a binary64 c * t_hat that rounds to a
+nonzero integer, an uncertain reference end, and an approximate margin
+1 + eps_hat that is not exact in float64.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from .experiment import CaseTable
 from .formats import BINARY64
 
 _INT64_MAX = 2**63 - 1
-# Dekker's splitter for binary64, 2**27 + 1
-_SPLITTER = float(2**27 + 1)
 # 32 binary64 unit roundoffs; the reference error analysis needs under 8
 _REFERENCE_SLACK = 2.0**-48
 
@@ -122,20 +122,6 @@ def _on_route(i, fmt) -> bool:
     return type(i) is int and i >= 0 and _on_hardware_route(fmt, i)
 
 
-def _split(a):
-    c = _SPLITTER * a
-    high = c - (c - a)
-    return high, a - high
-
-
-def _two_product(a, b):
-    """(p, e) with p = fl(a*b) and a*b = p + e exactly (Dekker 1971)."""
-    p = a * b
-    a_high, a_low = _split(a)
-    b_high, b_low = _split(b)
-    return p, a_low * b_low - (((p - a_high * b_high) - a_low * b_high) - a_high * b_low)
-
-
 def _two_sum(a, b):
     """(s, e) with s = fl(a+b) and a+b = s + e exactly (Knuth)."""
     s = a + b
@@ -171,10 +157,15 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     if not _on_route(i, fmt):
         return zeros, zeros, np.ones(len(cases), dtype=bool)
     t_hat = cases.estimate(i, fmt)
+    fallback = ~cases.domain
     if method in ("theoretical", "practical"):
         lo, hi = (float(c) for c in rounded_coefficients(method, fmt))
-        lb = _exact(np.floor, *_two_product(lo, t_hat))
-        ub = _exact(np.ceil, *_two_product(hi, t_hat))
+        low, high = lo * t_hat, hi * t_hat
+        lb, ub = np.floor(low), np.ceil(high)
+        # exact for binary32; a binary64 one off the integers keeps its floor/ceil, as in _exact
+        if 2 * fmt.precision > 53:
+            fallback = fallback | ((lb == low) | (ub == high)) & (t_hat != 0)
+        lb, ub = lb.astype(np.int64), ub.astype(np.int64)
     elif method == "approximate":
         margin = _margin(i, fmt, eps_coeff)
         if margin is None:
@@ -183,7 +174,7 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
         ub = _exact(np.ceil, *_two_sum(t_hat, margin))
     else:
         return zeros, zeros, np.ones(len(cases), dtype=bool)
-    return lb, ub, ~cases.domain
+    return lb, ub, fallback
 
 
 def reference_ends(cases: CaseArrays, i: int, fmt):

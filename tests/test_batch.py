@@ -144,7 +144,13 @@ def test_batch_matches_scalar_at_route_edges(i, fmt):
     on_route = i < 2**53
     # 1 + fl(1e-7 * i) is not exact in float64 for every binary64 eps_hat
     for method in METHODS if fmt == BINARY32 else ("theoretical", "practical"):
-        assert not masks[method].any() if on_route else masks[method].all()
+        if fmt == BINARY64 and i == 2**53 - 1:
+            # (a - 1, a) and (2a - 1, a), both of slope (a - 1)/a, take t_hat
+            # past 2**52, where every binary64 product is an integer and goes
+            # per case; the masks follow the sorted pairs
+            assert masks[method].tolist() == [False, False, True, False, False, True]
+        else:
+            assert not masks[method].any() if on_route else masks[method].all()
 
 
 def _tie(i, p, s, mantissa):
@@ -284,6 +290,25 @@ def test_fallback_where_the_margin_is_inexact():
         masks = _fallback_masks(pairs, i, BINARY64, eps_coeff)
         assert masks["approximate"] == masks["compensate", "approximate"] == [True, True]
         assert masks["practical"] == masks["reference"] == [False, False]
+
+
+def test_fallback_where_a_binary64_product_is_an_integer():
+    # at i = 1e9, c * t_hat rounds to an integer for the theoretical c on
+    # the first slope and the practical c on the other three
+    i = 10**9
+    population = {(i, i + k): 1 for k in (19, 28, 29, 30)}
+    masks = _fallback_masks(list(population), i, BINARY64)
+    assert masks["theoretical"] == [True, False, False, False]
+    assert masks["practical"] == [False, True, True, True]
+    configs = (("theoretical", "binary64"), ("practical", "binary64"))
+    rows = bounds_experiment(case_table(population), (i,), configs)
+    for row, (method, _) in zip(rows, configs, strict=True):
+        deltas = [
+            interval_deltas(candidate_interval(i, D, A, method, BINARY64), reference_interval(i, D, A, BINARY64))
+            for D, A in sorted(population)
+        ]
+        dlb, dub = zip(*deltas)
+        assert (row.method, row.dlb, row.dub) == (method, _stats(dlb, [1] * 4), _stats(dub, [1] * 4))
 
 
 @pytest.mark.parametrize(
