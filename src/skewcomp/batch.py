@@ -162,7 +162,7 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
         lo, hi = (float(c) for c in rounded_coefficients(method, fmt))
         low, high = lo * t_hat, hi * t_hat
         lb, ub = np.floor(low), np.ceil(high)
-        # exact for binary32; a binary64 one off the integers keeps its floor/ceil, as in _exact
+        # exact for binary32; a binary64 product that is not an integer has the exact floor/ceil, see _exact
         if 2 * fmt.precision > 53:
             fallback = fallback | ((lb == low) | (ub == high)) & (t_hat != 0)
         lb, ub = lb.astype(np.int64), ub.astype(np.int64)
