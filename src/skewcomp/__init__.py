@@ -5,17 +5,28 @@ clock j ~ i*D/A under three interval constructions, refines them with an
 integer-only walk up from the lower bound, and checks everything against
 an exact rational oracle.  See the README for the experiment reproduction
 commands.  Each module's __all__ is its public API; the package exports
-their union.
+their union.  The table pipeline, the experiment module and its names,
+loads on first access, so importing the package or compensating a
+reading does not compile it.
 """
 
-from . import bounds, compensator, experiment, formats, rationals
+import importlib
+
+from . import bounds, compensator, formats, rationals
 from .rationals import *
 from .formats import *
 from .bounds import *
 from .compensator import *
-from .experiment import *
 
 __version__ = "0.1.0"
+
+# experiment.__all__, in order; a test holds the two lists equal
+_EXPERIMENT_NAMES = (
+    "CaseTable", "ClockSample", "StatSummary", "BoundsRow", "CompRow",
+    "generate_samples", "sample_cases", "bounds_experiment", "compensation_experiment",
+    "TABLE2_CONFIGS", "TABLE3_ALGORITHMS",
+    "DEFAULT_I_LIST", "DEFAULT_D", "DEFAULT_N", "DEFAULT_SEED", "DEFAULT_RANGE_PPM",
+)  # fmt: skip
 
 __all__ = [
     "__version__",
@@ -23,5 +34,18 @@ __all__ = [
     *formats.__all__,
     *bounds.__all__,
     *compensator.__all__,
-    *experiment.__all__,
+    *_EXPERIMENT_NAMES,
 ]
+
+
+def __getattr__(name):
+    # importing the submodule binds skewcomp.experiment; its names are not
+    # cached here, so a function replaced in experiment is seen through the package
+    if name == "experiment" or name in _EXPERIMENT_NAMES:
+        experiment = importlib.import_module(".experiment", __name__)
+        return experiment if name == "experiment" else getattr(experiment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "experiment"})

@@ -28,17 +28,6 @@ from .bounds import (
     theoretical_coefficients,
 )
 from .compensator import compensate, oracle_nearest
-from .experiment import (
-    DEFAULT_D,
-    DEFAULT_I_LIST,
-    DEFAULT_N,
-    DEFAULT_RANGE_PPM,
-    DEFAULT_SEED,
-    StatSummary,
-    bounds_experiment,
-    compensation_experiment,
-    sample_cases,
-)
 from .formats import BINARY32, FORMATS, FloatFormat, unit_roundoff
 from .rationals import is_in_format, round_to_format
 
@@ -111,6 +100,8 @@ def _cells(row) -> list:
 
     Averages print with 4 significant decimals.
     """
+    from .experiment import StatSummary  # loaded by the table run that made the row
+
     cells = []
     for value in row:
         if isinstance(value, StatSummary):
@@ -173,8 +164,21 @@ def _cmd_compensate(args) -> int:
 
 
 def _run_table(args) -> int:
-    cases = sample_cases(args.seed, args.samples, args.D, args.range_ppm)
-    rows = args.experiment(cases, args.i, eps_coeff=args.eps_coeff)
+    # only here: the single-shot commands and the import skip the table pipeline
+    from . import experiment
+
+    defaults = {
+        "samples": experiment.DEFAULT_N,
+        "seed": experiment.DEFAULT_SEED,
+        "D": experiment.DEFAULT_D,
+        "range_ppm": Fraction(experiment.DEFAULT_RANGE_PPM),
+        "i": list(experiment.DEFAULT_I_LIST),
+    }
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    cases = experiment.sample_cases(args.seed, args.samples, args.D, args.range_ppm)
+    rows = getattr(experiment, args.experiment)(cases, args.i, eps_coeff=args.eps_coeff)
     # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
     cells = [_cells(row) for row in rows]
     meta = {key: str(value) for key, value in _table_meta(args).items()}
@@ -285,18 +289,20 @@ def _add_triple_args(sub, run) -> None:
     sub.set_defaults(run=run)
 
 
-def _add_table_args(sub, experiment, header) -> None:
-    sub.add_argument("--samples", "-n", type=_parse_int, default=DEFAULT_N)
-    sub.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
-    sub.add_argument("--D", type=_parse_int, default=DEFAULT_D)
-    sub.add_argument("--range-ppm", dest="range_ppm", type=_parse_fraction, default=Fraction(DEFAULT_RANGE_PPM))
-    sub.add_argument("--i", type=_parse_i_list, default=list(DEFAULT_I_LIST), help="comma separated, 1e9 shorthand ok")
+def _add_table_args(sub, experiment_name, header) -> None:
+    # the defaults of --samples, --seed, --D, --range-ppm and --i are
+    # experiment's, which _run_table fills in
+    sub.add_argument("--samples", "-n", type=_parse_int)
+    sub.add_argument("--seed", type=_parse_int)
+    sub.add_argument("--D", type=_parse_int)
+    sub.add_argument("--range-ppm", dest="range_ppm", type=_parse_fraction)
+    sub.add_argument("--i", type=_parse_i_list, help="comma separated, 1e9 shorthand ok")
     sub.add_argument(
         "--eps-coeff", dest="eps_coeff", type=_parse_fraction, default=DEFAULT_EPS_COEFF
     )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", "-o", default=None, help="output path, - or omitted for stdout")
-    sub.set_defaults(run=_run_table, experiment=experiment, header=header)
+    sub.set_defaults(run=_run_table, experiment=experiment_name, header=header)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_triple_args(comp_cmd, _cmd_compensate)
     comp_cmd.add_argument("--strict", action="store_true", help="exit 2 on a bounds violation")
     table2_cmd = commands.add_parser("table2", help="bound deltas vs the exact reference")
-    _add_table_args(table2_cmd, bounds_experiment, TABLE2_HEADER)
+    _add_table_args(table2_cmd, "bounds_experiment", TABLE2_HEADER)
     table3_cmd = commands.add_parser("table3", help="compensation errors and iteration counts")
-    _add_table_args(table3_cmd, compensation_experiment, TABLE3_HEADER)
+    _add_table_args(table3_cmd, "compensation_experiment", TABLE3_HEADER)
     commands.add_parser("selftest", help="run the built-in invariant checks").set_defaults(run=_selftest)
     return parser
 

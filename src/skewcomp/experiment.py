@@ -298,6 +298,9 @@ def bounds_experiment(
                     dub=_summary(dub, cases),
                 )
             )
+            # released now, not when the next row reassigns them, so they do
+            # not sit beside that row's kernel temporaries
+            del ref_lb, ref_ub, dlb, dub
     return rows
 
 

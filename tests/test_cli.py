@@ -263,18 +263,6 @@ def test_import_and_csv_table_run_do_not_import_json():
     assert run_fresh(script, os.devnull).split() == ["False", "0", "False"]
 
 
-def test_compensate_does_not_import_numpy():
-    # only drawing a table population needs numpy; a node that imports the
-    # package and compensates readings does not pay for importing it
-    script = (
-        "import sys\n"
-        "import skewcomp.cli\n"
-        "from skewcomp import compensate\n"
-        "print(compensate(10**9, 10**6, 10**6 + 100).j, 'numpy' in sys.modules)\n"
-    )
-    assert run_fresh(script).split() == [str((2 * 10**15 + 10**6 + 100) // (2 * (10**6 + 100))), "False"]
-
-
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the result records are named tuples; dataclasses would load inspect,
     # ast, dis and tokenize on every import of the package
@@ -285,6 +273,51 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
     assert run_fresh(script).strip() == "[]"
+
+
+TABLE_MODULES = ("skewcomp.experiment", "skewcomp.batch", "numpy")
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import skewcomp", []),
+        ("import skewcomp.cli", []),
+        (
+            "import skewcomp.cli\nfrom skewcomp import compensate\n"
+            "assert compensate(10**9, 10**6, 10**6 + 100).j == (2 * 10**15 + 10**6 + 100) // (2 * (10**6 + 100))",
+            [],
+        ),
+        ("from skewcomp.cli import main\nassert main(['compensate', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
+        ("from skewcomp.cli import main\nassert main(['bounds', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
+        ("from skewcomp.cli import main\nassert main(['table2', '-n', '1', '-o', sys.argv[1]]) == 0", list(TABLE_MODULES)),
+    ],
+    ids=["import", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2"],
+)
+def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
+    # the experiment module, the kernel and numpy are compiled and imported
+    # only by a process that draws a table; a node that imports the package
+    # and compensates readings does not pay for them
+    script = f"import sys\n{statement}\nprint([m for m in {TABLE_MODULES!r} if m in sys.modules])\n"
+    assert run_fresh(script, os.devnull).splitlines()[-1] == str(loaded)
+
+
+def test_table_names_load_on_first_access():
+    script = (
+        "import sys\n"
+        "import skewcomp\n"
+        "from skewcomp import CaseTable, compensation_experiment\n"
+        "from skewcomp import experiment\n"
+        "print(CaseTable is experiment.CaseTable, compensation_experiment is experiment.compensation_experiment)\n"
+        "names = {}\n"
+        "exec('from skewcomp import *', names)\n"
+        "print(all(names[name] is getattr(skewcomp, name) for name in skewcomp.__all__))\n"
+    )
+    assert run_fresh(script).split() == ["True", "True", "True"]
+    assert not hasattr(skewcomp, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        skewcomp.no_such_name
+    assert set(skewcomp.__all__) <= set(dir(skewcomp))
 
 
 def test_every_exported_name_resolves():
