@@ -304,7 +304,6 @@ def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
 
 def test_table_names_load_on_first_access():
     script = (
-        "import sys\n"
         "import skewcomp\n"
         "from skewcomp import CaseTable, compensation_experiment\n"
         "from skewcomp import experiment\n"
