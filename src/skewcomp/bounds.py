@@ -31,7 +31,8 @@ integer pair on the emulated route.  The coefficients, their integer
 pairs and their float values are cached once per (method, precision).
 The coefficient functions return Fractions.  The binary32 hardware route
 runs on Python floats rounded through struct, so importing this module
-does not import numpy.
+does not import numpy; an input below 2^24 is already a binary32 value
+and is not rounded again (for D and A, only when both are).
 """
 
 from __future__ import annotations
@@ -66,11 +67,15 @@ DEFAULT_EPS_COEFF = Fraction(1, 10**7)
 
 # int -> binary64 -> binary32 is a single correct rounding below this
 _HW_EXACT_INT = 2**53
+# every int below this is a binary32 value
+_B32_EXACT_INT = 2**24
 # packing a float as "f" rounds it to binary32, to nearest, ties to even;
 # the bound methods are looked up once, not on every estimate
-_BINARY32, _BINARY32_TRIPLE = struct.Struct("f"), struct.Struct("3f")
-_pack32, _unpack32 = _BINARY32.pack, _BINARY32.unpack
-_pack32x3, _unpack32x3 = _BINARY32_TRIPLE.pack, _BINARY32_TRIPLE.unpack
+_pack32, _unpack32 = struct.Struct("f").pack, struct.Struct("f").unpack
+_pack32x2, _unpack32x2 = struct.Struct("2f").pack, struct.Struct("2f").unpack
+_pack32x3, _unpack32x3 = struct.Struct("3f").pack, struct.Struct("3f").unpack
+# records are built without the named tuples' own __new__, a second call
+_new = tuple.__new__
 
 
 def _on_hardware_route(fmt, m: int) -> bool:
@@ -209,11 +214,22 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
 
 
 def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
-    """clock_estimate for checked inputs on the hardware route."""
+    """clock_estimate for checked inputs on the hardware route.
+
+    binary32 rounds only inputs that are not binary32 values: D / A of
+    ints below 2^24 is already the binary64 quotient of binary32 values.
+    """
     if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
-    i32, d32, a32 = _unpack32x3(_pack32x3(i, D, A))
-    return _unpack32(_pack32(i32 * _unpack32(_pack32(d32 / a32))[0]))[0]
+    if D < _B32_EXACT_INT and A < _B32_EXACT_INT:
+        if i < _B32_EXACT_INT:
+            q = _unpack32(_pack32(D / A))[0]
+        else:
+            i, q = _unpack32x2(_pack32x2(i, D / A))
+    else:
+        i, d32, a32 = _unpack32x3(_pack32x3(i, D, A))
+        q = _unpack32(_pack32(d32 / a32))[0]
+    return _unpack32(_pack32(i * q))[0]
 
 
 def emulated_clock_estimate(i: int, D: int, A: int, precision="binary32") -> Fraction:
@@ -243,17 +259,19 @@ def _eps_hat(eps_coeff, i: int, fmt: FloatFormat) -> tuple[int, int]:
     return round_ratio(eps.numerator * i, eps.denominator, fmt)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+_PLANS = {}
+
+
 def _plan(method: str, precision):
-    """The per-(method, precision) part of candidate_interval.
+    """The per-(method, precision) part of candidate_interval, cached in _PLANS.
 
     (fmt, label, hardware, ratios, floats): hardware says whether the
     format has a hardware route; ratios are the coefficients as
     (lo_num, lo_den, hi_num, hi_den), None for the approximate method;
     floats are them as (lo, hi) floats where a product of two values of
-    the format is exact in binary64, else None.  The cache is typed: the
-    plain tuple (24,) hashes and compares equal to BINARY32, and
-    resolve_format must still reject it.
+    the format is exact in binary64, else None.  The key holds the
+    precision's type: the plain tuple (24,) hashes and compares equal to
+    BINARY32, and resolve_format must still reject it.
     """
     fmt = resolve_format(precision)
     if method in ("theoretical", "practical"):
@@ -265,7 +283,10 @@ def _plan(method: str, precision):
         ratios = floats = None
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return fmt, format_label(fmt), _on_hardware_route(fmt, 0), ratios, floats
+    plan = _PLANS[method, precision, type(precision)] = (
+        fmt, format_label(fmt), _on_hardware_route(fmt, 0), ratios, floats
+    )
+    return plan
 
 
 def candidate_interval(
@@ -284,7 +305,10 @@ def candidate_interval(
     # the rules of _validate_inputs, tested inline; a broken one raises its error there
     if i < 0 or D < 0 or A <= 0 or D >= A or not type(i) is type(D) is type(A) is int:
         _validate_inputs(i, D, A)
-    fmt, label, hardware, ratios, floats = _plan(method, precision)
+    try:
+        fmt, label, hardware, ratios, floats = _PLANS[method, precision, type(precision)]
+    except KeyError:
+        fmt, label, hardware, ratios, floats = _plan(method, precision)
     # t_hat = tn / td exactly; D < A, so max(i, A) is the largest input
     if hardware and (i if i > A else A) < _HW_EXACT_INT:
         t_hat = _hardware_estimate(i, D, A, fmt)
@@ -292,7 +316,7 @@ def candidate_interval(
             # binary32 t_hat and coefficients: each product is exact in
             # binary64, so its floor/ceil is that of the exact product
             lo, hi = floats
-            return tuple.__new__(CandidateInterval, (floor(lo * t_hat), ceil(hi * t_hat), method, label))
+            return _new(CandidateInterval, (floor(lo * t_hat), ceil(hi * t_hat), method, label))
         tn, td = t_hat.as_integer_ratio()
     else:
         tn, td = _emulated_ratio(i, D, A, fmt)
@@ -313,7 +337,7 @@ def candidate_interval(
         # grid (64 at t ~ 1e9 in binary32) and inflate the interval
         lb = (mid - margin) // den
         ub = -((-mid - margin) // den)
-    return tuple.__new__(CandidateInterval, (lb, ub, method, label))
+    return _new(CandidateInterval, (lb, ub, method, label))
 
 
 def reference_interval(i: int, D: int, A: int, precision="binary32") -> CandidateInterval:
@@ -328,7 +352,7 @@ def reference_interval(i: int, D: int, A: int, precision="binary32") -> Candidat
     tn = i * D  # t = tn / A
     lb = (lo.numerator * tn) // (lo.denominator * A)
     ub = -((-hi.numerator * tn) // (hi.denominator * A))
-    return tuple.__new__(CandidateInterval, (lb, ub, "reference", "exact"))
+    return _new(CandidateInterval, (lb, ub, "reference", "exact"))
 
 
 def interval_deltas(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _require_ints, _validate_estimate, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _new, _require_ints, _validate_estimate, candidate_interval
 from .formats import resolve_format
 from .rationals import round_ratio
 
@@ -72,7 +72,7 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     a wrong interval never gives a wrong j.  iterations is the interval
     width, the ticks the walk covers.
     """
-    lb, ub = interval[:2]
+    lb, ub = interval[0], interval[1]
     if not 0 <= delta_b < delta_a:
         raise InvalidInput(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb
@@ -80,14 +80,15 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
         raise InvalidInput(f"empty interval [{lb}, {ub}]")
     if width > i:
         raise InvalidInput(f"interval width {width} exceeds i={i}")
-    if i * delta_b + delta_a >= _PRODUCT_LIMIT:
-        raise OverflowRisk(f"i*delta_b + delta_a = {i * delta_b + delta_a} >= 2**63")
+    b = i * delta_b
+    if b + delta_a >= _PRODUCT_LIMIT:
+        raise OverflowRisk(f"i*delta_b + delta_a = {b + delta_a} >= 2**63")
     if not type(i) is type(delta_b) is type(delta_a) is type(lb) is type(ub) is int:
         _require_ints(i, delta_b, delta_a)
         raise TypeError(f"need int interval ends, got {type(lb).__name__}, {type(ub).__name__}")
 
     y = lb
-    r = i * delta_b + delta_a // 2 - y * delta_a
+    r = b + delta_a // 2 - y * delta_a
     s = width.bit_length()
     stride, step = 1 << s >> 1, delta_a << s >> 1
     while r >= delta_a and stride:
@@ -96,10 +97,9 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
             r -= step
         stride >>= 1
         step >>= 1
-    # tuple.__new__ directly: the named tuple's own __new__ is a second call
     if y > ub or not 0 <= r < delta_a:
-        return tuple.__new__(RefineResult, ((2 * i * delta_b + delta_a) // (2 * delta_a), width, True))
-    return tuple.__new__(RefineResult, (y, width, False))
+        return _new(RefineResult, ((2 * b + delta_a) // (2 * delta_a), width, True))
+    return _new(RefineResult, (y, width, False))
 
 
 def compensate(
@@ -128,23 +128,25 @@ def compensate(
         # gives the label; its literal D = 0 would pass a float or bool D
         _require_ints(i, D, A)
         label = candidate_interval(i, 0, A, method, precision, eps_coeff).precision
-        return tuple.__new__(CompResult, (i, 0, method, label, "identity", False))
+        return _new(CompResult, (i, 0, method, label, "identity", False))
 
     if D < A:
         delta_b, case, shift = D, "case1", 0
     else:
         delta_b, case, shift = D - A, "case2", i
-    lb, ub, _, label = candidate_interval(i, delta_b, A, method, precision, eps_coeff)
-    # refine needs width <= i and the clock satisfies 0 <= j <= i, so clipping
-    # to [0, i] never drops the true value and the clipped interval misses
-    # exactly when the full one does (approximate intervals can stick out
-    # below 0 at tiny i, and lie wholly above i where t_hat's rounding error
-    # passes their margin: those are clipped to the point [lb, lb], which
-    # the walk reports as a miss in 0 iterations)
-    lb = lb if lb > 0 else 0
-    ub = ub if ub < i else i if i > lb else lb
-    j, iterations, violated = refine(i, A, delta_b, (lb, ub))
-    return tuple.__new__(CompResult, (j + shift, iterations, method, label, case, violated))
+    box = candidate_interval(i, delta_b, A, method, precision, eps_coeff)
+    lb, ub, _, label = box
+    if lb < 0 or ub > i:
+        # refine needs width <= i and the clock satisfies 0 <= j <= i, so clipping
+        # to [0, i] never drops the true value and the clipped interval misses
+        # exactly when the full one does (approximate intervals can stick out
+        # below 0 at tiny i, and lie wholly above i where t_hat's rounding error
+        # passes their margin: those are clipped to the point [lb, lb], which
+        # the walk reports as a miss in 0 iterations)
+        lb = lb if lb > 0 else 0
+        box = lb, (ub if ub < i else i if i > lb else lb)
+    j, iterations, violated = refine(i, A, delta_b, box)
+    return _new(CompResult, (j + shift, iterations, method, label, case, violated))
 
 
 def naive_compensate(i: int, D: int, A: int, precision="binary32") -> int:

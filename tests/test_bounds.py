@@ -200,6 +200,13 @@ def test_plan_cache_keeps_every_format_and_method_rule():
             call(10, 1, 2, ["practical"])
         with pytest.raises(TypeError, match="unhashable"):
             call(10, 1, 2, "practical", ["binary32"])
+        # and again once the plan is cached under each spelling of binary32
+        for precision in ("binary32", FloatFormat(24)):
+            assert call(10, 1, 2, "practical", precision).precision == "binary32"
+            with pytest.raises(ValueError, match=r"unknown precision \(24,\)"):
+                call(10, 1, 2, "practical", (24,))
+            with pytest.raises(TypeError, match="unhashable"):
+                call(10, 1, 2, "practical", [24])
     # the identity branch D = A checks the method and eps_coeff too
     compensate(10, 7, 7, "practical", BINARY32)
     with pytest.raises(ValueError, match="unknown method 'nope'"):
@@ -409,6 +416,7 @@ def _quotients_nearest_binary32_midpoints(count=8):
             return found
 
 
+B32_EDGES = (2**24 - 1, 2**24, 2**24 + 1)
 EDGE_QUOTIENTS = ((1, 3), (999_999, 10**6), (2**24 - 3, 2**24 - 1), (2**53 - 3, 2**53 - 1))
 BINARY32_ROUTE_CASES = [
     *((i, d, a) for i in (2**24 - 1, 2**24 + 1, 2**53 - 1) for d, a in EDGE_QUOTIENTS),
@@ -420,6 +428,11 @@ BINARY32_ROUTE_CASES = [
     # i * q is exactly a binary32 midpoint: ties to even, down and up
     (3, 2**23 + 1, 2**24),
     (3, 2**23 + 3, 2**24),
+    # each of i, D and A at the top of the exact binary32 ints, the tie
+    # 2^24 + 1 included, beside small and large partners (D > A too)
+    *((e, d, a) for e in B32_EDGES for d, a in ((7, 5), (999_999, 10**6 + 37))),
+    *((i, e, a) for e in B32_EDGES for i, a in ((10, 5), (10**9, 10**6 + 37))),
+    *((i, d, e) for e in B32_EDGES for i, d in ((10, 7), (10**9, 10**6 - 3))),
 ]
 
 
@@ -438,6 +451,25 @@ def test_binary32_route_matches_numpy_float32(i, x, y):
     assume(x != y)
     d, a = min(x, y), max(x, y)
     assert clock_estimate(i, d, a, "binary32") == _numpy_binary32_estimate(i, d, a)
+
+
+def test_binary32_estimate_rounds_an_inexact_d_beside_an_exact_a():
+    # A = 5 is a binary32 value but D = 2^24 + 1 is not: it rounds to 2^24 first
+    assert clock_estimate(10, 2**24 + 1, 5) == 33554432.0 == emulated_clock_estimate(10, 2**24 + 1, 5)
+
+
+# log-uniform over 2^15..2^32, and every int within 64 of 2^24
+_NEAR_2_TO_THE_24 = st.integers(min_value=16, max_value=32).flatmap(
+    lambda e: st.integers(min_value=2 ** (e - 1), max_value=2**e)
+) | st.integers(min_value=2**24 - 64, max_value=2**24 + 64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(i=_NEAR_2_TO_THE_24, d=_NEAR_2_TO_THE_24, a=_NEAR_2_TO_THE_24)
+def test_binary32_estimate_near_2_to_the_24(i, d, a):
+    # an input is left unrounded only where it is already a binary32 value
+    t_hat = clock_estimate(i, d, a, "binary32")
+    assert t_hat == emulated_clock_estimate(i, d, a, BINARY32) == _numpy_binary32_estimate(i, d, a)
 
 
 @settings(max_examples=400, deadline=None)

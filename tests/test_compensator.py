@@ -603,6 +603,9 @@ def _compensate_inputs(draw):
 # approximate intervals wholly above i, which clip to empty
 @example((2**26 + 5, 2**31 - 1, 2**31), "approximate", "binary32", 0)
 @example((16380, 16773120, 16773121), "approximate", FloatFormat(11), DEFAULT_EPS_COEFF)
+# an approximate interval below 0 at a tiny i, and a practical one inside [0, i]
+@example((2, 1, 3), "approximate", "binary32", DEFAULT_EPS_COEFF)
+@example((10**9, 10**6 - 7, 10**6), "practical", "binary32", DEFAULT_EPS_COEFF)
 def test_compensate_record_equals_interval_then_walk(inputs, method, precision, eps_coeff):
     i, d, a = inputs
     result = compensate(i, d, a, method, precision, eps_coeff)
