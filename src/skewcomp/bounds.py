@@ -31,8 +31,8 @@ integer pair on the emulated route.  The coefficients, their integer
 pairs and their float values are cached once per (method, precision).
 The coefficient functions return Fractions.  The binary32 hardware route
 runs on Python floats rounded through struct, so importing this module
-does not import numpy; an input below 2^24 is already a binary32 value
-and is not rounded again (for D and A, only when both are).
+does not import numpy; D and A below 2^24 are already binary32 values
+and are not rounded before their quotient.
 """
 
 from __future__ import annotations
@@ -216,16 +216,13 @@ def clock_estimate(i: int, D: int, A: int, precision="binary32") -> float:
 def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     """clock_estimate for checked inputs on the hardware route.
 
-    binary32 rounds only inputs that are not binary32 values: D / A of
-    ints below 2^24 is already the binary64 quotient of binary32 values.
+    binary32 rounds D and A only when one is 2^24 or more: D / A of ints
+    below 2^24 is already the binary64 quotient of binary32 values.
     """
     if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
     if D < _B32_EXACT_INT and A < _B32_EXACT_INT:
-        if i < _B32_EXACT_INT:
-            q = _unpack32(_pack32(D / A))[0]
-        else:
-            i, q = _unpack32x2(_pack32x2(i, D / A))
+        i, q = _unpack32x2(_pack32x2(i, D / A))
     else:
         i, d32, a32 = _unpack32x3(_pack32x3(i, D, A))
         q = _unpack32(_pack32(d32 / a32))[0]
@@ -259,12 +256,10 @@ def _eps_hat(eps_coeff, i: int, fmt: FloatFormat) -> tuple[int, int]:
     return round_ratio(eps.numerator * i, eps.denominator, fmt)
 
 
-_PLANS = {}
+class _Plans(dict):
+    """The per-(method, precision) part of candidate_interval, built on first lookup.
 
-
-def _plan(method: str, precision):
-    """The per-(method, precision) part of candidate_interval, cached in _PLANS.
-
+    The key is (method, precision, type(precision)); the value is
     (fmt, label, hardware, ratios, floats): hardware says whether the
     format has a hardware route; ratios are the coefficients as
     (lo_num, lo_den, hi_num, hi_den), None for the approximate method;
@@ -273,20 +268,24 @@ def _plan(method: str, precision):
     precision's type: the plain tuple (24,) hashes and compares equal to
     BINARY32, and resolve_format must still reject it.
     """
-    fmt = resolve_format(precision)
-    if method in ("theoretical", "practical"):
-        lo, hi = rounded_coefficients(method, fmt)
-        ratios = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        # two p-bit significands multiply to at most 2p bits
-        floats = (float(lo), float(hi)) if 2 * fmt.precision <= 53 else None
-    elif method == "approximate":
-        ratios = floats = None
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    plan = _PLANS[method, precision, type(precision)] = (
-        fmt, format_label(fmt), _on_hardware_route(fmt, 0), ratios, floats
-    )
-    return plan
+
+    def __missing__(self, key):
+        method, precision, _ = key
+        fmt = resolve_format(precision)
+        if method in ("theoretical", "practical"):
+            lo, hi = rounded_coefficients(method, fmt)
+            ratios = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            # two p-bit significands multiply to at most 2p bits
+            floats = (float(lo), float(hi)) if 2 * fmt.precision <= 53 else None
+        elif method == "approximate":
+            ratios = floats = None
+        else:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        plan = self[key] = (fmt, format_label(fmt), _on_hardware_route(fmt, 0), ratios, floats)
+        return plan
+
+
+_PLANS = _Plans()
 
 
 def candidate_interval(
@@ -305,10 +304,7 @@ def candidate_interval(
     # the rules of _validate_inputs, tested inline; a broken one raises its error there
     if i < 0 or D < 0 or A <= 0 or D >= A or not type(i) is type(D) is type(A) is int:
         _validate_inputs(i, D, A)
-    try:
-        fmt, label, hardware, ratios, floats = _PLANS[method, precision, type(precision)]
-    except KeyError:
-        fmt, label, hardware, ratios, floats = _plan(method, precision)
+    fmt, label, hardware, ratios, floats = _PLANS[method, precision, type(precision)]
     # t_hat = tn / td exactly; D < A, so max(i, A) is the largest input
     if hardware and (i if i > A else A) < _HW_EXACT_INT:
         t_hat = _hardware_estimate(i, D, A, fmt)

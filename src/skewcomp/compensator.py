@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _new, _require_ints, _validate_estimate, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _require_ints, _validate_estimate, candidate_interval
 from .formats import resolve_format
 from .rationals import round_ratio
 
@@ -28,6 +28,8 @@ __all__ = [
 
 # intermediate products x * delta_b must stay inside 63 signed bits
 _PRODUCT_LIMIT = 2**63
+# records are built without the named tuples' own __new__, a second call
+_new = tuple.__new__
 
 
 class OverflowRisk(OverflowError):

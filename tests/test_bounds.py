@@ -429,7 +429,8 @@ BINARY32_ROUTE_CASES = [
     (3, 2**23 + 1, 2**24),
     (3, 2**23 + 3, 2**24),
     # each of i, D and A at the top of the exact binary32 ints, the tie
-    # 2^24 + 1 included, beside small and large partners (D > A too)
+    # 2^24 + 1 included, beside small and large partners (D > A too);
+    # (10, 2^24 + 1, 5) rounds D though A is already a binary32 value
     *((e, d, a) for e in B32_EDGES for d, a in ((7, 5), (999_999, 10**6 + 37))),
     *((i, e, a) for e in B32_EDGES for i, a in ((10, 5), (10**9, 10**6 + 37))),
     *((i, d, e) for e in B32_EDGES for i, d in ((10, 7), (10**9, 10**6 - 3))),
@@ -438,7 +439,8 @@ BINARY32_ROUTE_CASES = [
 
 @pytest.mark.parametrize("i, d, a", BINARY32_ROUTE_CASES)
 def test_binary32_route_matches_numpy_float32_at_edges(i, d, a):
-    assert clock_estimate(i, d, a, "binary32") == _numpy_binary32_estimate(i, d, a)
+    t_hat = clock_estimate(i, d, a, "binary32")
+    assert t_hat == _numpy_binary32_estimate(i, d, a) == emulated_clock_estimate(i, d, a, BINARY32)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -451,11 +453,6 @@ def test_binary32_route_matches_numpy_float32(i, x, y):
     assume(x != y)
     d, a = min(x, y), max(x, y)
     assert clock_estimate(i, d, a, "binary32") == _numpy_binary32_estimate(i, d, a)
-
-
-def test_binary32_estimate_rounds_an_inexact_d_beside_an_exact_a():
-    # A = 5 is a binary32 value but D = 2^24 + 1 is not: it rounds to 2^24 first
-    assert clock_estimate(10, 2**24 + 1, 5) == 33554432.0 == emulated_clock_estimate(10, 2**24 + 1, 5)
 
 
 # log-uniform over 2^15..2^32, and every int within 64 of 2^24
