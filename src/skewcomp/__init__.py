@@ -5,9 +5,10 @@ clock j ~ i*D/A under three interval constructions, refines them with an
 integer-only walk up from the lower bound, and checks everything against
 an exact rational oracle.  See the README for the experiment reproduction
 commands.  Each module's __all__ is its public API; the package exports
-their union.  The table pipeline, the experiment module and its names,
-loads on first access, so importing the package or compensating a
-reading does not compile it.
+their union.  The table pipeline, the experiment module with its numpy
+kernel, loads on first access to any of its names, so reading even
+skewcomp.DEFAULT_N imports numpy, while importing the package or
+compensating a reading loads neither.
 """
 
 import importlib
@@ -20,7 +21,7 @@ from .compensator import *
 
 __version__ = "0.1.0"
 
-# experiment.__all__, in order; a test holds the two lists equal
+# experiment's __all__, named here so the package can export them without importing it
 _EXPERIMENT_NAMES = (
     "CaseTable", "ClockSample", "StatSummary", "BoundsRow", "CompRow",
     "generate_samples", "sample_cases", "bounds_experiment", "compensation_experiment",

@@ -1,22 +1,51 @@
-"""Sample generation and table-style statistics for the two experiments.
+"""Sample generation, the table kernel and the statistics of the two experiments.
 
 One experiment compares candidate intervals against the exact reference
 (bound deltas), the other compares compensated clocks against the
 binary64 floor baseline (errors and iteration counts).  Samples draw a
 skew uniformly from a lattice with 1e-9 ppm steps, which keeps every
 draw an exact rational and makes runs reproducible from the seed alone.
+With the default 100 ppm range there are only 201 possible A values, so
+sample_cases draws the weighted case table directly: it reproduces
+random.Random(seed).randint draw for draw from the generator's raw
+32-bit words, read in place in numpy blocks of 2**15 attempts merged
+into sorted case columns, so its memory is flat in the number of
+samples and even 1e7 samples take about a second.
 
-The experiments take a CaseTable population and evaluate each distinct
-case once.  They split the cases to the remainder slope once, as arrays,
-and evaluate one table row at a time in the private batch kernel, which
-gives exactly what candidate_interval, reference_interval, compensate
-and naive_compensate give per case; only the cases it cannot prove run
-per case.  With the default 100 ppm range there are only 201 possible A
-values, so sample_cases draws the weighted case table directly: it
-reproduces random.Random(seed).randint draw for draw from the
-generator's raw 32-bit words, read in place in numpy blocks of 2**15
-attempts merged into sorted case columns, so its memory is flat in the
-number of samples and even 1e7 samples take about a second.
+The experiments take a CaseTable population and evaluate each
+(method, format, i) row in one numpy pass over arrays of its distinct
+(D, A) cases, split once to the remainder slope db/A with db < A.
+Every value the kernel accepts equals what the scalar
+candidate_interval, reference_interval, compensate and
+naive_compensate return:
+
+- t_hat runs in numpy float32/float64, with the same correctly rounded
+  operations as clock_estimate's hardware route.
+- A candidate end is floor/ceil of the exact c * t_hat or t_hat -/+ m.
+  One float64 product is c * t_hat exactly for binary32 (24 + 24 bits),
+  and for binary64 has its floor/ceil unless it rounds to an integer.
+  Knuth's TwoSum gives t_hat -/+ m as p + e exactly, p the rounded value:
+  floor(p + e) is floor(p), or p + floor(e) for an integer p; ceil alike.
+- A reference end splits t = i*db/A into q + r/A on int64 and estimates
+  the rest, r/A + (c - 1)*t, in float64 with a proven error bound.  It is
+  accepted only where that bound leaves its floor/ceil certain.
+- compensate's triple is refine's contract in closed form: the clock is
+  (2*i*db + A) // (2A), iterations the clipped width (0 if the clip is
+  empty), and the interval missed iff the clock lies outside it.
+- naive_compensate's floor(RN(i*D/A)) rounds the int64 quotient and
+  remainder of i*D by A with shifts and compares.  numpy's int64 / int64
+  would round i*D to float64 before it divides, which is not exact:
+  i = 315, D = 4775644609732923, A = 3607501323898971 gives 417 for the
+  floor of its quotient, and 416 exactly.
+
+A case the kernel cannot prove is marked in the fallback mask it returns,
+and the experiments evaluate it with the scalar functions, which also raise
+whatever they raise for it.  That covers inputs off the hardware route
+(i, D or A >= 2**53, formats other than binary32/binary64), cases
+outside 0 < D < 2A, 2*i*db + A >= 2**63 (i*D >= 2**63 for the naive
+floor, and its quotient >= 2**53), a binary64 c * t_hat that rounds to a
+nonzero integer, an uncertain reference end, and an approximate margin
+1 + eps_hat that is not exact in float64.
 """
 
 from __future__ import annotations
@@ -28,33 +57,24 @@ from itertools import compress
 from math import gcd
 from numbers import Rational
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, candidate_interval, interval_deltas, reference_interval
+import numpy as np
+
+from . import _EXPERIMENT_NAMES as __all__
+from .bounds import (
+    DEFAULT_EPS_COEFF,
+    _HW_EXACT_INT,
+    _eps_hat,
+    _on_hardware_route,
+    candidate_interval,
+    interval_deltas,
+    reference_interval,
+    rounded_coefficients,
+    theoretical_coefficients,
+)
 from .compensator import compensate, naive_compensate
 from .formats import BINARY64, format_label, resolve_format
-
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = [
-    "CaseTable",
-    "ClockSample",
-    "StatSummary",
-    "BoundsRow",
-    "CompRow",
-    "generate_samples",
-    "sample_cases",
-    "bounds_experiment",
-    "compensation_experiment",
-    "TABLE2_CONFIGS",
-    "TABLE3_ALGORITHMS",
-    "DEFAULT_I_LIST",
-    "DEFAULT_D",
-    "DEFAULT_N",
-    "DEFAULT_SEED",
-    "DEFAULT_RANGE_PPM",
-]
 
 DEFAULT_D = 10**6
 DEFAULT_N = 10**5
@@ -81,6 +101,9 @@ _PPM_STEPS = 10**9
 _SKEW_STEPS = _PPM_STEPS * 10**6
 # rejection-sampling attempts drawn per numpy block
 _BLOCK = 1 << 15
+_INT64_MAX = 2**63 - 1
+# 32 binary64 unit roundoffs; the reference error analysis needs under 8
+_REFERENCE_SLACK = 2.0**-48
 
 
 class CaseTable(NamedTuple):
@@ -153,8 +176,6 @@ def sample_cases(
     The samples are never built, so time is linear in n and memory in the
     number of distinct cases: each block merges into sorted arrays of A - D.
     """
-    import numpy as np
-
     # |A - D| < D / 2, so A fits int64 too, which sorts far faster than Python ints
     dtype = np.int64 if D < 2**62 else object
     values, counts = np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
@@ -183,7 +204,6 @@ def _draw_blocks(
     so its little-endian bytes, read in place as <u4 words or <u8 pairs
     w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
     n-th accepted draw are discarded with the generator.
-    numpy is imported here, so that only drawing a population needs it.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -195,8 +215,6 @@ def _draw_blocks(
     if limit >= _PPM_STEPS * 500_000:
         # case 2 decomposes D/A into (D - A)/A, which needs A > D/2
         raise ValueError(f"range_ppm must be below 500000, got {range_ppm}")
-    import numpy as np
-
     reach = int(limit)
     span = 2 * reach + 1
     k = span.bit_length()  # at most 50 below the range cap
@@ -204,8 +222,9 @@ def _draw_blocks(
     # A - D = round-half-up(D * m / _SKEW_STEPS), with the fraction reduced
     g = gcd(D, _SKEW_STEPS)
     d, s = D // g, _SKEW_STEPS // g
-    # int64 is exact while |2 * d * m + s| stays below 2**63
-    exact_int64 = 2 * d * reach + s < 2**63
+    # int64 is exact while |2 * d * m + s| stays below 2**63; 2 * d itself
+    # must fit too, as numpy converts it to int64 even when every m is 0
+    exact_int64 = 2 * d * max(reach, 1) + s < 2**63
     rng = random.Random(seed)
     left = n
     while left:
@@ -226,6 +245,202 @@ def _draw_blocks(
         left -= len(steps)
         m = steps if exact_int64 else steps.astype(object)
         yield steps, (2 * d * m + s) // (2 * s)
+
+
+class CaseArrays:
+    """The checked cases of a CaseTable, for the kernel.
+
+    D and A are the case columns, weights their weights as Python ints,
+    for the exact sums, and count the total weight.  d64, db64 and a64 are
+    int64 copies of D, the remainder slope db and A on the kernel's domain
+    0 < D < 2A, A < 2**53, and 0, 0 and 1 elsewhere.
+    """
+
+    def __init__(self, population: CaseTable) -> None:
+        if not isinstance(population, CaseTable):
+            raise TypeError(f"population must be a CaseTable, got {type(population).__name__}")
+        D, A, weights = map(np.asarray, population)
+        if not D.ndim == A.ndim == weights.ndim == 1:
+            raise ValueError("case columns must be 1-D")
+        if not len(D) == len(A) == len(weights):
+            raise ValueError("case columns must have one length")
+        if not len(weights):
+            raise ValueError("population must be nonempty")
+        if not _ints(D) or not _ints(A):
+            # a float, bool or numpy value would reach the int64 copies as another clock
+            raise TypeError("case columns D and A must hold ints")
+        if not _ints(weights) or not (weights > 0).all():
+            raise ValueError("case weights must be positive integers")
+        self.D, self.A, self.weights = D, A, weights.tolist()
+        self.count = sum(self.weights)
+        # int64 D - A and 2A may wrap, but only where 0 < A < 2**53 fails,
+        # so outside the domain, where db and 2A are never read
+        db = np.where(D < A, D, D - A)
+        self.identity = D == A
+        # D = A has db = 0, so its clock 0 shifted by i gives j = i
+        self.shift = D >= A
+        # with db < A, the hardware route's max(i, db, A) < 2**53 is i and A
+        self.domain = (0 < A) & (A < _HW_EXACT_INT) & (D > 0) & (D < 2 * A)
+        self.d64 = np.where(self.domain, D, 0).astype(np.int64)
+        self.db64 = np.where(self.domain, db, 0).astype(np.int64)
+        self.a64 = np.where(self.domain, A, 1).astype(np.int64)
+
+    def pair(self, k: int) -> tuple[int, int]:
+        """Case k as Python ints, for the scalar fallbacks."""
+        return int(self.D[k]), int(self.A[k])
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    def estimate(self, i: int, fmt) -> np.ndarray:
+        """t_hat = fl(fl(i) * fl(fl(db) / fl(A))) per case, as float64."""
+        if fmt == BINARY64:
+            return np.float64(i) * (self.db64 / self.a64)
+        q = self.db64.astype(np.float32) / self.a64.astype(np.float32)
+        return (np.float32(i) * q).astype(np.float64)
+
+    def guard(self, i: int) -> np.ndarray:
+        """2*i*db + A < 2**63 per case, tested without forming the product."""
+        return self.db64 <= (_INT64_MAX - self.a64) // max(2 * i, 1)
+
+
+def _ints(column) -> bool:
+    """Whether a case column is int64, or an object array of Python ints."""
+    return column.dtype == np.int64 or column.dtype == object and set(map(type, column.tolist())) <= {int}
+
+
+def _on_route(i, fmt) -> bool:
+    """Whether the row is on the scalar hardware route; each case also needs A < 2**53."""
+    return type(i) is int and i >= 0 and _on_hardware_route(fmt, i)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a+b) and a+b = s + e exactly (Knuth)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _exact(op, p, e) -> np.ndarray:
+    """op(p + e) as int64, op np.floor or np.ceil, for an error-free pair.
+
+    |e| <= ulp(p)/2, and a p with a fractional part lies at least ulp(p)
+    from every integer, so only an integer p can be moved by e.
+    """
+    r = op(p)
+    return r.astype(np.int64) + np.where(r == p, op(e), 0).astype(np.int64)
+
+
+def _margin(i: int, fmt, eps_coeff):
+    """1 + eps_hat as an exact float64 below 2**53, or None, also for an eps_coeff the scalar path rejects."""
+    try:
+        en, ed = _eps_hat(eps_coeff, i, fmt)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+    margin = Fraction(ed + en, ed)
+    if margin >= _HW_EXACT_INT or float(margin) != margin:
+        return None
+    return float(margin)
+
+
+def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
+    """(lb, ub, fallback) of candidate_interval(i, db, A, method, fmt, eps_coeff) per case."""
+    zeros = np.zeros(len(cases), dtype=np.int64)
+    if not _on_route(i, fmt):
+        return zeros, zeros, np.ones(len(cases), dtype=bool)
+    t_hat = cases.estimate(i, fmt)
+    fallback = ~cases.domain
+    if method in ("theoretical", "practical"):
+        lo, hi = (float(c) for c in rounded_coefficients(method, fmt))
+        low, high = lo * t_hat, hi * t_hat
+        lb, ub = np.floor(low), np.ceil(high)
+        # exact for binary32; a binary64 product that is not an integer has the exact floor/ceil, see _exact
+        if 2 * fmt.precision > 53:
+            fallback = fallback | ((lb == low) | (ub == high)) & (t_hat != 0)
+        lb, ub = lb.astype(np.int64), ub.astype(np.int64)
+    elif method == "approximate":
+        margin = _margin(i, fmt, eps_coeff)
+        if margin is None:
+            return zeros, zeros, np.ones(len(cases), dtype=bool)
+        lb = _exact(np.floor, *_two_sum(t_hat, -margin))
+        ub = _exact(np.ceil, *_two_sum(t_hat, margin))
+    else:
+        return zeros, zeros, np.ones(len(cases), dtype=bool)
+    return lb, ub, fallback
+
+
+def reference_ends(cases: CaseArrays, i: int, fmt):
+    """(lb, ub, fallback) of reference_interval(i, db, A, fmt) per case.
+
+    With t = q + r/A and c = 1 + delta, c*t = q + f for f = r/A + delta*t.
+    f is computed with four roundings for delta*t and one each for r/A
+    and the sum, so it is off by at most 2u + 5.02u|s|, s the computed
+    delta*t and u = 2**-53, and by at most 5.02u|s| when r = 0.  The
+    window 32u(|s| + 1), or 32u|s| when r = 0, around f covers that and
+    the rounding of its own ends; t = 0 gives the exact f = 0.
+    """
+    zeros = np.zeros(len(cases), dtype=np.int64)
+    if not _on_route(i, fmt):
+        return zeros, zeros, np.ones(len(cases), dtype=bool)
+    guard = cases.guard(i)
+    n = i * np.where(guard, cases.db64, 0)
+    q, r = np.divmod(n, cases.a64)
+    t = n / cases.a64
+    r_frac = r / cases.a64
+    fallback = ~cases.domain | ~guard
+    ends = []
+    for c, op in zip(theoretical_coefficients(fmt), (np.floor, np.ceil)):
+        s = float(c - 1) * t
+        f = r_frac + s
+        slack = _REFERENCE_SLACK * (np.abs(s) + (r > 0))
+        low, high = op(f - slack), op(f + slack)
+        fallback |= low != high
+        ends.append(q + high.astype(np.int64))
+    return ends[0], ends[1], fallback
+
+
+def compensate_triples(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
+    """(j, iterations, violated, fallback) of compensate(i, D, A, method, fmt, eps_coeff)."""
+    lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
+    if fallback.all():  # off the route or declined: the caller walks every case
+        return lb, ub, ~fallback, fallback
+    guard = cases.guard(i)
+    db = np.where(guard, cases.db64, 0)
+    j = (2 * i * db + cases.a64) // (2 * cases.a64)
+    low, high = np.maximum(lb, 0), np.minimum(ub, i)
+    width = high - low
+    violated = (j < low) | (j > high)
+    j = np.where(cases.shift, i + j, j)
+    # an interval wholly above i misses in 0 iterations, as compensate walks it as one point
+    iterations = np.where(cases.identity, 0, np.maximum(width, 0))
+    return j, iterations, violated, fallback | ~guard
+
+
+def naive_floors(cases: CaseArrays, i: int, fmt):
+    """(j, fallback) of naive_compensate(i, D, A, fmt) per case.
+
+    With i*D = q*A + r and k the bit length of q, the format's spacing
+    around i*D/A is 2**s for s = k - p (also for q = 0, where a value
+    that rounds up reaches 1).  For s < 0, q is in the format and the
+    value rounds to q + 1 iff 1 - r/A <= 2**(s - 1); the tie goes up,
+    as q + 1 has an even mantissa.  For s >= 0 the mantissa q >> s rounds
+    half to even on its remainder ((q mod 2**s)*A + r) / (A * 2**s).
+    With s >= 0, A * 2**(s + 1) <= A * 2**(k - 1) <= q*A <= i*D, so the
+    guard i*D < 2**63 keeps every product in int64.  k comes from frexp,
+    exact while q < 2**53.
+    """
+    if not _on_route(i, fmt):
+        return np.zeros(len(cases), dtype=np.int64), np.ones(len(cases), dtype=bool)
+    a = cases.a64
+    guard = cases.d64 <= _INT64_MAX // max(i, 1)
+    q, r = np.divmod(i * np.where(guard, cases.d64, 0), a)
+    s = np.frexp(q.astype(np.float64))[1] - fmt.precision
+    shift = np.maximum(s, 0)
+    mantissa = q >> shift
+    den = a << shift
+    gap = den - ((q - (mantissa << shift)) * a + r)
+    up = (gap <= den >> (1 - np.minimum(s, 0))) & ((2 * gap != den) | (mantissa & 1 == 1))
+    return (mantissa + up) << shift, ~cases.domain | ~guard | (q >= _HW_EXACT_INT)
 
 
 def _summary(values, cases) -> StatSummary:
@@ -265,15 +480,12 @@ def bounds_experiment(
 
     The population is a CaseTable such as sample_cases returns; each
     distinct case is evaluated once, a whole row at a time, and the cases
-    the batch kernel cannot prove go through candidate_interval and
-    reference_interval.
+    the kernel cannot prove go through candidate_interval and reference_interval.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
     """
-    from . import batch
-
-    cases = batch.CaseArrays(population)
+    cases = CaseArrays(population)
 
     def deltas(k):
         # called inside the loop below, for its current row
@@ -286,8 +498,8 @@ def bounds_experiment(
     for method, precision in configs:
         fmt = resolve_format(precision)
         for i in i_list:
-            lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
-            ref_lb, ref_ub, ref_fallback = batch.reference_ends(cases, i, fmt)
+            lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
+            ref_lb, ref_ub, ref_fallback = reference_ends(cases, i, fmt)
             dlb, dub = _fill((ref_lb - lb, ub - ref_ub), fallback | ref_fallback, deltas)
             rows.append(
                 BoundsRow(
@@ -315,17 +527,13 @@ def compensation_experiment(
     err = floor(t_hat in binary64) - j, so err = 0 means agreement with
     the double-precision floor baseline.  Interval misses are counted in
     violations, never silently dropped.  Each row, and the binary64
-    baseline for each i, is one pass of the batch kernel, with
-    compensate or naive_compensate for the cases it cannot prove.
+    baseline for each i, is one pass of the kernel, with compensate or
+    naive_compensate for the cases it cannot prove.
     """
-    import numpy as np
-
-    from . import batch
-
-    cases = batch.CaseArrays(population)
+    cases = CaseArrays(population)
 
     def naive_row(i, fmt):
-        j, fallback = batch.naive_floors(cases, i, fmt)
+        j, fallback = naive_floors(cases, i, fmt)
         (j,) = _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pair(k), fmt),))
         return j
 
@@ -343,7 +551,7 @@ def compensation_experiment(
                 j = naive_row(i, fmt)
                 iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
             else:
-                *triple, fallback = batch.compensate_triples(cases, i, algorithm, fmt, eps_coeff)
+                *triple, fallback = compensate_triples(cases, i, algorithm, fmt, eps_coeff)
                 j, iterations, violated = _fill(triple, fallback, walk)
             rows.append(
                 CompRow(

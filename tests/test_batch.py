@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casetable import case_table
-from skewcomp import batch
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
@@ -26,12 +25,17 @@ from skewcomp.bounds import (
 from skewcomp.compensator import compensate, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     DEFAULT_I_LIST,
+    CaseArrays,
     CaseTable,
     StatSummary,
     TABLE2_CONFIGS,
     TABLE3_ALGORITHMS,
     bounds_experiment,
+    candidate_ends,
+    compensate_triples,
     compensation_experiment,
+    naive_floors,
+    reference_ends,
     sample_cases,
 )
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, resolve_format
@@ -70,16 +74,16 @@ def _check_row(pairs, i, fmt, eps_coeff):
 
     The masks follow the sorted cases.
     """
-    cases = batch.CaseArrays(case_table(dict.fromkeys(pairs, 1)))
+    cases = CaseArrays(case_table(dict.fromkeys(pairs, 1)))
     pairs = sorted(pairs)
     masks = {}
     for method in METHODS:
-        lb, ub, fallback = batch.candidate_ends(cases, i, method, fmt, eps_coeff)
+        lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
         for k in _accepted(fallback):
             cand = candidate_interval(i, *_slope(*pairs[k]), method, fmt, eps_coeff)
             assert (lb[k], ub[k]) == (cand.lb, cand.ub), (method, pairs[k])
         masks[method] = fallback
-        j, iterations, violated, fallback = batch.compensate_triples(cases, i, method, fmt, eps_coeff)
+        j, iterations, violated, fallback = compensate_triples(cases, i, method, fmt, eps_coeff)
         for k in _accepted(fallback):
             if iterations[k] <= WALK_LIMIT:
                 res = compensate(i, *pairs[k], method, fmt, eps_coeff)
@@ -88,7 +92,7 @@ def _check_row(pairs, i, fmt, eps_coeff):
                 want = _compensate_contract(i, *pairs[k], method, fmt, eps_coeff)
             assert (j[k], iterations[k], violated[k]) == want, (method, pairs[k])
         masks["compensate", method] = fallback
-    lb, ub, fallback = batch.reference_ends(cases, i, fmt)
+    lb, ub, fallback = reference_ends(cases, i, fmt)
     for k in _accepted(fallback):
         ref = reference_interval(i, *_slope(*pairs[k]), fmt)
         assert (lb[k], ub[k]) == (ref.lb, ref.ub), pairs[k]
@@ -161,9 +165,9 @@ def _tie(i, p, s, mantissa):
 
 def _check_naive(pairs, i, fmt):
     """Assert each accepted naive floor equals naive_compensate; return the fallback mask."""
-    cases = batch.CaseArrays(case_table(dict.fromkeys(pairs, 1)))
+    cases = CaseArrays(case_table(dict.fromkeys(pairs, 1)))
     pairs = sorted(pairs)
-    j, fallback = batch.naive_floors(cases, i, fmt)
+    j, fallback = naive_floors(cases, i, fmt)
     for k in _accepted(fallback):
         D, A = pairs[k]
         assert j[k] == naive_compensate(i, D, A, fmt), pairs[k]
@@ -315,17 +319,17 @@ def test_fallback_where_a_binary64_product_is_an_integer():
     "seed, n, D", [(42, 10**5, 10**6), (42, 10**4, 10**9)], ids=["readme", "D1e9"]
 )
 def test_no_fallback_on_table_populations(seed, n, D):
-    cases = batch.CaseArrays(sample_cases(seed, n, D, 100))
+    cases = CaseArrays(sample_cases(seed, n, D, 100))
     for i in DEFAULT_I_LIST:
-        assert not batch.naive_floors(cases, i, BINARY64)[1].any()
+        assert not naive_floors(cases, i, BINARY64)[1].any()
         for method, precision in (*TABLE2_CONFIGS, *TABLE3_ALGORITHMS):
             fmt = resolve_format(precision)
             if method == "naive":
-                assert not batch.naive_floors(cases, i, fmt)[1].any()
+                assert not naive_floors(cases, i, fmt)[1].any()
                 continue
-            assert not batch.candidate_ends(cases, i, method, fmt, DEFAULT_EPS_COEFF)[2].any()
-            assert not batch.compensate_triples(cases, i, method, fmt, DEFAULT_EPS_COEFF)[3].any()
-            assert not batch.reference_ends(cases, i, fmt)[2].any()
+            assert not candidate_ends(cases, i, method, fmt, DEFAULT_EPS_COEFF)[2].any()
+            assert not compensate_triples(cases, i, method, fmt, DEFAULT_EPS_COEFF)[3].any()
+            assert not reference_ends(cases, i, fmt)[2].any()
 
 
 def test_experiments_merge_fallback_cases():
@@ -529,8 +533,8 @@ def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
     # binary32's t_hat passes i + 1 with no margin, so the interval clips
     # empty: the kernel gives the triple in closed form, no fallback
     i, pair = 2**26 + 5, (2**31 - 1, 2**31)
-    cases = batch.CaseArrays(case_table({pair: 1}))
-    j, iterations, violated, fallback = batch.compensate_triples(cases, i, "approximate", BINARY32, 0)
+    cases = CaseArrays(case_table({pair: 1}))
+    j, iterations, violated, fallback = compensate_triples(cases, i, "approximate", BINARY32, 0)
     res = compensate(i, *pair, "approximate", "binary32", 0)
     assert not fallback[0]
     assert (j[0], iterations[0], violated[0]) == (res.j, res.iterations, res.bounds_violated) == (i, 0, True)

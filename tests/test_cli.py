@@ -275,7 +275,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert run_fresh(script).strip() == "[]"
 
 
-TABLE_MODULES = ("skewcomp.experiment", "skewcomp.batch", "numpy")
+TABLE_MODULES = ("skewcomp.experiment", "numpy")
 
 
 @pytest.mark.parametrize(
@@ -291,8 +291,9 @@ TABLE_MODULES = ("skewcomp.experiment", "skewcomp.batch", "numpy")
         ("from skewcomp.cli import main\nassert main(['compensate', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
         ("from skewcomp.cli import main\nassert main(['bounds', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
         ("from skewcomp.cli import main\nassert main(['table2', '-n', '1', '-o', sys.argv[1]]) == 0", list(TABLE_MODULES)),
+        ("import skewcomp.experiment", list(TABLE_MODULES)),
     ],
-    ids=["import", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2"],
+    ids=["import", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2", "import-experiment"],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
     # the experiment module, the kernel and numpy are compiled and imported

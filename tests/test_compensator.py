@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casetable import case_table
-from skewcomp import batch, bounds
+from skewcomp import bounds
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     CandidateInterval,
@@ -31,6 +31,7 @@ from skewcomp.compensator import (
     oracle_nearest,
     refine,
 )
+from skewcomp.experiment import CaseArrays, compensate_triples
 from skewcomp.formats import BINARY32, FloatFormat, format_label, resolve_format
 
 METHODS = ("theoretical", "practical", "approximate")
@@ -438,9 +439,9 @@ def test_theoretical_miss_on_the_hardware_route_in_the_kernel():
     i, d, a = 1074754113, 268486546, 536870881
     assert candidate_interval(i, d, a, "theoretical", BINARY32)[:2] == (537479391, 537479681)
     assert oracle_nearest(i, d, a) == 537479364
-    cases = batch.CaseArrays(case_table({(d, a): 1}))
+    cases = CaseArrays(case_table({(d, a): 1}))
     for method, missed in (("theoretical", True), ("practical", False)):
-        j, _, violated, fallback = batch.compensate_triples(cases, i, method, BINARY32, DEFAULT_EPS_COEFF)
+        j, _, violated, fallback = compensate_triples(cases, i, method, BINARY32, DEFAULT_EPS_COEFF)
         assert (j[0], violated[0], fallback[0]) == (537479364, missed, False), method
 
 
@@ -458,8 +459,8 @@ def test_approximate_binary32_misses_at_the_default_margin(i, d, a, clock):
     assert oracle_nearest(i, d, a) == clock
     res = compensate(i, d, a, "approximate", "binary32")
     assert (res.j, res.bounds_violated) == (clock, True)
-    cases = batch.CaseArrays(case_table({(d, a): 1}))
-    j, _, violated, fallback = batch.compensate_triples(cases, i, "approximate", BINARY32, DEFAULT_EPS_COEFF)
+    cases = CaseArrays(case_table({(d, a): 1}))
+    j, _, violated, fallback = compensate_triples(cases, i, "approximate", BINARY32, DEFAULT_EPS_COEFF)
     assert (j[0], violated[0], fallback[0]) == (clock, True, False)
 
 

@@ -89,9 +89,11 @@ def test_draws_match_stdlib_randint_beyond_int64():
     assert_matches_reference(7, 3000, 999983, 10**5)
 
 
-def test_case_table_merges_blocks_beyond_int64():
-    # D >= 2**63, so sample_cases merges its blocks' offsets as Python ints
-    assert_matches_reference(42, 70_000, 2**64 + 13, 100)
+@pytest.mark.parametrize("range_ppm", [100, 0])
+def test_case_table_merges_blocks_beyond_int64(range_ppm):
+    # D >= 2**63, so sample_cases merges its blocks' offsets as Python ints;
+    # at range 0 every draw is 0, but 2 * d alone is past int64
+    assert_matches_reference(42, 70_000, 2**64 + 13, range_ppm)
 
 
 @settings(max_examples=40, deadline=None)
