@@ -6,9 +6,9 @@ integer-only walk up from the lower bound, and checks everything against
 an exact rational oracle.  See the README for the experiment reproduction
 commands.  Each module's __all__ is its public API; the package exports
 their union.  The table pipeline, the experiment module with its numpy
-kernel, loads on first access to any of its names, so reading even
-skewcomp.DEFAULT_N imports numpy, while importing the package or
-compensating a reading loads neither.
+kernel, loads on first access to any of its other names; importing the
+package, compensating a reading or reading a table default such as
+skewcomp.DEFAULT_N loads neither.
 """
 
 import importlib
@@ -20,6 +20,12 @@ from .bounds import *
 from .compensator import *
 
 __version__ = "0.1.0"
+
+DEFAULT_D = 10**6
+DEFAULT_N = 10**5
+DEFAULT_SEED = 42
+DEFAULT_RANGE_PPM = 100
+DEFAULT_I_LIST = (10**6, 10**7, 10**8, 10**9)
 
 # experiment's __all__, named here so the package can export them without importing it
 _EXPERIMENT_NAMES = (

@@ -141,7 +141,9 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
         n_hi = rtf(cube * rtf(one_plus - two_usq))
         c_hi = rtf(n_hi / sq)
         return c_lo, c_hi
-    raise ValueError(f"no working-precision coefficients for method {method!r}")
+    if method == "approximate":
+        raise ValueError(f"no working-precision coefficients for method {method!r}")
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 class Certificate(NamedTuple):
@@ -272,15 +274,12 @@ class _Plans(dict):
     def __missing__(self, key):
         method, precision, _ = key
         fmt = resolve_format(precision)
-        if method in ("theoretical", "practical"):
+        ratios = floats = None
+        if method != "approximate":  # rounded_coefficients rejects an unknown method
             lo, hi = rounded_coefficients(method, fmt)
             ratios = lo.numerator, lo.denominator, hi.numerator, hi.denominator
             # two p-bit significands multiply to at most 2p bits
             floats = (float(lo), float(hi)) if 2 * fmt.precision <= 53 else None
-        elif method == "approximate":
-            ratios = floats = None
-        else:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         plan = self[key] = (fmt, format_label(fmt), _on_hardware_route(fmt, 0), ratios, floats)
         return plan
 

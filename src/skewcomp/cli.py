@@ -6,17 +6,19 @@ and a quick self-check battery (selftest).  Tables print as CSV with
 #-prefixed metadata lines or as JSON with the same numeric content.
 
 Exit codes: 0 success, 1 validation error, 2 internal check failure
-(selftest failure, or a bounds violation under --strict).
+(selftest failure, or a bounds violation under --strict).  A reader that
+closes the output early, as `| head` does, ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import DEFAULT_D, DEFAULT_I_LIST, DEFAULT_N, DEFAULT_RANGE_PPM, DEFAULT_SEED, __version__
 from .bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
@@ -96,18 +98,13 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _cells(row) -> list:
-    """A table row's cells in field order; a StatSummary gives min, max, avg.
+    """A table row's cells in field order; a StatSummary, its only tuple cell, gives min, max, avg.
 
     Averages print with 4 significant decimals.
     """
-    from .experiment import StatSummary  # loaded by the table run that made the row
-
     cells = []
     for value in row:
-        if isinstance(value, StatSummary):
-            cells += [value.min, value.max, f"{float(value.avg):.4e}"]
-        else:
-            cells.append(value)
+        cells += [value.min, value.max, f"{float(value.avg):.4e}"] if isinstance(value, tuple) else [value]
     return cells
 
 
@@ -167,16 +164,6 @@ def _run_table(args) -> int:
     # only here: the single-shot commands and the import skip the table pipeline
     from . import experiment
 
-    defaults = {
-        "samples": experiment.DEFAULT_N,
-        "seed": experiment.DEFAULT_SEED,
-        "D": experiment.DEFAULT_D,
-        "range_ppm": Fraction(experiment.DEFAULT_RANGE_PPM),
-        "i": list(experiment.DEFAULT_I_LIST),
-    }
-    for name, value in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
     cases = experiment.sample_cases(args.seed, args.samples, args.D, args.range_ppm)
     rows = getattr(experiment, args.experiment)(cases, args.i, eps_coeff=args.eps_coeff)
     # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
@@ -290,13 +277,11 @@ def _add_triple_args(sub, run) -> None:
 
 
 def _add_table_args(sub, experiment_name, header) -> None:
-    # the defaults of --samples, --seed, --D, --range-ppm and --i are
-    # experiment's, which _run_table fills in
-    sub.add_argument("--samples", "-n", type=_parse_int)
-    sub.add_argument("--seed", type=_parse_int)
-    sub.add_argument("--D", type=_parse_int)
-    sub.add_argument("--range-ppm", dest="range_ppm", type=_parse_fraction)
-    sub.add_argument("--i", type=_parse_i_list, help="comma separated, 1e9 shorthand ok")
+    sub.add_argument("--samples", "-n", type=_parse_int, default=DEFAULT_N)
+    sub.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
+    sub.add_argument("--D", type=_parse_int, default=DEFAULT_D)
+    sub.add_argument("--range-ppm", dest="range_ppm", type=_parse_fraction, default=DEFAULT_RANGE_PPM)
+    sub.add_argument("--i", type=_parse_i_list, default=DEFAULT_I_LIST, help="comma separated, 1e9 shorthand ok")
     sub.add_argument(
         "--eps-coeff", dest="eps_coeff", type=_parse_fraction, default=DEFAULT_EPS_COEFF
     )
@@ -334,7 +319,13 @@ def main(argv=None) -> int:
         # keep main() returning codes so callers never need to catch
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader left early; stdout goes to devnull so the shutdown flush prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

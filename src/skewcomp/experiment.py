@@ -61,6 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DEFAULT_D, DEFAULT_I_LIST, DEFAULT_N, DEFAULT_RANGE_PPM, DEFAULT_SEED
 from . import _EXPERIMENT_NAMES as __all__
 from .bounds import (
     DEFAULT_EPS_COEFF,
@@ -75,12 +76,6 @@ from .bounds import (
 )
 from .compensator import compensate, naive_compensate
 from .formats import BINARY64, format_label, resolve_format
-
-DEFAULT_D = 10**6
-DEFAULT_N = 10**5
-DEFAULT_SEED = 42
-DEFAULT_RANGE_PPM = 100
-DEFAULT_I_LIST = (10**6, 10**7, 10**8, 10**9)
 
 TABLE2_CONFIGS = (
     ("theoretical", "binary64"),
@@ -350,23 +345,20 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
         return zeros, zeros, np.ones(len(cases), dtype=bool)
     t_hat = cases.estimate(i, fmt)
     fallback = ~cases.domain
-    if method in ("theoretical", "practical"):
-        lo, hi = (float(c) for c in rounded_coefficients(method, fmt))
-        low, high = lo * t_hat, hi * t_hat
-        lb, ub = np.floor(low), np.ceil(high)
-        # exact for binary32; a binary64 product that is not an integer has the exact floor/ceil, see _exact
-        if 2 * fmt.precision > 53:
-            fallback = fallback | ((lb == low) | (ub == high)) & (t_hat != 0)
-        lb, ub = lb.astype(np.int64), ub.astype(np.int64)
-    elif method == "approximate":
+    if method == "approximate":
         margin = _margin(i, fmt, eps_coeff)
         if margin is None:
             return zeros, zeros, np.ones(len(cases), dtype=bool)
         lb = _exact(np.floor, *_two_sum(t_hat, -margin))
         ub = _exact(np.ceil, *_two_sum(t_hat, margin))
-    else:
-        return zeros, zeros, np.ones(len(cases), dtype=bool)
-    return lb, ub, fallback
+        return lb, ub, fallback
+    lo, hi = (float(c) for c in rounded_coefficients(method, fmt))  # which rejects an unknown method
+    low, high = lo * t_hat, hi * t_hat
+    lb, ub = np.floor(low), np.ceil(high)
+    # exact for binary32; a binary64 product that is not an integer has the exact floor/ceil, see _exact
+    if 2 * fmt.precision > 53:
+        fallback = fallback | ((lb == low) | (ub == high)) & (t_hat != 0)
+    return lb.astype(np.int64), ub.astype(np.int64), fallback
 
 
 def reference_ends(cases: CaseArrays, i: int, fmt):

@@ -1,4 +1,4 @@
-"""The batch table kernel against the scalar functions, case by case.
+"""experiment's table kernel against the scalar functions, case by case.
 
 Every value the kernel accepts must equal what candidate_interval,
 reference_interval, compensate and naive_compensate return for that
@@ -524,7 +524,7 @@ def test_table_rows_reject_a_bool_clock(experiment, i):
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
 def test_experiments_reject_an_unknown_method(experiment):
-    # the kernel declines the whole row, and the scalar path names the method
+    # the kernel takes the row's coefficients from rounded_coefficients, which names the method
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         experiment(case_table({(999, 1000): 1}), (10**6,), (("nope", "binary32"),))
 

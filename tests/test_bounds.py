@@ -58,8 +58,26 @@ def test_rounded_coefficients_frozen():
 
 
 def test_rounded_coefficients_unknown_method():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no working-precision coefficients for method 'approximate'"):
         rounded_coefficients("approximate", BINARY32)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rounded_coefficients("nope", BINARY32),
+        lambda: certify("nope", BINARY32),
+        lambda: candidate_interval(10, 1, 2, "nope"),
+        lambda: compensate(10**9, 999, 1000, "nope"),
+        lambda: compensate(10**9, 1000, 1000, "nope"),
+        lambda: compensate(10**9, 1001, 1000, "nope"),
+    ],
+    ids=["rounded_coefficients", "certify", "candidate_interval", "case1", "identity", "case2"],
+)
+def test_every_caller_names_an_unknown_method(call):
+    # rounded_coefficients alone knows the method set, and its message reaches every caller
+    with pytest.raises(ValueError, match=r"unknown method 'nope'; expected one of \('theoretical', 'practical', 'approximate'\)"):
+        call()
 
 
 def test_clock_estimate_examples():

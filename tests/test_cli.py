@@ -229,12 +229,17 @@ def test_table_bytes_are_golden(capsys, key):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_TABLES[key]
 
 
+def fresh_env(**overrides):
+    """The environment of a fresh interpreter that imports this checkout's skewcomp."""
+    src = str(Path(skewcomp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
 def run_fresh(script, *argv):
     """stdout of script in a fresh interpreter that imports this checkout's skewcomp."""
-    src = str(Path(skewcomp.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=fresh_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -282,6 +287,7 @@ TABLE_MODULES = ("skewcomp.experiment", "numpy")
     "statement, loaded",
     [
         ("import skewcomp", []),
+        ("import skewcomp\nassert skewcomp.DEFAULT_N == 10**5", []),
         ("import skewcomp.cli", []),
         (
             "import skewcomp.cli\nfrom skewcomp import compensate\n"
@@ -293,7 +299,7 @@ TABLE_MODULES = ("skewcomp.experiment", "numpy")
         ("from skewcomp.cli import main\nassert main(['table2', '-n', '1', '-o', sys.argv[1]]) == 0", list(TABLE_MODULES)),
         ("import skewcomp.experiment", list(TABLE_MODULES)),
     ],
-    ids=["import", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2", "import-experiment"],
+    ids=["import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2", "import-experiment"],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
     # the experiment module, the kernel and numpy are compiled and imported
@@ -426,6 +432,29 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text()
     assert TABLE3_HEADER == text.splitlines()[-4].split(",")  # header above 3 rows
     assert out == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_the_run_quietly(unbuffered):
+    # a reader such as head can close the pipe before the table is written: the write
+    # fails inside the run when stdout is unbuffered, and at main's flush otherwise
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewcomp.cli", "table3", "-n", "20000", "--D", "1e9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(PYTHONUNBUFFERED=unbuffered),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_table_run_without_flags_uses_the_package_defaults(capsys):
+    code, out, _ = run(capsys, "table2")
+    assert code == 0
+    meta, _, _ = _parse_table(out)
+    for line in ("samples=100000", "seed=42", "D=1000000", "range_ppm=100", "i=1000000,10000000,100000000,1000000000"):
+        assert f"# {line}" in meta, line
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
