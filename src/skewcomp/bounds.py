@@ -73,7 +73,6 @@ _B32_EXACT_INT = 2**24
 # the bound methods are looked up once, not on every estimate
 _pack32, _unpack32 = struct.Struct("f").pack, struct.Struct("f").unpack
 _pack32x2, _unpack32x2 = struct.Struct("2f").pack, struct.Struct("2f").unpack
-_pack32x3, _unpack32x3 = struct.Struct("3f").pack, struct.Struct("3f").unpack
 # records are built without the named tuples' own __new__, a second call
 _new = tuple.__new__
 
@@ -223,11 +222,9 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     """
     if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
-    if D < _B32_EXACT_INT and A < _B32_EXACT_INT:
-        i, q = _unpack32x2(_pack32x2(i, D / A))
-    else:
-        i, d32, a32 = _unpack32x3(_pack32x3(i, D, A))
-        q = _unpack32(_pack32(d32 / a32))[0]
+    if D >= _B32_EXACT_INT or A >= _B32_EXACT_INT:
+        D, A = _unpack32x2(_pack32x2(D, A))
+    i, q = _unpack32x2(_pack32x2(i, D / A))
     return _unpack32(_pack32(i * q))[0]
 
 

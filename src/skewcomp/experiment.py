@@ -24,8 +24,11 @@ naive_compensate return:
 - A candidate end is floor/ceil of the exact c * t_hat or t_hat -/+ m.
   One float64 product is c * t_hat exactly for binary32 (24 + 24 bits),
   and for binary64 has its floor/ceil unless it rounds to an integer.
-  Knuth's TwoSum gives t_hat -/+ m as p + e exactly, p the rounded value:
-  floor(p + e) is floor(p), or p + floor(e) for an integer p; ceil alike.
+  With the margin m = 1 + eps_hat = w + f, w an integer and 0 <= f < 1,
+  floor(t_hat - m) = floor(t_hat) - w - [t_hat - floor(t_hat) < f] and
+  ceil(t_hat + m) = ceil(t_hat) + w + [ceil(t_hat) - t_hat < f]; a float
+  minus its own floor or ceil is exact, and so is f, the fraction of a
+  binary32 or binary64 eps_hat, while it is in float64's normal range.
 - A reference end splits t = i*db/A into q + r/A on int64 and estimates
   the rest, r/A + (c - 1)*t, in float64 with a proven error bound.  It is
   accepted only where that bound leaves its floor/ceil certain.
@@ -45,7 +48,7 @@ whatever they raise for it.  That covers inputs off the hardware route
 outside 0 < D < 2A, 2*i*db + A >= 2**63 (i*D >= 2**63 for the naive
 floor, and its quotient >= 2**53), a binary64 c * t_hat that rounds to a
 nonzero integer, an uncertain reference end, and an approximate margin
-1 + eps_hat that is not exact in float64.
+w + f with w >= 2**53 or f not exact in float64.
 """
 
 from __future__ import annotations
@@ -309,33 +312,17 @@ def _on_route(i, fmt) -> bool:
     return type(i) is int and i >= 0 and _on_hardware_route(fmt, i)
 
 
-def _two_sum(a, b):
-    """(s, e) with s = fl(a+b) and a+b = s + e exactly (Knuth)."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
-
-
-def _exact(op, p, e) -> np.ndarray:
-    """op(p + e) as int64, op np.floor or np.ceil, for an error-free pair.
-
-    |e| <= ulp(p)/2, and a p with a fractional part lies at least ulp(p)
-    from every integer, so only an integer p can be moved by e.
-    """
-    r = op(p)
-    return r.astype(np.int64) + np.where(r == p, op(e), 0).astype(np.int64)
-
-
 def _margin(i: int, fmt, eps_coeff):
-    """1 + eps_hat as an exact float64 below 2**53, or None, also for an eps_coeff the scalar path rejects."""
+    """1 + eps_hat as an int w < 2**53 and an exact float f in [0, 1), or None, also for an eps_coeff the scalar path rejects."""
     try:
         en, ed = _eps_hat(eps_coeff, i, fmt)
     except (TypeError, ValueError, ZeroDivisionError):
         return None
-    margin = Fraction(ed + en, ed)
-    if margin >= _HW_EXACT_INT or float(margin) != margin:
+    w, rest = divmod(ed + en, ed)
+    f = rest / ed
+    if w >= _HW_EXACT_INT or Fraction(f) != Fraction(rest, ed):
         return None
-    return float(margin)
+    return w, f
 
 
 def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
@@ -349,13 +336,16 @@ def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
         margin = _margin(i, fmt, eps_coeff)
         if margin is None:
             return zeros, zeros, np.ones(len(cases), dtype=bool)
-        lb = _exact(np.floor, *_two_sum(t_hat, -margin))
-        ub = _exact(np.ceil, *_two_sum(t_hat, margin))
+        w, f = margin
+        low, high = np.floor(t_hat), np.ceil(t_hat)
+        lb = low.astype(np.int64) - w - (t_hat - low < f)
+        ub = high.astype(np.int64) + w + (high - t_hat < f)
         return lb, ub, fallback
     lo, hi = (float(c) for c in rounded_coefficients(method, fmt))  # which rejects an unknown method
     low, high = lo * t_hat, hi * t_hat
     lb, ub = np.floor(low), np.ceil(high)
-    # exact for binary32; a binary64 product that is not an integer has the exact floor/ceil, see _exact
+    # exact for binary32; a binary64 product with a fraction is an ulp or more
+    # from every integer, so it has the exact product's floor/ceil
     if 2 * fmt.precision > 53:
         fallback = fallback | ((lb == low) | (ub == high)) & (t_hat != 0)
     return lb.astype(np.int64), ub.astype(np.int64), fallback

@@ -46,9 +46,19 @@ P11 = FloatFormat(11)
 WALK_LIMIT = 10**4
 EDGE_I = (0, 1, 2**24 - 1, 2**24, 2**24 + 1, 10**9, 2**53 - 1, 2**53, 2**53 + 1)
 EDGE_A = (1, 2, 3, 2**24 - 1, 2**24 + 1, 10**6, 10**9, 2**53 - 1, 2**53, 2**53 + 1)
-# the last two can leave 1 + eps_hat inexact in float64: 1e-30 at large i,
-# 1/3 at small i in binary64
-EPS_COEFFS = (DEFAULT_EPS_COEFF, Fraction(0), Fraction(-1, 10**6), Fraction(1, 10**30), Fraction(1, 3))
+# 1e-30 and 1/3 can leave 1 + eps_hat inexact in float64 but its parts w + f
+# exact; 1e20 makes w >= 2**53 and 1e-400 puts f below float64's normal range,
+# rows the kernel declines; 1/6 gives f = 1/2 at i = 3 mod 6, ties at half-integer t_hat
+EPS_COEFFS = (
+    DEFAULT_EPS_COEFF,
+    Fraction(0),
+    Fraction(-1, 10**6),
+    Fraction(1, 10**30),
+    Fraction(1, 3),
+    Fraction(10**20),
+    Fraction(1, 10**400),
+    Fraction(1, 6),
+)
 
 
 def _accepted(fallback):
@@ -146,9 +156,8 @@ def test_batch_matches_scalar_at_route_edges(i, fmt):
     pairs = [(1, a), (a - 1, a), (a, a), (a + 1, a), (2 * a - 1, a), (5, 2**53 - 1)]
     masks = _check_row(pairs, i, fmt, DEFAULT_EPS_COEFF)
     on_route = i < 2**53
-    # 1 + fl(1e-7 * i) is not exact in float64 for every binary64 eps_hat
-    for method in METHODS if fmt == BINARY32 else ("theoretical", "practical"):
-        if fmt == BINARY64 and i == 2**53 - 1:
+    for method in METHODS:
+        if fmt == BINARY64 and i == 2**53 - 1 and method != "approximate":
             # (a - 1, a) and (2a - 1, a), both of slope (a - 1)/a, take t_hat
             # past 2**52, where every binary64 product is an integer and goes
             # per case; the masks follow the sorted pairs
@@ -288,12 +297,29 @@ def test_fallback_at_the_product_guard():
         assert masks[method] == [False, False]
 
 
-def test_fallback_where_the_margin_is_inexact():
+def test_fallback_where_the_margin_parts_leave_float64():
     pairs = [(10**6, 10**6 + 1), (10**6, 10**6 - 1)]
+    # 1 + eps_hat is not a float64 here, but its parts w + f are exact
     for eps_coeff, i in ((Fraction(1, 10**30), 10**9), (Fraction(1, 3), 1)):
         masks = _fallback_masks(pairs, i, BINARY64, eps_coeff)
-        assert masks["approximate"] == masks["compensate", "approximate"] == [True, True]
-        assert masks["practical"] == masks["reference"] == [False, False]
+        assert masks["approximate"] == masks["compensate", "approximate"] == [False, False]
+    # w >= 2**53, and an f below float64's normal range
+    for eps_coeff, i in ((Fraction(10**20), 10**9), (Fraction(1, 10**400), 1), (Fraction(1, 10**400), 10**9)):
+        for fmt in (BINARY32, BINARY64):
+            masks = _fallback_masks(pairs, i, fmt, eps_coeff)
+            assert masks["approximate"] == masks["compensate", "approximate"] == [True, True]
+            assert masks["practical"] == masks["reference"] == [False, False]
+
+
+@pytest.mark.parametrize("fmt", (BINARY32, BINARY64))
+def test_approximate_ends_at_a_tie(fmt):
+    # i = 3 and D/A = 3/2 (slope 1/2) give t_hat = 1.5, and eps_coeff 1/6 gives
+    # 1 + eps_hat = 1.5, so t_hat -/+ the margin are the integers 0 and 3
+    pairs, eps_coeff = [(1, 2), (3, 2)], Fraction(1, 6)
+    assert not _check_row(pairs, 3, fmt, eps_coeff)["approximate"].any()
+    lb, ub, _ = candidate_ends(CaseArrays(case_table(dict.fromkeys(pairs, 1))), 3, "approximate", fmt, eps_coeff)
+    assert lb.tolist() == [0, 0] and ub.tolist() == [3, 3]
+    assert candidate_interval(3, 1, 2, "approximate", fmt, eps_coeff)[:2] == (0, 3)
 
 
 def test_fallback_where_a_binary64_product_is_an_integer():
@@ -351,9 +377,9 @@ def test_experiments_merge_fallback_cases():
     walks = [(a, p) for a, p in TABLE3_ALGORITHMS if a != "naive"]
     with pytest.raises(OverflowError, match="2\\*\\*63"):
         compensation_experiment(case_table(population), (10**9,), walks)
-    # with eps_coeff 1e-30, 1 + eps_hat is not exact in float64, so the
-    # approximate row at 1e8 runs on compensate alone, and its intervals miss
-    for i, eps_coeff in ((10**6, DEFAULT_EPS_COEFF), (10**8, Fraction(1, 10**30))):
+    # with eps_coeff 1e-400, the fraction of 1 + eps_hat is below float64's normal
+    # range, so the approximate row at 1e8 runs on compensate alone, and its intervals miss
+    for i, eps_coeff in ((10**6, DEFAULT_EPS_COEFF), (10**8, Fraction(1, 10**400))):
         rows = compensation_experiment(case_table(population), (i,), walks, eps_coeff)
         for row in rows:
             results = [
