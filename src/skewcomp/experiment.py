@@ -220,6 +220,9 @@ def _draw_blocks(
     # A - D = round-half-up(D * m / _SKEW_STEPS), with the fraction reduced
     g = gcd(D, _SKEW_STEPS)
     d, s = D // g, _SKEW_STEPS // g
+    # below the cap, rounding can still draw A = D/2: test the least offset, at m = -reach
+    if D + 2 * ((s - 2 * d * reach) // (2 * s)) <= 0:
+        raise ValueError(f"range_ppm must keep every A above D/2, got {range_ppm} at D={D}")
     # int64 is exact while |2 * d * m + s| stays below 2**63; 2 * d itself
     # must fit too, as numpy converts it to int64 even when every m is 0
     exact_int64 = 2 * d * max(reach, 1) + s < 2**63
@@ -468,34 +471,29 @@ def bounds_experiment(
     candidate and the reference alike, so deltas compare like with like.
     """
     cases = CaseArrays(population)
+    return [_bounds_row(cases, method, precision, i, eps_coeff) for method, precision in configs for i in i_list]
+
+
+def _bounds_row(cases: CaseArrays, method: str, precision: str, i: int, eps_coeff) -> BoundsRow:
+    """One table2 row; its arrays and its per-case fallback end with the call."""
+    fmt = resolve_format(precision)
 
     def deltas(k):
-        # called inside the loop below, for its current row
         D, A = cases.pair(k)
         db = D - A if D >= A else D
         cand = candidate_interval(i, db, A, method, precision, eps_coeff)
         return interval_deltas(cand, reference_interval(i, db, A, fmt))
 
-    rows = []
-    for method, precision in configs:
-        fmt = resolve_format(precision)
-        for i in i_list:
-            lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
-            ref_lb, ref_ub, ref_fallback = reference_ends(cases, i, fmt)
-            dlb, dub = _fill((ref_lb - lb, ub - ref_ub), fallback | ref_fallback, deltas)
-            rows.append(
-                BoundsRow(
-                    method=method,
-                    precision=format_label(fmt),
-                    i=i,
-                    dlb=_summary(dlb, cases),
-                    dub=_summary(dub, cases),
-                )
-            )
-            # released now, not when the next row reassigns them, so they do
-            # not sit beside that row's kernel temporaries
-            del ref_lb, ref_ub, dlb, dub
-    return rows
+    lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
+    ref_lb, ref_ub, ref_fallback = reference_ends(cases, i, fmt)
+    dlb, dub = _fill((ref_lb - lb, ub - ref_ub), fallback | ref_fallback, deltas)
+    return BoundsRow(
+        method=method,
+        precision=format_label(fmt),
+        i=i,
+        dlb=_summary(dlb, cases),
+        dub=_summary(dub, cases),
+    )
 
 
 def compensation_experiment(
@@ -506,43 +504,47 @@ def compensation_experiment(
 ) -> list[CompRow]:
     """Compensation error and iteration stats per (algorithm, i).
 
-    err = floor(t_hat in binary64) - j, so err = 0 means agreement with
-    the double-precision floor baseline.  Interval misses are counted in
-    violations, never silently dropped.  Each row, and the binary64
-    baseline for each i, is one pass of the kernel, with compensate or
-    naive_compensate for the cases it cannot prove.
+    err = naive_compensate(i, D, A, "binary64") - j, the floor of i*D/A
+    rounded once to binary64, so err = 0 means agreement with that
+    baseline.  Interval misses are counted in violations, never silently
+    dropped.  Each row, and the binary64 baseline for each i, is one pass
+    of the kernel, with compensate or naive_compensate for the cases it
+    cannot prove.
     """
     cases = CaseArrays(population)
+    baseline = {i: _naive_row(cases, i, BINARY64) for i in i_list}
+    return [
+        _comp_row(cases, algorithm, precision, i, eps_coeff, baseline[i])
+        for algorithm, precision in algorithms
+        for i in i_list
+    ]
 
-    def naive_row(i, fmt):
-        j, fallback = naive_floors(cases, i, fmt)
-        (j,) = _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pair(k), fmt),))
-        return j
+
+def _naive_row(cases: CaseArrays, i: int, fmt) -> np.ndarray:
+    """naive_compensate(i, D, A, fmt) per case."""
+    j, fallback = naive_floors(cases, i, fmt)
+    return _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pair(k), fmt),))[0]
+
+
+def _comp_row(cases: CaseArrays, algorithm: str, precision: str, i: int, eps_coeff, baseline) -> CompRow:
+    """One table3 row against the binary64 baseline of its i; its arrays end with the call."""
+    fmt = resolve_format(precision)
 
     def walk(k):
-        # called inside the loop below, for its current row
         res = compensate(i, *cases.pair(k), algorithm, precision, eps_coeff)
         return res.j, res.iterations, res.bounds_violated
 
-    baseline = {i: naive_row(i, BINARY64) for i in i_list}
-    rows = []
-    for algorithm, precision in algorithms:
-        fmt = resolve_format(precision)
-        for i in i_list:
-            if algorithm == "naive":
-                j = naive_row(i, fmt)
-                iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
-            else:
-                *triple, fallback = compensate_triples(cases, i, algorithm, fmt, eps_coeff)
-                j, iterations, violated = _fill(triple, fallback, walk)
-            rows.append(
-                CompRow(
-                    algorithm=algorithm,
-                    precision=format_label(fmt),
-                    i=i,
-                    err=_summary(baseline[i] - j, cases),
-                    iterations=_summary(iterations, cases),
-                    violations=sum(compress(cases.weights, violated.tolist())),
-                )
-            )
-    return rows
+    if algorithm == "naive":
+        j = _naive_row(cases, i, fmt)
+        iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
+    else:
+        *triple, fallback = compensate_triples(cases, i, algorithm, fmt, eps_coeff)
+        j, iterations, violated = _fill(triple, fallback, walk)
+    return CompRow(
+        algorithm=algorithm,
+        precision=format_label(fmt),
+        i=i,
+        err=_summary(baseline - j, cases),
+        iterations=_summary(iterations, cases),
+        violations=sum(compress(cases.weights, violated.tolist())),
+    )

@@ -383,6 +383,14 @@ def test_range_of_half_the_clock_exits_1(capsys):
     assert "range_ppm must be below 500000" in err
 
 
+def test_range_that_draws_half_the_clock_exits_1(capsys):
+    # 400000 ppm is below the cap, but at D = 2 it draws A = 1 = D/2
+    code, out, err = run(capsys, "table3", "-n", "3", "--D", "2", "--range-ppm", "400000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: range_ppm must keep every A above D/2, got 400000 at D=2\n"
+
+
 def test_nonpositive_clock_exits_1(capsys):
     code, out, err = run(capsys, "table2", "--D", "0", "-n", "5")
     assert code == 1

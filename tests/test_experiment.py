@@ -84,6 +84,22 @@ def test_wide_draw_memory_is_the_case_columns():
     assert traced_peak(sample_cases, 42, 10**5, 10**9) < 4 * 2**20
 
 
+def test_table_rows_release_their_arrays():
+    # compensation_experiment on 78,503 cases at D = 1e9: 10.64 MiB when each
+    # row's arrays and fallback end with its row call, 11.99 MiB when the
+    # previous row's j, iterations, violated and fallback outlive it
+    # a warm-up call, as numpy's lazy imports are not the rows' memory
+    compensation_experiment(sample_cases(1, 10, 10**9))
+    cases = sample_cases(42, 10**5, 10**9)
+    tracemalloc.start()
+    try:
+        compensation_experiment(cases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.3 * 2**20
+
+
 def test_draws_match_stdlib_randint_beyond_int64():
     # 2 * 999983 * 1e14 overflows int64, so A is computed on Python ints
     assert_matches_reference(7, 3000, 999983, 10**5)
@@ -104,15 +120,35 @@ def test_case_table_merges_blocks_beyond_int64(range_ppm):
     D=st.integers(1, 10**12),
 )
 def test_draws_match_stdlib_randint_property(seed, n, steps, D):
-    assert_matches_reference(seed, n, D, Fraction(steps, 10**9))
+    # the least A, at m = -steps, by reference_draws' own formula
+    scale = 10**15
+    lowest = (2 * (D * scale - D * steps) + scale) // (2 * scale)
+    if 2 * lowest <= D:
+        for sampler in (generate_samples, sample_cases):
+            with pytest.raises(ValueError, match="range_ppm must keep every A above D/2"):
+                sampler(seed, n, D, Fraction(steps, 10**9))
+    else:
+        assert_matches_reference(seed, n, D, Fraction(steps, 10**9))
 
 
 def test_range_must_stay_below_half_the_clock():
-    # case 2 decomposition needs A > D/2
+    # case 2 decomposition needs A > D/2 for every A the range can draw
+    boundaries = [
+        # at D = 1e6 the least A is 500001 at 499999.5 ppm and 500000 just above it
+        (10**6, Fraction(4_999_995, 10), Fraction(499_999_500_000_001, 10**9)),
+        (10**6, Fraction(4_999_995, 10), Fraction(499_999_999_999_999, 10**9)),
+        # at D = 2 the least A is 2 at 250000 ppm, and 1 = D/2 at 300000
+        (2, 250_000, 300_000),
+    ]
     for sampler in (generate_samples, sample_cases):
         with pytest.raises(ValueError, match="range_ppm must be below 500000"):
             sampler(1, 10, range_ppm=500_000)
-        sampler(1, 10, range_ppm=Fraction(499_999_999_999_999, 10**9))
+        for D, accepted, rejected in boundaries:
+            with pytest.raises(ValueError, match=f"range_ppm must keep every A above D/2, got .* at D={D}$"):
+                sampler(1, 10, D, rejected)
+            sampler(1, 10, D, accepted)
+    for D, accepted, _ in boundaries:
+        assert all(2 * s.A > D for s in generate_samples(1, 300, D, accepted))
 
 
 def test_generation_is_deterministic():
