@@ -30,15 +30,14 @@ float.as_integer_ratio() on the binary64 hardware route and as a rounded
 integer pair on the emulated route.  The coefficients, their integer
 pairs and their float values are cached once per (method, precision).
 The coefficient functions return Fractions.  The binary32 hardware route
-runs on Python floats rounded through struct, so importing this module
-does not import numpy; D and A below 2^24 are already binary32 values
-and are not rounded before their quotient.
+runs on Python floats, each rounded to binary32 by a Veltkamp split, so
+importing this module does not import numpy; D and A below 2^24 are
+already binary32 values and are not rounded before their quotient.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 from fractions import Fraction
 from math import ceil, floor
 from typing import NamedTuple
@@ -69,10 +68,10 @@ DEFAULT_EPS_COEFF = Fraction(1, 10**7)
 _HW_EXACT_INT = 2**53
 # every int below this is a binary32 value
 _B32_EXACT_INT = 2**24
-# packing a float as "f" rounds it to binary32, to nearest, ties to even;
-# the bound methods are looked up once, not on every estimate
-_pack32, _unpack32 = struct.Struct("f").pack, struct.Struct("f").unpack
-_pack32x2, _unpack32x2 = struct.Struct("2f").pack, struct.Struct("2f").unpack
+# Veltkamp split: with c = x * _SPLIT32, c - (c - x) is the binary64 x rounded
+# to 53 - 29 = 24 bits, to nearest, ties to even; every value rounded here is
+# 0 or in [2^-53, 2^106], far from binary64 overflow and binary32's subnormals
+_SPLIT32 = 2.0**29 + 1
 # records are built without the named tuples' own __new__, a second call
 _new = tuple.__new__
 
@@ -222,10 +221,20 @@ def _hardware_estimate(i: int, D: int, A: int, fmt: FloatFormat) -> float:
     """
     if fmt.precision == 53:
         return float(i) * (float(D) / float(A))
+    # each split is written out: a helper call per rounding costs about what it saves
     if D >= _B32_EXACT_INT or A >= _B32_EXACT_INT:
-        D, A = _unpack32x2(_pack32x2(D, A))
-    i, q = _unpack32x2(_pack32x2(i, D / A))
-    return _unpack32(_pack32(i * q))[0]
+        c = D * _SPLIT32
+        D = c - (c - D)
+        c = A * _SPLIT32
+        A = c - (c - A)
+    c = i * _SPLIT32
+    i = c - (c - i)
+    q = D / A
+    c = q * _SPLIT32
+    q = c - (c - q)
+    t = i * q
+    c = t * _SPLIT32
+    return c - (c - t)
 
 
 def emulated_clock_estimate(i: int, D: int, A: int, precision="binary32") -> Fraction:

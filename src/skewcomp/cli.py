@@ -4,6 +4,8 @@ Single-shot computations (bounds, compensate) for one (i, D, A) triple,
 full table reproduction (table2, table3) over seeded random samples,
 and a quick self-check battery (selftest).  Tables print as CSV with
 #-prefixed metadata lines or as JSON with the same numeric content.
+The table writer (tables) and the battery (selfcheck) are imported only
+by their own commands, so a single-shot run compiles neither.
 
 Exit codes: 0 success, 1 validation error, 2 internal check failure
 (selftest failure, or a bounds violation under --strict).  A reader that
@@ -14,24 +16,13 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 
 from . import DEFAULT_D, DEFAULT_I_LIST, DEFAULT_N, DEFAULT_RANGE_PPM, DEFAULT_SEED, __version__
-from .bounds import (
-    DEFAULT_EPS_COEFF,
-    METHODS,
-    candidate_interval,
-    clock_estimate,
-    emulated_clock_estimate,
-    interval_deltas,
-    reference_interval,
-    theoretical_coefficients,
-)
+from .bounds import DEFAULT_EPS_COEFF, METHODS, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, oracle_nearest
-from .formats import BINARY32, FORMATS, FloatFormat, unit_roundoff
-from .rationals import is_in_format, round_to_format
+from .formats import FORMATS
 
 TABLE2_HEADER = [
     "method",
@@ -97,48 +88,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
-def _cells(row) -> list:
-    """A table row's cells in field order; a StatSummary, its only tuple cell, gives min, max, avg.
-
-    Averages print with 4 significant decimals.
-    """
-    cells = []
-    for value in row:
-        cells += [value.min, value.max, f"{float(value.avg):.4e}"] if isinstance(value, tuple) else [value]
-    return cells
-
-
-def _emit_table(cells, header, meta, fmt, out) -> None:
-    if fmt == "json":
-        import json  # only here: CSV runs and the import skip json and its submodules
-        # the *_avg cells become the numbers their printed text reads as
-        dict_rows = [
-            {name: float(cell) if name.endswith("_avg") else cell for name, cell in zip(header, row)}
-            for row in cells
-        ]
-        json.dump({"meta": meta, "rows": dict_rows}, out, indent=2)
-        out.write("\n")
-    else:
-        for key, value in meta.items():
-            out.write(f"# {key}={value}\n")
-        for row in [header, *cells]:
-            out.write(",".join(map(str, row)) + "\n")
-
-
-def _table_meta(args) -> dict:
-    return {
-        "tool": f"skewcomp {__version__} {args.command}",
-        "seed": args.seed,
-        "samples": args.samples,
-        "D": args.D,
-        "range_ppm": args.range_ppm,
-        "eps_coeff": args.eps_coeff,
-        "i": ",".join(str(i) for i in args.i),
-        "distribution": "skew uniform on the 1e-9 ppm lattice in [-range_ppm, +range_ppm]",
-        "conventions": "dlb=ref_lb-lb dub=ub-ref_ub err=floor64-j avg printed as %.4e",
-    }
-
-
 def _cmd_bounds(args) -> int:
     cand = candidate_interval(args.i, args.D, args.A, args.method, args.precision, args.eps_coeff)
     ref = reference_interval(args.i, args.D, args.A, args.precision)
@@ -161,103 +110,17 @@ def _cmd_compensate(args) -> int:
 
 
 def _run_table(args) -> int:
-    # only here: the single-shot commands and the import skip the table pipeline
-    from . import experiment
+    # only here: the single-shot commands, the selftest and the import skip the table pipeline
+    from . import tables
 
-    cases = experiment.sample_cases(args.seed, args.samples, args.D, args.range_ppm)
-    rows = getattr(experiment, args.experiment)(cases, args.i, eps_coeff=args.eps_coeff)
-    # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
-    cells = [_cells(row) for row in rows]
-    meta = {key: str(value) for key, value in _table_meta(args).items()}
-    if args.output and args.output != "-":
-        with open(args.output, "w", newline="") as out:
-            _emit_table(cells, args.header, meta, args.format, out)
-    else:
-        _emit_table(cells, args.header, meta, args.format, sys.stdout)
-    return 0
-
-
-def _check_rounding(rng):
-    q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
-    r = round_to_format(q, BINARY32)
-    ok = round_to_format(r, BINARY32) == r and is_in_format(r, BINARY32)
-    return ok and abs(q - r) <= abs(q) * Fraction(1, 2**24) or None
-
-
-def _check_representable(rng):
-    for f in map(FloatFormat, (11, 24, 53)):
-        u = unit_roundoff(f)
-        if not is_in_format(1 - u, f) or not is_in_format(1 + 2 * u, f) or is_in_format(1 + u, f):
-            return None
-    return True
-
-
-def _check_bracket(rng):
-    i, D, A = rng.randint(0, 10**9), rng.randint(1, 10**6), rng.randint(1, 10**6)
-    c_lo, c_hi = theoretical_coefficients(BINARY32)
-    t = Fraction(i * D, A)
-    return c_lo * t <= emulated_clock_estimate(i, D, A, BINARY32) <= c_hi * t or None
-
-
-def _check_hardware(rng):
-    i, D, A = rng.randint(0, 10**9), rng.randint(1, 10**6), rng.randint(1, 10**6)
-    precisions = ("binary32", "binary64")
-    return all(Fraction(clock_estimate(i, D, A, p)) == emulated_clock_estimate(i, D, A, p) for p in precisions) or None
-
-
-def _check_oracle(rng):
-    A = rng.randint(1, 10**6)
-    D = rng.randint(1, 2 * A - 1)
-    i = rng.randint(0, 10**6)
-    want = oracle_nearest(i, D, A)
-    # j is exact even when the interval missed
-    return all(compensate(i, D, A, m, p).j == want for m in METHODS for p in ("binary32", "binary64")) or None
-
-
-def _check_misses(rng):
-    A = rng.randint(1, 10**9)
-    D = rng.randint(1, 2 * A - 1)
-    i = rng.randint(0, 10**9)
-    db = D - A if D >= A else D
-    clock = oracle_nearest(i, db, A)
-    # a zero approximate margin makes binary32 intervals miss at large i
-    configs = [(m, p, DEFAULT_EPS_COEFF) for m in METHODS for p in ("binary32", "binary64")]
-    misses = 0
-    for method, precision, eps_coeff in [*configs, ("approximate", "binary32", 0)]:
-        violated = compensate(i, D, A, method, precision, eps_coeff).bounds_violated
-        cand = candidate_interval(i, db, A, method, precision, eps_coeff)
-        if violated != (not cand.lb <= clock <= cand.ub):
-            return None
-        misses += violated
-    return misses
-
-
-# Each call of a check is one trial on the shared generator.  It returns None
-# when the invariant fails, else a count that must not sum to 0 over the
-# trials: True for a pass, or the misses seen, so the miss check must see one.
-_CHECKS = (
-    ("round_to_format idempotent and within one roundoff", _check_rounding, 2000),
-    ("1-u and 1+2u representable, 1+u not", _check_representable, 1),
-    ("pipeline value stays inside the coefficient bracket", _check_bracket, 2000),
-    ("hardware and emulated pipelines agree", _check_hardware, 500),
-    ("compensate matches the exact oracle", _check_oracle, 500),
-    ("bounds_violated iff the oracle lies outside the candidate interval", _check_misses, 300),
-)
+    return tables.run(args)
 
 
 def _selftest(args) -> int:
-    rng = random.Random(20260825)
-    failures = 0
-    for name, check, trials in _CHECKS:
-        results = [check(rng) for _ in range(trials)]
-        ok = None not in results and sum(results) > 0
-        failures += not ok
-        print(f"ok: {name}" if ok else f"FAIL: {name} ({results.count(None)} of {trials} trials failed)")
-    if failures:
-        print(f"{failures} selftest failure(s)", file=sys.stderr)
-        return 2
-    print("selftest passed")
-    return 0
+    # only here: no other command compiles the check battery
+    from . import selfcheck
+
+    return selfcheck.run()
 
 
 def _add_triple_args(sub, run) -> None:

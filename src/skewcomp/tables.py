@@ -1,0 +1,71 @@
+"""The table writer behind `skewcomp table2` and `skewcomp table3`.
+
+run draws the population, computes the rows and writes them as CSV with
+#-prefixed metadata lines or as JSON with the same numeric content.  The
+CLI imports this module only for a table command, so the single-shot
+commands and the selftest do not compile it.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from . import __version__, experiment
+
+
+def _cells(row) -> list:
+    """A table row's cells in field order; a StatSummary, its only tuple cell, gives min, max, avg.
+
+    Averages print with 4 significant decimals.
+    """
+    cells = []
+    for value in row:
+        cells += [value.min, value.max, f"{float(value.avg):.4e}"] if isinstance(value, tuple) else [value]
+    return cells
+
+
+def _emit_table(cells, header, meta, fmt, out) -> None:
+    if fmt == "json":
+        import json  # only here: CSV runs and the import skip json and its submodules
+        # the *_avg cells become the numbers their printed text reads as
+        dict_rows = [
+            {name: float(cell) if name.endswith("_avg") else cell for name, cell in zip(header, row)}
+            for row in cells
+        ]
+        json.dump({"meta": meta, "rows": dict_rows}, out, indent=2)
+        out.write("\n")
+    else:
+        for key, value in meta.items():
+            out.write(f"# {key}={value}\n")
+        for row in [header, *cells]:
+            out.write(",".join(map(str, row)) + "\n")
+
+
+def _table_meta(args) -> dict:
+    return {
+        "tool": f"skewcomp {__version__} {args.command}",
+        "seed": args.seed,
+        "samples": args.samples,
+        "D": args.D,
+        "range_ppm": args.range_ppm,
+        "eps_coeff": args.eps_coeff,
+        "i": ",".join(str(i) for i in args.i),
+        "distribution": "skew uniform on the 1e-9 ppm lattice in [-range_ppm, +range_ppm]",
+        "conventions": "dlb=ref_lb-lb dub=ub-ref_ub err=floor64-j avg printed as %.4e",
+    }
+
+
+def run(args) -> int:
+    """Write the table args.command names and give the exit code 0; bad input raises."""
+    # experiment's functions are looked up at each run, so a function replaced there is the one called
+    cases = experiment.sample_cases(args.seed, args.samples, args.D, args.range_ppm)
+    rows = getattr(experiment, args.experiment)(cases, args.i, eps_coeff=args.eps_coeff)
+    # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
+    cells = [_cells(row) for row in rows]
+    meta = {key: str(value) for key, value in _table_meta(args).items()}
+    if args.output and args.output != "-":
+        with open(args.output, "w", newline="") as out:
+            _emit_table(cells, args.header, meta, args.format, out)
+    else:
+        _emit_table(cells, args.header, meta, args.format, sys.stdout)
+    return 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,31 @@ def test_binary32_route_matches_numpy_float32(i, x, y):
     assume(x != y)
     d, a = min(x, y), max(x, y)
     assert clock_estimate(i, d, a, "binary32") == _numpy_binary32_estimate(i, d, a)
+
+
+def _struct_binary32_estimate(i, D, A):
+    """The binary32 pipeline with each value rounded by packing it as a C float."""
+    r32 = lambda x: struct.unpack("f", struct.pack("f", x))[0]  # to nearest, ties to even
+    return r32(r32(i) * r32(r32(D) / r32(A)))
+
+
+# ints that round to binary32 as exact ties: a 25-bit odd significand, scaled below 2^53
+_B32_TIES = st.builds(lambda m, s: (2 * m + 1) << s, st.integers(2**23, 2**24 - 1), st.integers(0, 28))
+_SPLIT_INPUTS = (
+    st.sampled_from((1, 2**24 - 1, 2**24, 2**24 + 1, 2**53 - 2, 2**53 - 1))
+    | _B32_TIES
+    | st.integers(min_value=1, max_value=2**53 - 1)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(i=st.just(0) | _SPLIT_INPUTS, d=st.just(0) | _SPLIT_INPUTS, a=_SPLIT_INPUTS)
+@example(i=3, d=2**23 + 1, a=2**24)  # i * q is a tie, rounded down to even
+@example(i=3, d=2**23 + 3, a=2**24)  # and up
+@example(i=2**53 - 1, d=0, a=2**24 + 1)
+def test_binary32_estimate_matches_struct_rounding(i, d, a):
+    # the hardware route rounds by Veltkamp splits; struct is the reference
+    assert clock_estimate(i, d, a, "binary32") == _struct_binary32_estimate(i, d, a)
 
 
 # log-uniform over 2^15..2^32, and every int within 64 of 2^24

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import skewcomp
-from skewcomp import cli
+from skewcomp import selfcheck
 from skewcomp.cli import TABLE2_HEADER, TABLE3_HEADER, main
 
 
@@ -280,7 +280,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert run_fresh(script).strip() == "[]"
 
 
-TABLE_MODULES = ("skewcomp.experiment", "numpy")
+# the modules the CLI imports only for the commands that need them
+LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.selfcheck")
 
 
 @pytest.mark.parametrize(
@@ -296,16 +297,24 @@ TABLE_MODULES = ("skewcomp.experiment", "numpy")
         ),
         ("from skewcomp.cli import main\nassert main(['compensate', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
         ("from skewcomp.cli import main\nassert main(['bounds', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
-        ("from skewcomp.cli import main\nassert main(['table2', '-n', '1', '-o', sys.argv[1]]) == 0", list(TABLE_MODULES)),
-        ("import skewcomp.experiment", list(TABLE_MODULES)),
+        (
+            "from skewcomp.cli import main\nassert main(['table2', '-n', '1', '-o', sys.argv[1]]) == 0",
+            ["skewcomp.experiment", "numpy", "skewcomp.tables"],
+        ),
+        ("import skewcomp.experiment", ["skewcomp.experiment", "numpy"]),
+        ("from skewcomp.cli import main\nassert main(['selftest']) == 0", ["skewcomp.selfcheck"]),
     ],
-    ids=["import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2", "import-experiment"],
+    ids=[
+        "import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2",
+        "import-experiment", "cli-selftest",
+    ],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
-    # the experiment module, the kernel and numpy are compiled and imported
-    # only by a process that draws a table; a node that imports the package
-    # and compensates readings does not pay for them
-    script = f"import sys\n{statement}\nprint([m for m in {TABLE_MODULES!r} if m in sys.modules])\n"
+    # the experiment module, the kernel, numpy and the table writer are
+    # compiled and imported only by a process that draws a table, and the
+    # check battery only by a selftest; a node that imports the package and
+    # compensates readings pays for none of them
+    script = f"import sys\n{statement}\nprint([m for m in {LATE_MODULES!r} if m in sys.modules])\n"
     assert run_fresh(script, os.devnull).splitlines()[-1] == str(loaded)
 
 
@@ -494,7 +503,7 @@ def test_selftest_passes(capsys):
 
 def test_selftest_failure_exits_2(capsys, monkeypatch):
     # an oracle one tick high fails exactly the two checks that read it
-    monkeypatch.setattr(cli, "oracle_nearest", lambda i, D, A: skewcomp.oracle_nearest(i, D, A) + 1)
+    monkeypatch.setattr(selfcheck, "oracle_nearest", lambda i, D, A: skewcomp.oracle_nearest(i, D, A) + 1)
     code, out, err = run(capsys, "selftest")
     assert code == 2
     expected = [f"ok: {name}" for name in SELFTEST_CHECKS[:4]] + [f"FAIL: {name}" for name in SELFTEST_CHECKS[4:]]
