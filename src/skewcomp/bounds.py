@@ -101,20 +101,21 @@ class CandidateInterval(NamedTuple):
         return self.ub - self.lb
 
 
-@functools.lru_cache(maxsize=None)
+# typed: the plain tuple (24,) hashes and compares equal to BINARY32, and resolve_format must still reject it
+@functools.lru_cache(maxsize=None, typed=True)
 def theoretical_coefficients(fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     """Exact bracket coefficients: c_lo * t <= t_hat <= c_hi * t.
 
     Tightest product of the five per-stage optimal bounds of the pipeline:
     fl(A) sits in the denominator, so its bound enters inverted.
     """
-    b = error_budget(fmt)
+    b = error_budget(resolve_format(fmt))
     c_lo = (1 - b.round_i) * (1 - b.round_d) * (1 - b.divide) * (1 - b.multiply) / (1 + b.round_a)
     c_hi = (1 + b.round_i) * (1 + b.round_d) * (1 + b.divide) * (1 + b.multiply) / (1 - b.round_a)
     return c_lo, c_hi
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     """Coefficients as evaluated in working precision, as exact values.
 
@@ -122,6 +123,7 @@ def rounded_coefficients(method: str, fmt: FloatFormat) -> tuple[Fraction, Fract
     float implementation.  The evaluation order is fixed so results are
     reproducible: numerator first, one division last.
     """
+    fmt = resolve_format(fmt)
     u = unit_roundoff(fmt)
     rtf = lambda q: round_to_format(q, fmt)
     one_minus = rtf(1 - u)  # exact: (2^p - 1) * 2^-p

@@ -3,9 +3,10 @@
 Single-shot computations (bounds, compensate) for one (i, D, A) triple,
 full table reproduction (table2, table3) over seeded random samples,
 and a quick self-check battery (selftest).  Tables print as CSV with
-#-prefixed metadata lines or as JSON with the same numeric content.
-The table writer (tables) and the battery (selfcheck) are imported only
-by their own commands, so a single-shot run compiles neither.
+#-prefixed metadata lines or as JSON with the same numeric content,
+in columns named after the fields of their rows.  The table writer
+(tables) and the battery (selfcheck) are imported only by their own
+commands, so a single-shot run compiles neither.
 
 Exit codes: 0 success, 1 validation error, 2 internal check failure
 (selftest failure, or a bounds violation under --strict).  A reader that
@@ -23,31 +24,6 @@ from . import DEFAULT_D, DEFAULT_I_LIST, DEFAULT_N, DEFAULT_RANGE_PPM, DEFAULT_S
 from .bounds import DEFAULT_EPS_COEFF, METHODS, candidate_interval, interval_deltas, reference_interval
 from .compensator import compensate, oracle_nearest
 from .formats import FORMATS
-
-TABLE2_HEADER = [
-    "method",
-    "precision",
-    "i",
-    "dlb_min",
-    "dlb_max",
-    "dlb_avg",
-    "dub_min",
-    "dub_max",
-    "dub_avg",
-]
-
-TABLE3_HEADER = [
-    "algorithm",
-    "precision",
-    "i",
-    "err_min",
-    "err_max",
-    "err_avg",
-    "iter_min",
-    "iter_max",
-    "iter_avg",
-    "violations",
-]
 
 # ValueError covers InvalidInput, OverflowError OverflowRisk and huge floats, OSError an unwritable
 # -o path; parsed inputs are ints, Fractions and choices, so a TypeError is a bug
@@ -139,7 +115,7 @@ def _add_triple_args(sub, run) -> None:
     sub.set_defaults(run=run)
 
 
-def _add_table_args(sub, experiment_name, header) -> None:
+def _add_table_args(sub, experiment_name) -> None:
     sub.add_argument("--samples", "-n", type=_parse_int, default=DEFAULT_N)
     sub.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
     sub.add_argument("--D", type=_parse_int, default=DEFAULT_D)
@@ -150,7 +126,7 @@ def _add_table_args(sub, experiment_name, header) -> None:
     )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", "-o", default=None, help="output path, - or omitted for stdout")
-    sub.set_defaults(run=_run_table, experiment=experiment_name, header=header)
+    sub.set_defaults(run=_run_table, experiment=experiment_name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_triple_args(comp_cmd, _cmd_compensate)
     comp_cmd.add_argument("--strict", action="store_true", help="exit 2 on a bounds violation")
     table2_cmd = commands.add_parser("table2", help="bound deltas vs the exact reference")
-    _add_table_args(table2_cmd, "bounds_experiment", TABLE2_HEADER)
+    _add_table_args(table2_cmd, "bounds_experiment")
     table3_cmd = commands.add_parser("table3", help="compensation errors and iteration counts")
-    _add_table_args(table3_cmd, "compensation_experiment", TABLE3_HEADER)
+    _add_table_args(table3_cmd, "compensation_experiment")
     commands.add_parser("selftest", help="run the built-in invariant checks").set_defaults(run=_selftest)
     return parser
 

@@ -140,7 +140,7 @@ class CompRow(NamedTuple):
     precision: str
     i: int
     err: StatSummary
-    iterations: StatSummary
+    iter: StatSummary
     violations: int
 
 
@@ -174,7 +174,7 @@ def sample_cases(
     The samples are never built, so time is linear in n and memory in the
     number of distinct cases: each block merges into sorted arrays of A - D.
     """
-    # |A - D| < D / 2, so A fits int64 too, which sorts far faster than Python ints
+    # |A - D| <= (D + 1) / 2, so A fits int64 too, which sorts far faster than Python ints
     dtype = np.int64 if D < 2**62 else object
     values, counts = np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
     for _, offsets in _draw_blocks(seed, n, D, range_ppm):
@@ -203,6 +203,9 @@ def _draw_blocks(
     w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
     n-th accepted draw are discarded with the generator.
     """
+    if not type(n) is type(D) is int:
+        # a float count breaks numpy's slicing, and a bool D would draw a table for D = 1
+        raise TypeError(f"need int n, D, got {type(n).__name__}, {type(D).__name__}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if D <= 0:
@@ -210,19 +213,17 @@ def _draw_blocks(
     limit = Fraction(range_ppm) * _PPM_STEPS
     if limit < 0 or limit.denominator != 1:
         raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {range_ppm}")
-    if limit >= _PPM_STEPS * 500_000:
-        # case 2 decomposes D/A into (D - A)/A, which needs A > D/2
-        raise ValueError(f"range_ppm must be below 500000, got {range_ppm}")
     reach = int(limit)
-    span = 2 * reach + 1
-    k = span.bit_length()  # at most 50 below the range cap
-    words = 1 if k <= 32 else 2
     # A - D = round-half-up(D * m / _SKEW_STEPS), with the fraction reduced
     g = gcd(D, _SKEW_STEPS)
     d, s = D // g, _SKEW_STEPS // g
-    # below the cap, rounding can still draw A = D/2: test the least offset, at m = -reach
+    # case 2 decomposes D/A into (D - A)/A, which needs A > D/2: test the least A, at m = -reach;
+    # it fails for every range above 500000 ppm
     if D + 2 * ((s - 2 * d * reach) // (2 * s)) <= 0:
         raise ValueError(f"range_ppm must keep every A above D/2, got {range_ppm} at D={D}")
+    span = 2 * reach + 1
+    k = span.bit_length()  # at most 50, as the rule allows reach <= 5 * 10**14
+    words = 1 if k <= 32 else 2
     # int64 is exact while |2 * d * m + s| stays below 2**63; 2 * d itself
     # must fit too, as numpy converts it to int64 even when every m is 0
     exact_int64 = 2 * d * max(reach, 1) + s < 2**63
@@ -545,6 +546,6 @@ def _comp_row(cases: CaseArrays, algorithm: str, precision: str, i: int, eps_coe
         precision=format_label(fmt),
         i=i,
         err=_summary(baseline - j, cases),
-        iterations=_summary(iterations, cases),
+        iter=_summary(iterations, cases),
         violations=sum(compress(cases.weights, violated.tolist())),
     )

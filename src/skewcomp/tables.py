@@ -2,8 +2,10 @@
 
 run draws the population, computes the rows and writes them as CSV with
 #-prefixed metadata lines or as JSON with the same numeric content.  The
-CLI imports this module only for a table command, so the single-shot
-commands and the selftest do not compile it.
+columns are the row type's fields, each StatSummary field expanded to
+its _min, _max and _avg columns.  The CLI imports this module only for
+a table command, so the single-shot commands and the selftest do not
+compile it.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ import sys
 from . import __version__, experiment
 
 
-def _cells(row) -> list:
-    """A table row's cells in field order; a StatSummary, its only tuple cell, gives min, max, avg.
+def _columns(row):
+    """(column, cell) pairs of a table row in field order.
 
-    Averages print with 4 significant decimals.
+    A StatSummary field f gives f_min, f_max and f_avg, the average
+    printed with 4 significant decimals; any other field gives its name.
     """
-    cells = []
-    for value in row:
-        cells += [value.min, value.max, f"{float(value.avg):.4e}"] if isinstance(value, tuple) else [value]
-    return cells
+    for name, value in zip(row._fields, row):
+        if isinstance(value, experiment.StatSummary):
+            yield from ((f"{name}_min", value.min), (f"{name}_max", value.max))
+            yield f"{name}_avg", f"{float(value.avg):.4e}"
+        else:
+            yield name, value
 
 
 def _emit_table(cells, header, meta, fmt, out) -> None:
@@ -60,12 +65,14 @@ def run(args) -> int:
     # experiment's functions are looked up at each run, so a function replaced there is the one called
     cases = experiment.sample_cases(args.seed, args.samples, args.D, args.range_ppm)
     rows = getattr(experiment, args.experiment)(cases, args.i, eps_coeff=args.eps_coeff)
-    # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
-    cells = [_cells(row) for row in rows]
+    # header, cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
+    pairs = [list(_columns(row)) for row in rows]
+    header = [name for name, _ in pairs[0]]
+    cells = [[cell for _, cell in row] for row in pairs]
     meta = {key: str(value) for key, value in _table_meta(args).items()}
     if args.output and args.output != "-":
         with open(args.output, "w", newline="") as out:
-            _emit_table(cells, args.header, meta, args.format, out)
+            _emit_table(cells, header, meta, args.format, out)
     else:
-        _emit_table(cells, args.header, meta, args.format, sys.stdout)
+        _emit_table(cells, header, meta, args.format, sys.stdout)
     return 0

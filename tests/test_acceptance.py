@@ -190,13 +190,13 @@ def test_ac06_naive_binary32_error_growth(comp_rows):
 
 def test_ac07_iteration_comparison(comp_rows):
     for i in (10**8, 10**9):
-        practical = comp_rows[("practical", "binary32", i)].iterations.avg
-        approximate = comp_rows[("approximate", "binary32", i)].iterations.avg
+        practical = comp_rows[("practical", "binary32", i)].iter.avg
+        approximate = comp_rows[("approximate", "binary32", i)].iter.avg
         assert practical > approximate, (
             f"i={i}: practical {float(practical):.2f} <= approximate {float(approximate):.2f}"
         )
     target = 2 + 2 * Fraction(1, 10**7) * 10**9  # margin width at the default eps
-    approx_1e9 = comp_rows[("approximate", "binary32", 10**9)].iterations.avg
+    approx_1e9 = comp_rows[("approximate", "binary32", 10**9)].iter.avg
     assert abs(approx_1e9 - target) <= Fraction(target, 10), (
         f"approximate avg at 1e9 is {float(approx_1e9):.2f}, want {float(target)} +/- 10%"
     )

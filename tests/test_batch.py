@@ -386,8 +386,8 @@ def test_experiments_merge_fallback_cases():
                 (compensate(i, D, A, row.algorithm, row.precision, eps_coeff), weight)
                 for (D, A), weight in sorted(population.items())
             ]
-            assert row.iterations.max == max(r.iterations for r, _ in results)
-            assert row.iterations.avg == Fraction(sum(r.iterations * w for r, w in results), 6)
+            assert row.iter.max == max(r.iterations for r, _ in results)
+            assert row.iter.avg == Fraction(sum(r.iterations * w for r, w in results), 6)
             assert row.violations == sum(w for r, w in results if r.bounds_violated)
     assert rows[-1].algorithm == "approximate" and rows[-1].violations > 0
     # the naive row and its binary64 baseline merge the same cases; at 1e9 the
@@ -401,7 +401,7 @@ def test_experiments_merge_fallback_cases():
         ]
         assert (row.err.min, row.err.max) == (min(e for e, _ in errs), max(e for e, _ in errs))
         assert row.err.avg == Fraction(sum(e * w for e, w in errs), 7)
-        assert row.iterations.max == row.violations == 0
+        assert row.iter.max == row.violations == 0
 
 
 def _stats(values, weights):
@@ -441,7 +441,7 @@ def test_experiments_fall_back_for_whole_rows():
             results = [(r.j, r.iterations, r.bounds_violated) for r in results]
         errs = [b - j for b, (j, _, _) in zip(base, results)]
         assert row.err == _stats(errs, weights)
-        assert row.iterations == _stats([n for _, n, _ in results], weights)
+        assert row.iter == _stats([n for _, n, _ in results], weights)
         assert row.violations == sum(w for (_, _, v), w in zip(results, weights) if v)
 
 
@@ -461,7 +461,7 @@ def test_row_sums_stay_exact_for_huge_weights(weight):
     assert row.dlb.avg == Fraction(dlb[0] * weight + dlb[1] * (weight + 1), count)
     (row,) = compensation_experiment(case_table(population), (10**9,), (("approximate", "binary32"),), eps_coeff=0)
     results = [compensate(10**9, D, A, "approximate", "binary32", 0) for D, A in population]
-    assert row.iterations.avg == Fraction(results[0].iterations * weight + results[1].iterations * (weight + 1), count)
+    assert row.iter.avg == Fraction(results[0].iterations * weight + results[1].iterations * (weight + 1), count)
     assert row.violations == results[0].bounds_violated * weight + results[1].bounds_violated * (weight + 1)
 
 
@@ -566,7 +566,7 @@ def test_interval_wholly_above_i_is_a_miss_in_kernel_and_scalar():
     assert (j[0], iterations[0], violated[0]) == (res.j, res.iterations, res.bounds_violated) == (i, 0, True)
     (row,) = compensation_experiment(case_table({pair: 1}), (i,), (("approximate", "binary32"),), eps_coeff=0)
     assert row.violations == 1
-    assert (row.iterations.max, row.err.min) == (0, naive_compensate(i, *pair, "binary64") - res.j)
+    assert (row.iter.max, row.err.min) == (0, naive_compensate(i, *pair, "binary64") - res.j)
 
 
 def _convergent_denominators(x: Fraction, limit: int) -> list[int]:

@@ -234,6 +234,24 @@ def test_plan_cache_keeps_every_format_and_method_rule():
         compensate(10, 7, 7, "approximate", "binary32", 1e-7)
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [theoretical_coefficients, lambda fmt: rounded_coefficients("practical", fmt)],
+    ids=["theoretical", "rounded"],
+)
+def test_coefficient_caches_resolve_the_format(coefficients):
+    # the caches must not answer (24,), equal to BINARY32, from an earlier BINARY32 call
+    theoretical_coefficients.cache_clear()
+    rounded_coefficients.cache_clear()
+    with pytest.raises(ValueError, match=r"unknown precision \(24,\)"):
+        coefficients((24,))
+    want = coefficients(BINARY32)
+    with pytest.raises(ValueError, match=r"unknown precision \(24,\)"):
+        coefficients((24,))
+    assert coefficients("binary32") == coefficients(FloatFormat(24)) == want
+    assert certify("practical", "binary32") == certify("practical", BINARY32)
+
+
 # D = 0, integral t_hat, i = 2^24 -/+ 1 and max(i, A) = 2^53 - 1, the top of the hardware route
 @settings(max_examples=400, deadline=None)
 @given(

@@ -10,13 +10,19 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import skewcomp
-from skewcomp import selfcheck
-from skewcomp.cli import TABLE2_HEADER, TABLE3_HEADER, main
+from skewcomp import experiment, selfcheck
+from skewcomp.cli import main
+
+TABLE2_HEADER = ["method", "precision", "i", "dlb_min", "dlb_max", "dlb_avg", "dub_min", "dub_max", "dub_avg"]
+TABLE3_HEADER = [
+    "algorithm", "precision", "i", "err_min", "err_max", "err_avg", "iter_min", "iter_max", "iter_avg", "violations"
+]
 
 
 def run(capsys, *argv):
@@ -207,6 +213,21 @@ def test_table3_csv_shape(capsys):
     assert naive["violations"] == "0"
 
 
+@pytest.mark.parametrize("command, row_type", [("table2", experiment.BoundsRow), ("table3", experiment.CompRow)])
+def test_columns_are_the_row_fields(capsys, command, row_type):
+    # each StatSummary field f is the three columns f_min, f_max, f_avg; any other field is one
+    hints = typing.get_type_hints(row_type)
+    want = []
+    for field in row_type._fields:
+        stats = hints[field] is experiment.StatSummary
+        want += [f"{field}_{stat}" for stat in ("min", "max", "avg")] if stats else [field]
+    _, out, _ = run(capsys, command, "-n", "50", "--i", "1e6,1e8")
+    assert _parse_table(out)[1] == want
+    _, out, _ = run(capsys, command, "-n", "50", "--i", "1e6,1e8", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert rows and all(list(row) == want for row in rows)
+
+
 # sha256 of the stdout bytes at --seed 42 -n 2000, keyed by (table, D) for
 # CSV and (table, D, format) otherwise; the CSV digests were recorded from
 # the per-sample randint draw
@@ -389,11 +410,18 @@ def test_range_of_half_the_clock_exits_1(capsys):
     code, out, err = run(capsys, "table2", "--range-ppm", "6e5", "-n", "10")
     assert code == 1
     assert out == ""
-    assert "range_ppm must be below 500000" in err
+    assert err == "error: range_ppm must keep every A above D/2, got 600000 at D=1000000\n"
+
+
+def test_range_of_half_the_clock_at_an_odd_clock_runs(capsys):
+    # at D = 3, 500000 ppm draws a least A of 2, above D/2
+    code, out, _ = run(capsys, "table2", "-n", "10", "--D", "3", "--range-ppm", "5e5")
+    assert code == 0
+    assert _parse_table(out)[1] == TABLE2_HEADER
 
 
 def test_range_that_draws_half_the_clock_exits_1(capsys):
-    # 400000 ppm is below the cap, but at D = 2 it draws A = 1 = D/2
+    # 400000 ppm is below 500000, but at D = 2 it draws A = 1 = D/2
     code, out, err = run(capsys, "table3", "-n", "3", "--D", "2", "--range-ppm", "400000")
     assert code == 1
     assert out == ""

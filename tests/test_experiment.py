@@ -116,7 +116,7 @@ def test_case_table_merges_blocks_beyond_int64(range_ppm):
 @given(
     seed=st.integers(-(2**64), 2**64),
     n=st.integers(0, 2000),
-    steps=st.integers(0, 5 * 10**14 - 1),
+    steps=st.integers(0, 5 * 10**14),
     D=st.integers(1, 10**12),
 )
 def test_draws_match_stdlib_randint_property(seed, n, steps, D):
@@ -141,14 +141,33 @@ def test_range_must_stay_below_half_the_clock():
         (2, 250_000, 300_000),
     ]
     for sampler in (generate_samples, sample_cases):
-        with pytest.raises(ValueError, match="range_ppm must be below 500000"):
+        # above 500000 ppm, or at it with an even D, the least A is D/2 or less
+        with pytest.raises(ValueError, match="range_ppm must keep every A above D/2, got 500000 at D=1000000$"):
             sampler(1, 10, range_ppm=500_000)
+        with pytest.raises(ValueError, match="range_ppm must keep every A above D/2, got .* at D=3$"):
+            sampler(1, 10, 3, Fraction(500_000_000_000_001, 10**9))
         for D, accepted, rejected in boundaries:
             with pytest.raises(ValueError, match=f"range_ppm must keep every A above D/2, got .* at D={D}$"):
                 sampler(1, 10, D, rejected)
             sampler(1, 10, D, accepted)
     for D, accepted, _ in boundaries:
         assert all(2 * s.A > D for s in generate_samples(1, 300, D, accepted))
+    # at an odd D, 500000 ppm draws a least A of (D + 1) / 2, above D/2
+    for D in (3, 999983):
+        assert_matches_reference(1, 300, D, 500_000)
+    assert min(s.A for s in generate_samples(1, 300, 3, 500_000)) == 2
+
+
+@pytest.mark.parametrize("sampler", [generate_samples, sample_cases])
+@pytest.mark.parametrize(
+    "n, D, names",
+    [(10, True, "int, bool"), (10**5, 1e6, "int, float"), (10.0, 10**6, "float, int"), (False, 10**6, "bool, int")],
+    ids=["bool-D", "float-D", "float-n", "bool-n"],
+)
+def test_samplers_take_only_int_n_and_D(sampler, n, D, names):
+    # a bool D would draw a table for D = 1, and a float n would fail inside numpy
+    with pytest.raises(TypeError, match=f"^need int n, D, got {names}$"):
+        sampler(42, n, D)
 
 
 def test_generation_is_deterministic():
@@ -244,7 +263,7 @@ def test_compensation_rows_shape():
         ("approximate", "binary32", 10**6),
     ]
     naive = rows[0]
-    assert naive.iterations.min == naive.iterations.max == 0
+    assert naive.iter.min == naive.iter.max == 0
     assert naive.violations == 0
     for r in rows[1:]:
         assert r.violations == 0
