@@ -54,6 +54,7 @@ w + f with w >= 2**53 or f not exact in float64.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
@@ -174,10 +175,11 @@ def sample_cases(
     The samples are never built, so time is linear in n and memory in the
     number of distinct cases: each block merges into sorted arrays of A - D.
     """
+    blocks = _draw_blocks(seed, n, D, range_ppm)
     # |A - D| <= (D + 1) / 2, so A fits int64 too, which sorts far faster than Python ints
     dtype = np.int64 if D < 2**62 else object
     values, counts = np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
-    for _, offsets in _draw_blocks(seed, n, D, range_ppm):
+    for _, offsets in blocks:
         new, weights = np.unique(offsets.astype(dtype, copy=False), return_counts=True)
         at = np.searchsorted(values, new)
         seen = at < len(values)
@@ -187,6 +189,14 @@ def sample_cases(
         counts = np.insert(counts, at[~seen], weights[~seen])
     values += D
     return CaseTable(D=np.full(len(values), D, dtype=dtype), A=values, weight=counts)
+
+
+def _shown(value) -> str:
+    """str(value), or a note that str() cannot print it."""
+    try:
+        return str(value)
+    except ValueError:  # int(str)'s cap against quadratic-time conversion
+        return f"a number over Python's {sys.get_int_max_str_digits()}-digit limit"
 
 
 def _draw_blocks(
@@ -201,18 +211,19 @@ def _draw_blocks(
     getrandbits(32 * W) returns the next W words least significant first,
     so its little-endian bytes, read in place as <u4 words or <u8 pairs
     w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
-    n-th accepted draw are discarded with the generator.
+    n-th accepted draw are discarded with the generator.  The arguments
+    are checked at the call, so a caller may read D before the first block.
     """
     if not type(n) is type(D) is int:
         # a float count breaks numpy's slicing, and a bool D would draw a table for D = 1
         raise TypeError(f"need int n, D, got {type(n).__name__}, {type(D).__name__}")
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise ValueError(f"need n >= 0, got {_shown(n)}")
     if D <= 0:
-        raise ValueError(f"need D > 0, got {D}")
+        raise ValueError(f"need D > 0, got {_shown(D)}")
     limit = Fraction(range_ppm) * _PPM_STEPS
     if limit < 0 or limit.denominator != 1:
-        raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {range_ppm}")
+        raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {_shown(range_ppm)}")
     reach = int(limit)
     # A - D = round-half-up(D * m / _SKEW_STEPS), with the fraction reduced
     g = gcd(D, _SKEW_STEPS)
@@ -220,33 +231,37 @@ def _draw_blocks(
     # case 2 decomposes D/A into (D - A)/A, which needs A > D/2: test the least A, at m = -reach;
     # it fails for every range above 500000 ppm
     if D + 2 * ((s - 2 * d * reach) // (2 * s)) <= 0:
-        raise ValueError(f"range_ppm must keep every A above D/2, got {range_ppm} at D={D}")
+        raise ValueError(f"range_ppm must keep every A above D/2, got {_shown(range_ppm)} at D={_shown(D)}")
     span = 2 * reach + 1
     k = span.bit_length()  # at most 50, as the rule allows reach <= 5 * 10**14
     words = 1 if k <= 32 else 2
     # int64 is exact while |2 * d * m + s| stays below 2**63; 2 * d itself
     # must fit too, as numpy converts it to int64 even when every m is 0
     exact_int64 = 2 * d * max(reach, 1) + s < 2**63
-    rng = random.Random(seed)
-    left = n
-    while left:
-        # more than half of all attempts are accepted, so 2 * left usually suffice
-        attempts = min(_BLOCK, 2 * left)
-        raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
-        raw = np.frombuffer(raw, dtype=f"<u{4 * words}")
-        if words == 1:
-            value = np.right_shift(raw, np.uint64(32 - k), dtype=np.uint64)
-        else:
-            value = raw >> np.uint64(96 - k)
-            value <<= np.uint64(32)
-            value |= raw & np.uint64(0xFFFFFFFF)
-        # one compress; the accepted attempts are below 2**50, so int64 in place
-        steps = value[value < span][:left].view(np.int64)
-        del raw, value  # the block's buffers go before the next draw
-        steps -= reach
-        left -= len(steps)
-        m = steps if exact_int64 else steps.astype(object)
-        yield steps, (2 * d * m + s) // (2 * s)
+
+    def blocks():
+        rng = random.Random(seed)
+        left = n
+        while left:
+            # more than half of all attempts are accepted, so 2 * left usually suffice
+            attempts = min(_BLOCK, 2 * left)
+            raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
+            raw = np.frombuffer(raw, dtype=f"<u{4 * words}")
+            if words == 1:
+                value = np.right_shift(raw, np.uint64(32 - k), dtype=np.uint64)
+            else:
+                value = raw >> np.uint64(96 - k)
+                value <<= np.uint64(32)
+                value |= raw & np.uint64(0xFFFFFFFF)
+            # one compress; the accepted attempts are below 2**50, so int64 in place
+            steps = value[value < span][:left].view(np.int64)
+            del raw, value  # the block's buffers go before the next draw
+            steps -= reach
+            left -= len(steps)
+            m = steps if exact_int64 else steps.astype(object)
+            yield steps, (2 * d * m + s) // (2 * s)
+
+    return blocks()
 
 
 class CaseArrays:

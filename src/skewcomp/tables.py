@@ -10,6 +10,7 @@ compile it.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 from . import __version__, experiment
@@ -29,50 +30,42 @@ def _columns(row):
             yield name, value
 
 
-def _emit_table(cells, header, meta, fmt, out) -> None:
-    if fmt == "json":
-        import json  # only here: CSV runs and the import skip json and its submodules
-        # the *_avg cells become the numbers their printed text reads as
-        dict_rows = [
-            {name: float(cell) if name.endswith("_avg") else cell for name, cell in zip(header, row)}
-            for row in cells
-        ]
-        json.dump({"meta": meta, "rows": dict_rows}, out, indent=2)
-        out.write("\n")
-    else:
-        for key, value in meta.items():
-            out.write(f"# {key}={value}\n")
-        for row in [header, *cells]:
-            out.write(",".join(map(str, row)) + "\n")
-
-
-def _table_meta(args) -> dict:
-    return {
-        "tool": f"skewcomp {__version__} {args.command}",
-        "seed": args.seed,
-        "samples": args.samples,
-        "D": args.D,
-        "range_ppm": args.range_ppm,
-        "eps_coeff": args.eps_coeff,
-        "i": ",".join(str(i) for i in args.i),
-        "distribution": "skew uniform on the 1e-9 ppm lattice in [-range_ppm, +range_ppm]",
-        "conventions": "dlb=ref_lb-lb dub=ub-ref_ub err=floor64-j avg printed as %.4e",
-    }
-
-
 def run(args) -> int:
     """Write the table args.command names and give the exit code 0; bad input raises."""
     # experiment's functions are looked up at each run, so a function replaced there is the one called
     cases = experiment.sample_cases(args.seed, args.samples, args.D, args.range_ppm)
     rows = getattr(experiment, args.experiment)(cases, args.i, eps_coeff=args.eps_coeff)
-    # header, cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
-    pairs = [list(_columns(row)) for row in rows]
-    header = [name for name, _ in pairs[0]]
-    cells = [[cell for _, cell in row] for row in pairs]
-    meta = {key: str(value) for key, value in _table_meta(args).items()}
+    # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
+    table = [dict(_columns(row)) for row in rows]
+    meta = {
+        "tool": f"skewcomp {__version__} {args.command}",
+        "seed": str(args.seed),
+        "samples": str(args.samples),
+        "D": str(args.D),
+        "range_ppm": str(args.range_ppm),
+        "eps_coeff": str(args.eps_coeff),
+        "i": ",".join(str(i) for i in args.i),
+        "distribution": "skew uniform on the 1e-9 ppm lattice in [-range_ppm, +range_ppm]",
+        "conventions": "dlb=ref_lb-lb dub=ub-ref_ub err=floor64-j avg printed as %.4e",
+    }
     if args.output and args.output != "-":
-        with open(args.output, "w", newline="") as out:
-            _emit_table(cells, header, meta, args.format, out)
+        destination = open(args.output, "w", newline="")
     else:
-        _emit_table(cells, header, meta, args.format, sys.stdout)
+        destination = contextlib.nullcontext(sys.stdout)
+    with destination as out:
+        if args.format == "json":
+            import json  # only here: CSV runs and the import skip json and its submodules
+            # the *_avg cells become the numbers their printed text reads as
+            for row in table:
+                for name in row:
+                    if name.endswith("_avg"):
+                        row[name] = float(row[name])
+            json.dump({"meta": meta, "rows": table}, out, indent=2)
+            out.write("\n")
+        else:
+            for key, value in meta.items():
+                out.write(f"# {key}={value}\n")
+            out.write(",".join(table[0]) + "\n")
+            for row in table:
+                out.write(",".join(map(str, row.values())) + "\n")
     return 0

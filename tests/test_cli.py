@@ -413,6 +413,13 @@ def test_range_of_half_the_clock_exits_1(capsys):
     assert err == "error: range_ppm must keep every A above D/2, got 600000 at D=1000000\n"
 
 
+def test_range_past_the_digit_limit_exits_1_with_the_rule(capsys):
+    code, out, err = run(capsys, "table2", "-n", "5", "--range-ppm", "1e5000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: range_ppm must keep every A above D/2, got a number over Python's 4300-digit limit at D=1000000\n"
+
+
 def test_range_of_half_the_clock_at_an_odd_clock_runs(capsys):
     # at D = 3, 500000 ppm draws a least A of 2, above D/2
     code, out, _ = run(capsys, "table2", "-n", "10", "--D", "3", "--range-ppm", "5e5")
@@ -477,6 +484,25 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text()
     assert TABLE3_HEADER == text.splitlines()[-4].split(",")  # header above 3 rows
     assert out == ""
+
+
+def test_dash_or_empty_output_prints_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("table2", "-n", "50", "--seed", "2", "--i", "1e6")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    for output in ("-", ""):
+        assert run(capsys, *argv, "-o", output) == (0, expected, ""), output
+        assert list(tmp_path.iterdir()) == [], output
+
+
+def test_json_output_file_holds_the_printed_bytes(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    argv = ("table3", "-n", "200", "--seed", "1", "--i", "1e6,1e9", "--format", "json")
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "-o", str(target)) == (0, "", "")
+    assert target.read_bytes() == printed.encode()
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

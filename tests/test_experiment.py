@@ -159,10 +159,32 @@ def test_range_must_stay_below_half_the_clock():
 
 
 @pytest.mark.parametrize("sampler", [generate_samples, sample_cases])
+def test_range_messages_name_the_rule_past_the_digit_limit(sampler):
+    # str() of an int over 4,300 digits raises, so the message says what the value is instead
+    over = "a number over Python's 4300-digit limit"
+    cases = [
+        (10**6, Fraction(10**5000), f"range_ppm must keep every A above D/2, got {over} at D=1000000"),
+        (10**5000, 600_000, f"range_ppm must keep every A above D/2, got 600000 at D={over}"),
+        (10**6, Fraction(1, 10**5000), f"range_ppm must be a nonnegative multiple of 1e-9, got {over}"),
+        (-(10**5000), 100, f"need D > 0, got {over}"),
+    ]
+    for D, range_ppm, message in cases:
+        with pytest.raises(ValueError) as info:
+            sampler(1, 10, D, range_ppm)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("sampler", [generate_samples, sample_cases])
 @pytest.mark.parametrize(
     "n, D, names",
-    [(10, True, "int, bool"), (10**5, 1e6, "int, float"), (10.0, 10**6, "float, int"), (False, 10**6, "bool, int")],
-    ids=["bool-D", "float-D", "float-n", "bool-n"],
+    [
+        (10, True, "int, bool"),
+        (10**5, 1e6, "int, float"),
+        (10, "x", "int, str"),
+        (10.0, 10**6, "float, int"),
+        (False, 10**6, "bool, int"),
+    ],
+    ids=["bool-D", "float-D", "str-D", "float-n", "bool-n"],
 )
 def test_samplers_take_only_int_n_and_D(sampler, n, D, names):
     # a bool D would draw a table for D = 1, and a float n would fail inside numpy
