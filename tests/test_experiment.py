@@ -163,14 +163,15 @@ def test_range_messages_name_the_rule_past_the_digit_limit(sampler):
     # str() of an int over 4,300 digits raises, so the message says what the value is instead
     over = "a number over Python's 4300-digit limit"
     cases = [
-        (10**6, Fraction(10**5000), f"range_ppm must keep every A above D/2, got {over} at D=1000000"),
-        (10**5000, 600_000, f"range_ppm must keep every A above D/2, got 600000 at D={over}"),
-        (10**6, Fraction(1, 10**5000), f"range_ppm must be a nonnegative multiple of 1e-9, got {over}"),
-        (-(10**5000), 100, f"need D > 0, got {over}"),
+        (10, 10**6, Fraction(10**5000), f"range_ppm must keep every A above D/2, got {over} at D=1000000"),
+        (10, 10**5000, 600_000, f"range_ppm must keep every A above D/2, got 600000 at D={over}"),
+        (10, 10**6, Fraction(1, 10**5000), f"range_ppm must be a nonnegative multiple of 1e-9, got {over}"),
+        (10, -(10**5000), 100, f"need D > 0, got {over}"),
+        (-(10**5000), 10**6, 100, f"need n >= 0, got {over}"),
     ]
-    for D, range_ppm, message in cases:
+    for n, D, range_ppm, message in cases:
         with pytest.raises(ValueError) as info:
-            sampler(1, 10, D, range_ppm)
+            sampler(1, n, D, range_ppm)
         assert str(info.value) == message
 
 
