@@ -41,10 +41,12 @@ naive_compensate return:
   i = 315, D = 4775644609732923, A = 3607501323898971 gives 417 for the
   floor of its quotient, and 416 exactly.
 
-A case the kernel cannot prove is marked in the fallback mask it returns,
-and the experiments evaluate it with the scalar functions, which also raise
-whatever they raise for it.  That covers inputs off the hardware route
-(i, D or A >= 2**53, formats other than binary32/binary64), cases
+A row reaches the kernel with an i already held to the per-case rule,
+and _eps_hat raises for a bad eps_coeff, so the kernel declines only for
+range: a case it cannot prove is marked in the fallback mask it returns,
+and the experiments evaluate it with the scalar functions, which also
+raise whatever they raise for it.  That covers inputs off the hardware
+route (i, D or A >= 2**53, formats other than binary32/binary64), cases
 outside 0 < D < 2A, 2*i*db + A >= 2**63 (i*D >= 2**63 for the naive
 floor, and its quotient >= 2**53), a binary64 c * t_hat that rounds to a
 nonzero integer, an uncertain reference end, and an approximate margin
@@ -72,6 +74,7 @@ from .bounds import (
     _HW_EXACT_INT,
     _eps_hat,
     _on_hardware_route,
+    _validate_estimate,
     candidate_interval,
     interval_deltas,
     reference_interval,
@@ -221,7 +224,10 @@ def _draw_blocks(
         raise ValueError(f"need n >= 0, got {_shown(n)}")
     if D <= 0:
         raise ValueError(f"need D > 0, got {_shown(D)}")
-    limit = Fraction(range_ppm) * _PPM_STEPS
+    if isinstance(range_ppm, (float, bool)):
+        # a float carries its binary conversion error onto the lattice, and True would draw at 1 ppm
+        raise TypeError(f"range_ppm must be exact (int, Fraction or decimal string), got {range_ppm!r}")
+    limit =Fraction(range_ppm) * _PPM_STEPS
     if limit < 0 or limit.denominator != 1:
         raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {_shown(range_ppm)}")
     reach = int(limit)
@@ -326,17 +332,9 @@ def _ints(column) -> bool:
     return column.dtype == np.int64 or column.dtype == object and set(map(type, column.tolist())) <= {int}
 
 
-def _on_route(i, fmt) -> bool:
-    """Whether the row is on the scalar hardware route; each case also needs A < 2**53."""
-    return type(i) is int and i >= 0 and _on_hardware_route(fmt, i)
-
-
 def _margin(i: int, fmt, eps_coeff):
-    """1 + eps_hat as an int w < 2**53 and an exact float f in [0, 1), or None, also for an eps_coeff the scalar path rejects."""
-    try:
-        en, ed = _eps_hat(eps_coeff, i, fmt)
-    except (TypeError, ValueError, ZeroDivisionError):
-        return None
+    """1 + eps_hat as an int w < 2**53 and an exact float f in [0, 1), or None."""
+    en, ed = _eps_hat(eps_coeff, i, fmt)
     w, rest = divmod(ed + en, ed)
     f = rest / ed
     if w >= _HW_EXACT_INT or Fraction(f) != Fraction(rest, ed):
@@ -347,7 +345,7 @@ def _margin(i: int, fmt, eps_coeff):
 def candidate_ends(cases: CaseArrays, i: int, method: str, fmt, eps_coeff):
     """(lb, ub, fallback) of candidate_interval(i, db, A, method, fmt, eps_coeff) per case."""
     zeros = np.zeros(len(cases), dtype=np.int64)
-    if not _on_route(i, fmt):
+    if not _on_hardware_route(fmt, i):
         return zeros, zeros, np.ones(len(cases), dtype=bool)
     t_hat = cases.estimate(i, fmt)
     fallback = ~cases.domain
@@ -381,7 +379,7 @@ def reference_ends(cases: CaseArrays, i: int, fmt):
     the rounding of its own ends; t = 0 gives the exact f = 0.
     """
     zeros = np.zeros(len(cases), dtype=np.int64)
-    if not _on_route(i, fmt):
+    if not _on_hardware_route(fmt, i):
         return zeros, zeros, np.ones(len(cases), dtype=bool)
     guard = cases.guard(i)
     n = i * np.where(guard, cases.db64, 0)
@@ -430,7 +428,7 @@ def naive_floors(cases: CaseArrays, i: int, fmt):
     guard i*D < 2**63 keeps every product in int64.  k comes from frexp,
     exact while q < 2**53.
     """
-    if not _on_route(i, fmt):
+    if not _on_hardware_route(fmt, i):
         return np.zeros(len(cases), dtype=np.int64), np.ones(len(cases), dtype=bool)
     a = cases.a64
     guard = cases.d64 <= _INT64_MAX // max(i, 1)
@@ -487,6 +485,8 @@ def bounds_experiment(
     candidate and the reference alike, so deltas compare like with like.
     """
     cases = CaseArrays(population)
+    for i in i_list:
+        _validate_estimate(i, *cases.pair(0))
     return [_bounds_row(cases, method, precision, i, eps_coeff) for method, precision in configs for i in i_list]
 
 
@@ -528,6 +528,8 @@ def compensation_experiment(
     cannot prove.
     """
     cases = CaseArrays(population)
+    for i in i_list:
+        _validate_estimate(i, *cases.pair(0))
     baseline = {i: _naive_row(cases, i, BINARY64) for i in i_list}
     return [
         _comp_row(cases, algorithm, precision, i, eps_coeff, baseline[i])

@@ -17,6 +17,7 @@ from casetable import case_table
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
+    _on_hardware_route,
     candidate_interval,
     interval_deltas,
     reference_interval,
@@ -88,6 +89,12 @@ def _check_row(pairs, i, fmt, eps_coeff):
     pairs = sorted(pairs)
     masks = {}
     for method in METHODS:
+        if method == "approximate" and eps_coeff < 0 and _on_hardware_route(fmt, i):
+            # the kernel reads eps_coeff on the hardware route, and _eps_hat rejects it there
+            for kernel in (candidate_ends, compensate_triples):
+                with pytest.raises(ValueError, match="^need eps_coeff >= 0"):
+                    kernel(cases, i, method, fmt, eps_coeff)
+            continue
         lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
         for k in _accepted(fallback):
             cand = candidate_interval(i, *_slope(*pairs[k]), method, fmt, eps_coeff)
@@ -273,7 +280,7 @@ def _fallback_masks(pairs, i, fmt=BINARY32, eps_coeff=DEFAULT_EPS_COEFF):
 
 def test_fallback_off_the_hardware_route():
     pairs = [(10**6, 10**6 + 1)]
-    for i, fmt in ((2**53, BINARY32), (10**9, P11), (-1, BINARY64)):
+    for i, fmt in ((2**53, BINARY32), (10**9, P11)):
         assert all(mask == [True] for mask in _fallback_masks(pairs, i, fmt).values())
     # A >= 2**53 falls back case by case
     masks = _fallback_masks([(10**6, 10**6 + 1), (2**53, 2**53 + 1)], 10**9)

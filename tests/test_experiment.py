@@ -193,6 +193,14 @@ def test_samplers_take_only_int_n_and_D(sampler, n, D, names):
         sampler(42, n, D)
 
 
+@pytest.mark.parametrize("sampler", [generate_samples, sample_cases])
+@pytest.mark.parametrize("range_ppm", [0.1, 100.0, True, math.nan, math.inf], ids=repr)
+def test_samplers_take_only_an_exact_range(sampler, range_ppm):
+    # 0.1 is not the decimal 0.1, True would draw at 1 ppm, and NaN and inf have no lattice step
+    with pytest.raises(TypeError, match=rf"^range_ppm must be exact \(int, Fraction or decimal string\), got {range_ppm!r}$"):
+        sampler(42, 10, 10**6, range_ppm)
+
+
 def test_generation_is_deterministic():
     a = generate_samples(42, 500)
     b = generate_samples(42, 500)
@@ -332,13 +340,28 @@ def test_nonpositive_weight_rejected():
             compensation_experiment(case_table({(10**6, 10**6 + 1): weight}), (10**6,))
 
 
+@pytest.mark.parametrize("run", [bounds_experiment, compensation_experiment])
 @pytest.mark.parametrize(
-    "population, i", [({(-1, 5): 1}, 10), ({(3, 5): 1}, -1), ({(3, 0): 1}, 10)]
+    "population, i_list, error, message",
+    [
+        ({(-1, 5): 1}, (10,), InvalidInput, "need i, D, A >= 0 and A > 0, got i=10 D=-1 A=5"),
+        ({(3, 5): 1}, (-1,), InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=3 A=5"),
+        ({(3, 0): 1}, (10,), InvalidInput, "need i, D, A >= 0 and A > 0, got i=10 D=3 A=0"),
+        # a case 2 population: the message names the sampled D, not its remainder slope 71
+        ({(10**6, 999_929): 1}, (10**6, -1), InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1000000 A=999929"),
+        ({(10**6, 999_929): 1}, (10**6, 10.0**7), TypeError, "need int i, D, A, got float, int, int"),
+    ],
+    ids=["negative-D", "negative-i", "zero-A", "case2-negative-i", "float-i"],
 )
-def test_invalid_inputs_raise_before_any_row(population, i):
-    # the baselines run first, so naive_compensate's check fires, not compensate's
-    with pytest.raises(ValueError, match="need i, D, A >= 0 and A > 0"):
-        compensation_experiment(case_table(population), (i,))
+def test_invalid_inputs_raise_before_any_row(monkeypatch, run, population, i_list, error, message):
+    # each i is held to the per-case rule, named with the first case, before any kernel runs
+    calls = []
+    for name in ("candidate_ends", "reference_ends", "compensate_triples", "naive_floors"):
+        monkeypatch.setattr(experiment, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(error) as info:
+        run(case_table(population), i_list)
+    assert str(info.value) == message
+    assert calls == []
 
 
 @pytest.mark.parametrize("experiment", [bounds_experiment, compensation_experiment])
