@@ -227,7 +227,7 @@ def _draw_blocks(
     if isinstance(range_ppm, (float, bool)):
         # a float carries its binary conversion error onto the lattice, and True would draw at 1 ppm
         raise TypeError(f"range_ppm must be exact (int, Fraction or decimal string), got {range_ppm!r}")
-    limit =Fraction(range_ppm) * _PPM_STEPS
+    limit = Fraction(range_ppm) * _PPM_STEPS
     if limit < 0 or limit.denominator != 1:
         raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {_shown(range_ppm)}")
     reach = int(limit)
