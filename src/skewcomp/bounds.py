@@ -43,7 +43,7 @@ from math import ceil, floor
 from typing import NamedTuple
 
 from .formats import FloatFormat, error_budget, format_label, resolve_format, unit_roundoff
-from .rationals import round_ratio, round_to_format
+from .rationals import _exact, round_ratio, round_to_format
 
 __all__ = [
     "InvalidInput",
@@ -257,10 +257,7 @@ def _emulated_ratio(i: int, D: int, A: int, fmt: FloatFormat) -> tuple[int, int]
 
 def _eps_hat(eps_coeff, i: int, fmt: FloatFormat) -> tuple[int, int]:
     """eps_hat = fl(eps_coeff * i) as an unreduced (numerator, denominator > 0) pair."""
-    if isinstance(eps_coeff, float):
-        # a float carries its binary conversion error into the margin
-        raise TypeError(f"eps_coeff must be exact (int, Fraction or decimal string), got {eps_coeff!r}")
-    eps = Fraction(eps_coeff)
+    eps = _exact(eps_coeff, "eps_coeff")
     if eps < 0:
         raise ValueError(f"need eps_coeff >= 0, got {eps}")
     return round_ratio(eps.numerator * i, eps.denominator, fmt)

@@ -16,6 +16,7 @@ closes the output early, as `| head` does, ends the run quietly with 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -170,5 +171,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def script() -> None:
+    """The process entry point: exit with the code of main() on sys.argv.
+
+    The collector is frozen first, so the interpreter's shutdown
+    collections skip the objects the imports made, numpy's included, and
+    leave that memory to the process exit.  main() itself leaves the
+    collector alone for callers that run it in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

@@ -41,7 +41,7 @@ naive_compensate return:
   i = 315, D = 4775644609732923, A = 3607501323898971 gives 417 for the
   floor of its quotient, and 416 exactly.
 
-A row reaches the kernel with an i already held to the per-case rule,
+A row reaches the kernel with each i and case held to the per-case rule,
 and _eps_hat raises for a bad eps_coeff, so the kernel declines only for
 range: a case it cannot prove is marked in the fallback mask it returns,
 and the experiments evaluate it with the scalar functions, which also
@@ -83,6 +83,7 @@ from .bounds import (
 )
 from .compensator import compensate, naive_compensate
 from .formats import BINARY64, format_label, resolve_format
+from .rationals import _exact
 
 TABLE2_CONFIGS = (
     ("theoretical", "binary64"),
@@ -217,6 +218,9 @@ def _draw_blocks(
     n-th accepted draw are discarded with the generator.  The arguments
     are checked at the call, so a caller may read D before the first block.
     """
+    if type(seed) is not int:
+        # None seeds from the clock, and a float, str or bytes seed hashes to another table
+        raise TypeError(f"need int seed, got {type(seed).__name__}")
     if not type(n) is type(D) is int:
         # a float count breaks numpy's slicing, and a bool D would draw a table for D = 1
         raise TypeError(f"need int n, D, got {type(n).__name__}, {type(D).__name__}")
@@ -224,10 +228,7 @@ def _draw_blocks(
         raise ValueError(f"need n >= 0, got {_shown(n)}")
     if D <= 0:
         raise ValueError(f"need D > 0, got {_shown(D)}")
-    if isinstance(range_ppm, (float, bool)):
-        # a float carries its binary conversion error onto the lattice, and True would draw at 1 ppm
-        raise TypeError(f"range_ppm must be exact (int, Fraction or decimal string), got {range_ppm!r}")
-    limit = Fraction(range_ppm) * _PPM_STEPS
+    limit = _exact(range_ppm, "range_ppm") * _PPM_STEPS
     if limit < 0 or limit.denominator != 1:
         raise ValueError(f"range_ppm must be a nonnegative multiple of 1e-9, got {_shown(range_ppm)}")
     reach = int(limit)
@@ -307,6 +308,12 @@ class CaseArrays:
         self.d64 = np.where(self.domain, D, 0).astype(np.int64)
         self.db64 = np.where(self.domain, db, 0).astype(np.int64)
         self.a64 = np.where(self.domain, A, 1).astype(np.int64)
+
+    def check(self, i_list) -> None:
+        """Hold each i to the (i, D, A) input rule with the first case that breaks its signs, else case 0."""
+        k = int(((self.D < 0) | (self.A <= 0)).argmax())
+        for i in i_list:
+            _validate_estimate(i, *self.pair(k))
 
     def pair(self, k: int) -> tuple[int, int]:
         """Case k as Python ints, for the scalar fallbacks."""
@@ -485,8 +492,7 @@ def bounds_experiment(
     candidate and the reference alike, so deltas compare like with like.
     """
     cases = CaseArrays(population)
-    for i in i_list:
-        _validate_estimate(i, *cases.pair(0))
+    cases.check(i_list)
     return [_bounds_row(cases, method, precision, i, eps_coeff) for method, precision in configs for i in i_list]
 
 
@@ -528,8 +534,7 @@ def compensation_experiment(
     cannot prove.
     """
     cases = CaseArrays(population)
-    for i in i_list:
-        _validate_estimate(i, *cases.pair(0))
+    cases.check(i_list)
     baseline = {i: _naive_row(cases, i, BINARY64) for i in i_list}
     return [
         _comp_row(cases, algorithm, precision, i, eps_coeff, baseline[i])

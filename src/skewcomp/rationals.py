@@ -64,3 +64,19 @@ def round_to_format(x: Rational, fmt) -> Fraction:
 def is_in_format(x: Rational, fmt) -> bool:
     """True iff x is exactly representable in fmt (zero included)."""
     return x == round_to_format(x, fmt)
+
+
+def _exact(value, name: str) -> Fraction:
+    """value, an int, Fraction or decimal or a/b string, as a Fraction; name is the argument's.
+
+    A float carries its binary conversion error, and a bool is a flag,
+    not a number, so both raise TypeError like any type Fraction refuses.
+    """
+    if not isinstance(value, (float, bool)):
+        try:
+            return Fraction(value)
+        except TypeError:
+            pass
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:  # a bad string, "1/0", Decimal("inf")
+            raise ValueError(f"{name} must be an exact number: {exc}") from None
+    raise TypeError(f"{name} must be exact (int, Fraction or decimal string), got {value!r}")

@@ -1,6 +1,8 @@
 """Command line and package surface: output format, exit codes, golden rows, exports."""
 
+import ast
 import csv
+import gc
 import hashlib
 import importlib
 import inspect
@@ -8,6 +10,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -16,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import skewcomp
-from skewcomp import experiment, selfcheck
+from skewcomp import cli, experiment, selfcheck
 from skewcomp.cli import main
 
 TABLE2_HEADER = ["method", "precision", "i", "dlb_min", "dlb_max", "dlb_avg", "dub_min", "dub_max", "dub_avg"]
@@ -518,6 +521,56 @@ def test_closed_stdout_ends_the_run_quietly(unbuffered):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the process entry point freezes the collector; in-process callers keep theirs
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "table2", "-n", "1000", "--D", "1e9", "--i", "1e6")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_module_run_writes_the_bytes_of_main(tmp_path, capsys):
+    argv = ["table2", "-n", "1000", "--D", "1e9", "-o"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewcomp.cli", *argv, str(tmp_path / "module.csv")],
+        capture_output=True,
+        env=fresh_env(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run(capsys, *argv, str(tmp_path / "main.csv")) == (0, "", "")
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_the_command_freezes_the_collector_before_it_exits():
+    # the shutdown collections then skip what the imports made; the collector stays enabled
+    script = (
+        "import gc, runpy\n"
+        "print(gc.get_freeze_count())\n"
+        "try:\n"
+        "    runpy.run_module('skewcomp.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())\n"
+    )
+    out = run_fresh(script, "table2", "-n", "1000", "--D", "1e9", "-o", os.devnull)
+    assert out.split() == ["0", "0", "True", "True"]
+
+
+def test_installed_command_runs_the_entry_point_of_the_module_run():
+    # read without tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    targets = dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.MULTILINE))
+    (block,) = [
+        node
+        for node in ast.parse(inspect.getsource(cli)).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (statement,) = block.body
+    name = statement.value.func.id
+    assert targets == {"skewcomp": f"skewcomp.cli:{name}"}
+    assert callable(getattr(cli, name))
 
 
 def test_table_run_without_flags_uses_the_package_defaults(capsys):

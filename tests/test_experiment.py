@@ -4,14 +4,16 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casetable import case_table
-from skewcomp.bounds import InvalidInput
+from skewcomp.bounds import InvalidInput, candidate_interval
 from skewcomp import experiment
 from skewcomp.compensator import naive_compensate, oracle_nearest
 from skewcomp.experiment import (
@@ -201,6 +203,41 @@ def test_samplers_take_only_an_exact_range(sampler, range_ppm):
         sampler(42, 10, 10**6, range_ppm)
 
 
+@pytest.mark.parametrize("sampler", [generate_samples, sample_cases])
+@pytest.mark.parametrize("seed", [None, 42.0, "42", True, np.int64(42), Fraction(42)], ids=repr)
+def test_samplers_take_only_an_int_seed(sampler, seed):
+    # None seeds from the clock, so two calls would draw two tables; the others hash to other tables
+    with pytest.raises(TypeError, match=f"^need int seed, got {type(seed).__name__}$"):
+        sampler(seed, 10, 10**6)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("eps_coeff", lambda value: candidate_interval(10, 1, 2, "approximate", eps_coeff=value)),
+        ("range_ppm", lambda value: sample_cases(42, 10, 10**6, value)),
+        ("range_ppm", lambda value: generate_samples(42, 10, 10**6, value)),
+    ],
+    ids=["eps_coeff", "range_ppm-cases", "range_ppm-samples"],
+)
+@pytest.mark.parametrize(
+    "value, error, reason",
+    [
+        ("abc", ValueError, "must be an exact number: Invalid literal for Fraction: 'abc'"),
+        ("1/0", ValueError, "must be an exact number: Fraction(1, 0)"),
+        (Decimal("inf"), ValueError, "must be an exact number: cannot convert Infinity to integer ratio"),
+        (None, TypeError, "must be exact (int, Fraction or decimal string), got None"),
+        (True, TypeError, "must be exact (int, Fraction or decimal string), got True"),
+    ],
+    ids=["word", "zero-denominator", "decimal-inf", "none", "bool"],
+)
+def test_exact_arguments_name_themselves(name, call, value, error, reason):
+    # eps_coeff and range_ppm share one parse, and its message says which argument it read
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == f"{name} {reason}"
+
+
 def test_generation_is_deterministic():
     a = generate_samples(42, 500)
     b = generate_samples(42, 500)
@@ -350,11 +387,14 @@ def test_nonpositive_weight_rejected():
         # a case 2 population: the message names the sampled D, not its remainder slope 71
         ({(10**6, 999_929): 1}, (10**6, -1), InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1000000 A=999929"),
         ({(10**6, 999_929): 1}, (10**6, 10.0**7), TypeError, "need int i, D, A, got float, int, int"),
+        # a later case breaks the signs: the message names it with its own D, not its remainder slope 7
+        ({(3, 5): 1, (5, -2): 1}, (10,), InvalidInput, "need i, D, A >= 0 and A > 0, got i=10 D=5 A=-2"),
     ],
-    ids=["negative-D", "negative-i", "zero-A", "case2-negative-i", "float-i"],
+    ids=["negative-D", "negative-i", "zero-A", "case2-negative-i", "float-i", "later-negative-A"],
 )
 def test_invalid_inputs_raise_before_any_row(monkeypatch, run, population, i_list, error, message):
-    # each i is held to the per-case rule, named with the first case, before any kernel runs
+    # each i is held to the per-case rule, named with the first case that breaks its signs
+    # (else the first case), before any kernel runs
     calls = []
     for name in ("candidate_ends", "reference_ends", "compensate_triples", "naive_floors"):
         monkeypatch.setattr(experiment, name, lambda *args, name=name: calls.append(name))
