@@ -69,14 +69,18 @@ def is_in_format(x: Rational, fmt) -> bool:
 def _exact(value, name: str) -> Fraction:
     """value, an int, Fraction or decimal or a/b string, as a Fraction; name is the argument's.
 
-    A float carries its binary conversion error, and a bool is a flag,
-    not a number, so both raise TypeError like any type Fraction refuses.
+    A float carries its binary conversion error, a bool is a flag, not a
+    number, and a numpy integer stays one inside the Fraction, where its
+    products wrap, so all three raise TypeError like any type Fraction refuses.
     """
     if not isinstance(value, (float, bool)):
         try:
-            return Fraction(value)
+            exact = Fraction(value)
         except TypeError:
             pass
         except (ValueError, ZeroDivisionError, OverflowError) as exc:  # a bad string, "1/0", Decimal("inf")
             raise ValueError(f"{name} must be an exact number: {exc}") from None
+        else:
+            if type(exact.numerator) is type(exact.denominator) is int:
+                return exact
     raise TypeError(f"{name} must be exact (int, Fraction or decimal string), got {value!r}")

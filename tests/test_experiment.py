@@ -228,11 +228,13 @@ def test_samplers_take_only_an_int_seed(sampler, seed):
         (Decimal("inf"), ValueError, "must be an exact number: cannot convert Infinity to integer ratio"),
         (None, TypeError, "must be exact (int, Fraction or decimal string), got None"),
         (True, TypeError, "must be exact (int, Fraction or decimal string), got True"),
+        (np.int64(2**40), TypeError, f"must be exact (int, Fraction or decimal string), got {np.int64(2**40)!r}"),
     ],
-    ids=["word", "zero-denominator", "decimal-inf", "none", "bool"],
+    ids=["word", "zero-denominator", "decimal-inf", "none", "bool", "numpy-int"],
 )
 def test_exact_arguments_name_themselves(name, call, value, error, reason):
-    # eps_coeff and range_ppm share one parse, and its message says which argument it read
+    # eps_coeff and range_ppm share one parse, and its message says which argument it read;
+    # a numpy eps_coeff of 2**40 would wrap in eps_coeff * i at i = 2**40
     with pytest.raises(error) as info:
         call(value)
     assert str(info.value) == f"{name} {reason}"
