@@ -174,18 +174,14 @@ def certify(method: str, fmt: FloatFormat) -> Certificate:
     )
 
 
-def _require_ints(i, D, A) -> None:
-    # a float, bool or numpy integer would run the exact integer arithmetic
-    # in another type and can give a wrong clock
-    if not type(i) is type(D) is type(A) is int:
-        raise TypeError(f"need int i, D, A, got {type(i).__name__}, {type(D).__name__}, {type(A).__name__}")
-
-
 def _validate_estimate(i: int, D: int, A: int) -> None:
-    """The input rule of every (i, D, A) function but compensate: signs, then exact ints."""
+    """The input rule of every (i, D, A) function but compensate: exact ints, then signs."""
+    if not type(i) is type(D) is type(A) is int:
+        # a float, bool or numpy integer would run the exact integer arithmetic
+        # in another type and can give a wrong clock
+        raise TypeError(f"need int i, D, A, got {type(i).__name__}, {type(D).__name__}, {type(A).__name__}")
     if i < 0 or D < 0 or A <= 0:
         raise InvalidInput(f"need i, D, A >= 0 and A > 0, got i={i} D={D} A={A}")
-    _require_ints(i, D, A)
 
 
 def _validate_inputs(i: int, D: int, A: int) -> None:
@@ -306,7 +302,7 @@ def candidate_interval(
     degenerate interval around t = 0.
     """
     # the rules of _validate_inputs, tested inline; a broken one raises its error there
-    if i < 0 or D < 0 or A <= 0 or D >= A or not type(i) is type(D) is type(A) is int:
+    if not type(i) is type(D) is type(A) is int or i < 0 or D < 0 or A <= 0 or D >= A:
         _validate_inputs(i, D, A)
     fmt, label, hardware, ratios, floats = _PLANS[method, precision, type(precision)]
     # t_hat = tn / td exactly; D < A, so max(i, A) is the largest input

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _require_ints, _validate_estimate, candidate_interval
+from .bounds import DEFAULT_EPS_COEFF, InvalidInput, _validate_estimate, candidate_interval
 from .formats import resolve_format
 from .rationals import round_ratio
 
@@ -75,6 +75,9 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     width, the ticks the walk covers.
     """
     lb, ub = interval[0], interval[1]
+    if not type(i) is type(delta_a) is type(delta_b) is type(lb) is type(ub) is int:
+        names = ", ".join(type(v).__name__ for v in (i, delta_a, delta_b, lb, ub))
+        raise TypeError(f"need int i, delta_a, delta_b, lb, ub, got {names}")
     if not 0 <= delta_b < delta_a:
         raise InvalidInput(f"need 0 <= delta_b < delta_a, got delta_b={delta_b} delta_a={delta_a}")
     width = ub - lb
@@ -85,9 +88,6 @@ def refine(i: int, delta_a: int, delta_b: int, interval) -> RefineResult:
     b = i * delta_b
     if b + delta_a >= _PRODUCT_LIMIT:
         raise OverflowRisk(f"i*delta_b + delta_a = {b + delta_a} >= 2**63")
-    if not type(i) is type(delta_b) is type(delta_a) is type(lb) is type(ub) is int:
-        _require_ints(i, delta_b, delta_a)
-        raise TypeError(f"need int interval ends, got {type(lb).__name__}, {type(ub).__name__}")
 
     y = lb
     r = b + delta_a // 2 - y * delta_a
@@ -121,14 +121,13 @@ def compensate(
     interval missed the clock, which bounds_violated reports.  An
     interval wholly above i is walked as the one point [lb, lb] and misses.
     """
+    if not type(i) is type(D) is type(A) is int or i < 0:
+        # the int rule and i >= 0 here, so the error names the caller's D, not the remainder slope
+        _validate_estimate(i, D, A)
     if D <= 0 or D >= 2 * A:  # which implies A > 0
         raise InvalidInput(f"need 0 < D < 2A, got D={D} A={A}")
-    if i < 0:  # here, so the error names the caller's D, not the remainder slope
-        _validate_estimate(i, D, A)
     if D == A:
-        # candidate_interval rejects what it rejects on the other slopes and
-        # gives the label; its literal D = 0 would pass a float or bool D
-        _require_ints(i, D, A)
+        # candidate_interval rejects what it rejects on the other slopes and gives the label
         label = candidate_interval(i, 0, A, method, precision, eps_coeff).precision
         return _new(CompResult, (i, 0, method, label, "identity", False))
 

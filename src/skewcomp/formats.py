@@ -76,12 +76,13 @@ def resolve_format(precision) -> FloatFormat:
 
 
 def format_label(fmt: FloatFormat) -> str:
+    fmt = resolve_format(fmt)
     return _LABELS.get(fmt) or f"b2p{fmt.precision}"
 
 
 def unit_roundoff(fmt: FloatFormat) -> Fraction:
     """u = 2**-precision, exactly."""
-    return Fraction(1, 2**fmt.precision)
+    return Fraction(1, 2 ** resolve_format(fmt).precision)
 
 
 def op_error_bound(kind: str, which: str, fmt: FloatFormat) -> Fraction:
@@ -102,6 +103,7 @@ def op_error_bound(kind: str, which: str, fmt: FloatFormat) -> Fraction:
 
 def relative_errors(t: Rational, fmt: FloatFormat) -> tuple[Fraction, Fraction]:
     """Realized (E1, E2) of rounding t; (0, 0) at t = 0 by convention."""
+    fmt = resolve_format(fmt)
     if t == 0:
         return Fraction(0), Fraction(0)
     rounded = round_to_format(t, fmt)

@@ -30,6 +30,10 @@ def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
     {0} union {M * 2**e : 2**(p-1) <= |M| < 2**p}, e unbounded.  Returns
     an unreduced pair (n, d), d > 0, with n/d equal to the rounded value.
     """
+    if not type(num) is type(den) is int:
+        raise TypeError(f"need int num, den, got {type(num).__name__}, {type(den).__name__}")
+    if den <= 0:
+        raise ValueError(f"need den > 0, got {den}")
     if num == 0:
         return 0, 1
     sign = 1

@@ -23,7 +23,16 @@ from skewcomp.bounds import (
     theoretical_coefficients,
 )
 from skewcomp.compensator import compensate, naive_compensate
-from skewcomp.formats import BINARY32, BINARY64, FloatFormat, unit_roundoff
+from skewcomp.formats import (
+    BINARY32,
+    BINARY64,
+    FloatFormat,
+    error_budget,
+    format_label,
+    op_error_bound,
+    relative_errors,
+    unit_roundoff,
+)
 from skewcomp.rationals import round_to_format
 
 U32 = unit_roundoff(BINARY32)
@@ -91,12 +100,14 @@ def test_clock_estimate_examples():
 
 
 def test_clock_estimate_validation():
-    # the hardware and emulated estimates check the signs, then the int rule
+    # the hardware and emulated estimates apply the int rule, then check the signs
     for estimate in (clock_estimate, lambda i, D, A: emulated_clock_estimate(i, D, A, BINARY32)):
-        for i, D, A in (
-            (1, 1, 0), (-1, 1.0, 0), (-1, 1, 2), (1, -1, 2), (1, 1, -2), (-3, 1, 2), (3, 1, -2), (-1.0, 1, 2)
-        ):
+        for i, D, A in ((1, 1, 0), (-1, 1, 2), (1, -1, 2), (1, 1, -2), (-3, 1, 2), (3, 1, -2)):
             with pytest.raises(InvalidInput, match="need i, D, A >= 0"):
+                estimate(i, D, A)
+        # a float breaks the int rule whatever the signs
+        for i, D, A, names in ((-1, 1.0, 0, "int, float, int"), (-1.0, 1, 2, "float, int, int")):
+            with pytest.raises(TypeError, match=f"^need int i, D, A, got {names}$"):
                 estimate(i, D, A)
 
 
@@ -191,8 +202,20 @@ _FORMAT_CALLS = {
 }
 
 
+# functions of a format with no i, so no (i, D, A) rule comes before the precision
+_FORMAT_ONLY_CALLS = {
+    "unit_roundoff": unit_roundoff,
+    "op_error_bound": lambda fmt: op_error_bound("divide", "E2", fmt),
+    "error_budget": error_budget,
+    "format_label": format_label,
+    "relative_errors": lambda fmt: relative_errors(Fraction(1, 3), fmt),
+}
+
+
 @pytest.mark.parametrize("label, fmt", [("binary32", BINARY32), ("binary64", BINARY64)], ids=["binary32", "binary64"])
-@pytest.mark.parametrize("call", list(_FORMAT_CALLS.values()), ids=list(_FORMAT_CALLS))
+@pytest.mark.parametrize(
+    "call", [*_FORMAT_CALLS.values(), *_FORMAT_ONLY_CALLS.values()], ids=[*_FORMAT_CALLS, *_FORMAT_ONLY_CALLS]
+)
 def test_every_format_parameter_takes_a_label(call, label, fmt):
     assert call(label) == call(fmt)
 

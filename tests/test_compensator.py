@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import skewcomp
 from casetable import case_table
 from skewcomp import bounds
 from skewcomp.bounds import (
@@ -31,8 +33,16 @@ from skewcomp.compensator import (
     oracle_nearest,
     refine,
 )
-from skewcomp.experiment import CaseArrays, compensate_triples
+from skewcomp.experiment import (
+    CaseArrays,
+    bounds_experiment,
+    compensate_triples,
+    compensation_experiment,
+    generate_samples,
+    sample_cases,
+)
 from skewcomp.formats import BINARY32, FloatFormat, format_label, resolve_format
+from skewcomp.rationals import round_ratio
 
 METHODS = ("theoretical", "practical", "approximate")
 PRECISIONS = ("binary32", "binary64")
@@ -277,42 +287,242 @@ def test_identity_rejects_what_other_slopes_reject(method, eps_coeff, error):
         assert raised.type is error, d
 
 
-_INT_CALLS = {
-    "identity": (compensate, (1, 1, 1)),
-    "case1": (compensate, (1, 1, 2)),
-    "case2": (compensate, (1, 3, 2)),
-    "candidate": (candidate_interval, (1, 1, 2)),
-    "reference": (reference_interval, (1, 1, 2)),
-    "refine": (lambda i, b, a: refine(i, a, b, (0, 1)), (1, 1, 2)),
-    "refine-ends": (lambda lb, ub: refine(2, 2, 1, (lb, ub)), (0, 1)),
-    "oracle": (oracle_nearest, (1, 1, 1)),
-    "naive": (naive_compensate, (1, 1, 1)),
-    "estimate": (clock_estimate, (1, 1, 2)),
-    "estimate-wide": (clock_estimate, (2**53, 1, 2)),  # the emulated route
-    "emulated": (lambda i, D, A: emulated_clock_estimate(i, D, A, BINARY32), (1, 1, 2)),
+_TABLE = case_table({(3, 5): 1})
+# the int rules' messages; a slot the row does not vary holds an int
+_IDA = "need int i, D, A, got {i}, {D}, {A}"
+_WALK = "need int i, delta_a, delta_b, lb, ub, got {i}, {A}, {D}, {lb}, {ub}"
+
+# the whole public surface's int arguments, one row per call shape:
+# (cell name, public callable, a call of it on the row's int arguments, their good values, their names, the int rule)
+_INT_CALLS = [
+    ("identity", compensate, compensate, (1, 1, 1), "iDA", _IDA),
+    ("case1", compensate, compensate, (1, 1, 2), "iDA", _IDA),
+    ("case2", compensate, compensate, (1, 3, 2), "iDA", _IDA),
+    ("candidate", candidate_interval, candidate_interval, (1, 1, 2), "iDA", _IDA),
+    ("reference", reference_interval, reference_interval, (1, 1, 2), "iDA", _IDA),
+    ("refine", refine, lambda i, b, a: refine(i, a, b, (0, 1)), (1, 1, 2), "iDA", _WALK),
+    ("refine-ends", refine, lambda lb, ub: refine(2, 2, 1, (lb, ub)), (0, 1), ("lb", "ub"), _WALK),
+    ("oracle", oracle_nearest, oracle_nearest, (1, 1, 1), "iDA", _IDA),
+    ("naive", naive_compensate, naive_compensate, (1, 1, 1), "iDA", _IDA),
+    ("estimate", clock_estimate, clock_estimate, (1, 1, 2), "iDA", _IDA),
+    ("estimate-wide", clock_estimate, clock_estimate, (2**53, 1, 2), "iDA", _IDA),  # the emulated route
+    ("emulated", emulated_clock_estimate, lambda i, D, A: emulated_clock_estimate(i, D, A, BINARY32), (1, 1, 2), "iDA", _IDA),
+    ("round_ratio", round_ratio, lambda num, den: round_ratio(num, den, BINARY32), (5, 2), ("num", "den"), "need int num, den, got {num}, {den}"),
+    ("bounds_experiment", bounds_experiment, lambda i: bounds_experiment(_TABLE, (i,)), (10,), "i", _IDA),
+    ("compensation_experiment", compensation_experiment, lambda i: compensation_experiment(_TABLE, (i,)), (10,), "i", _IDA),
+    ("generate_samples", generate_samples, lambda seed: generate_samples(seed, 10, 1000), (1,), ("seed",), "need int seed, got {seed}"),
+    ("generate_samples", generate_samples, lambda n, D: generate_samples(1, n, D), (10, 1000), "nD", "need int n, D, got {n}, {D}"),
+    ("sample_cases", sample_cases, lambda seed: sample_cases(seed, 10, 1000), (1,), ("seed",), "need int seed, got {seed}"),
+    ("sample_cases", sample_cases, lambda n, D: sample_cases(1, n, D), (10, 1000), "nD", "need int n, D, got {n}, {D}"),
+    ("FloatFormat", FloatFormat, FloatFormat, (24,), ("precision",), "need an int precision, got {precision}"),
+]  # fmt: skip
+
+# public callables that hold no int argument to a rule: the errors, the records, which
+# check nothing, and the functions of a format, a method, a Rational or two intervals
+_NO_INT_RULE = (
+    "InvalidInput", "OverflowRisk",
+    "CandidateInterval", "Certificate", "RefineResult", "CompResult", "ErrorBudget",
+    "CaseTable", "ClockSample", "StatSummary", "BoundsRow", "CompRow",
+    "resolve_format", "format_label", "unit_roundoff", "op_error_bound", "error_budget",
+    "theoretical_coefficients", "rounded_coefficients", "certify",
+    "round_to_format", "is_in_format", "relative_errors", "interval_deltas",
+)  # fmt: skip
+
+# what 0, -1 and 2**70 give in each int slot once it passes the int rule; None where the call accepts it
+_VALUE_CELLS = {
+    "identity-i-zero": None,
+    "identity-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=1"),
+    "identity-i-huge": None,
+    "identity-D-zero": (InvalidInput, "need 0 < D < 2A, got D=0 A=1"),
+    "identity-D-negative": (InvalidInput, "need 0 < D < 2A, got D=-1 A=1"),
+    "identity-D-huge": (InvalidInput, f"need 0 < D < 2A, got D={2**70} A=1"),
+    "identity-A-zero": (InvalidInput, "need 0 < D < 2A, got D=1 A=0"),
+    "identity-A-negative": (InvalidInput, "need 0 < D < 2A, got D=1 A=-1"),
+    "identity-A-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 1} >= 2**63"),
+    "case1-i-zero": None,
+    "case1-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=2"),
+    "case1-i-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 2} >= 2**63"),
+    "case1-D-zero": (InvalidInput, "need 0 < D < 2A, got D=0 A=2"),
+    "case1-D-negative": (InvalidInput, "need 0 < D < 2A, got D=-1 A=2"),
+    "case1-D-huge": (InvalidInput, f"need 0 < D < 2A, got D={2**70} A=2"),
+    "case1-A-zero": (InvalidInput, "need 0 < D < 2A, got D=1 A=0"),
+    "case1-A-negative": (InvalidInput, "need 0 < D < 2A, got D=1 A=-1"),
+    "case1-A-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 1} >= 2**63"),
+    "case2-i-zero": None,
+    "case2-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=3 A=2"),
+    "case2-i-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 2} >= 2**63"),
+    "case2-D-zero": (InvalidInput, "need 0 < D < 2A, got D=0 A=2"),
+    "case2-D-negative": (InvalidInput, "need 0 < D < 2A, got D=-1 A=2"),
+    "case2-D-huge": (InvalidInput, f"need 0 < D < 2A, got D={2**70} A=2"),
+    "case2-A-zero": (InvalidInput, "need 0 < D < 2A, got D=3 A=0"),
+    "case2-A-negative": (InvalidInput, "need 0 < D < 2A, got D=3 A=-1"),
+    "case2-A-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 3} >= 2**63"),
+    "candidate-i-zero": None,
+    "candidate-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=2"),
+    "candidate-i-huge": None,
+    "candidate-D-zero": None,
+    "candidate-D-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=-1 A=2"),
+    "candidate-D-huge": (InvalidInput, f"need D < A after decomposition, got D={2**70} A=2"),
+    "candidate-A-zero": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=0"),
+    "candidate-A-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=-1"),
+    "candidate-A-huge": None,
+    "reference-i-zero": None,
+    "reference-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=2"),
+    "reference-i-huge": None,
+    "reference-D-zero": None,
+    "reference-D-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=-1 A=2"),
+    "reference-D-huge": (InvalidInput, f"need D < A after decomposition, got D={2**70} A=2"),
+    "reference-A-zero": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=0"),
+    "reference-A-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=-1"),
+    "reference-A-huge": None,
+    "refine-i-zero": (InvalidInput, "interval width 1 exceeds i=0"),
+    "refine-i-negative": (InvalidInput, "interval width 1 exceeds i=-1"),
+    "refine-i-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 2} >= 2**63"),
+    "refine-D-zero": None,
+    "refine-D-negative": (InvalidInput, "need 0 <= delta_b < delta_a, got delta_b=-1 delta_a=2"),
+    "refine-D-huge": (InvalidInput, f"need 0 <= delta_b < delta_a, got delta_b={2**70} delta_a=2"),
+    "refine-A-zero": (InvalidInput, "need 0 <= delta_b < delta_a, got delta_b=1 delta_a=0"),
+    "refine-A-negative": (InvalidInput, "need 0 <= delta_b < delta_a, got delta_b=1 delta_a=-1"),
+    "refine-A-huge": (OverflowRisk, f"i*delta_b + delta_a = {2**70 + 1} >= 2**63"),
+    "refine-ends-lb-zero": None,
+    "refine-ends-lb-negative": None,
+    "refine-ends-lb-huge": (InvalidInput, f"empty interval [{2**70}, 1]"),
+    "refine-ends-ub-zero": None,
+    "refine-ends-ub-negative": (InvalidInput, "empty interval [0, -1]"),
+    "refine-ends-ub-huge": (InvalidInput, f"interval width {2**70} exceeds i=2"),
+    "oracle-i-zero": None,
+    "oracle-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=1"),
+    "oracle-i-huge": None,
+    "oracle-D-zero": None,
+    "oracle-D-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=-1 A=1"),
+    "oracle-D-huge": None,
+    "oracle-A-zero": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=0"),
+    "oracle-A-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=-1"),
+    "oracle-A-huge": None,
+    "naive-i-zero": None,
+    "naive-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=1"),
+    "naive-i-huge": None,
+    "naive-D-zero": None,
+    "naive-D-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=-1 A=1"),
+    "naive-D-huge": None,
+    "naive-A-zero": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=0"),
+    "naive-A-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=-1"),
+    "naive-A-huge": None,
+    "estimate-i-zero": None,
+    "estimate-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=2"),
+    "estimate-i-huge": None,
+    "estimate-D-zero": None,
+    "estimate-D-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=-1 A=2"),
+    "estimate-D-huge": None,
+    "estimate-A-zero": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=0"),
+    "estimate-A-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=-1"),
+    "estimate-A-huge": None,
+    "estimate-wide-i-zero": None,
+    "estimate-wide-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=2"),
+    "estimate-wide-i-huge": None,
+    "estimate-wide-D-zero": None,
+    "estimate-wide-D-negative": (InvalidInput, f"need i, D, A >= 0 and A > 0, got i={2**53} D=-1 A=2"),
+    "estimate-wide-D-huge": None,
+    "estimate-wide-A-zero": (InvalidInput, f"need i, D, A >= 0 and A > 0, got i={2**53} D=1 A=0"),
+    "estimate-wide-A-negative": (InvalidInput, f"need i, D, A >= 0 and A > 0, got i={2**53} D=1 A=-1"),
+    "estimate-wide-A-huge": None,
+    "emulated-i-zero": None,
+    "emulated-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=1 A=2"),
+    "emulated-i-huge": None,
+    "emulated-D-zero": None,
+    "emulated-D-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=-1 A=2"),
+    "emulated-D-huge": None,
+    "emulated-A-zero": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=0"),
+    "emulated-A-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=1 D=1 A=-1"),
+    "emulated-A-huge": None,
+    "round_ratio-num-zero": None,
+    "round_ratio-num-negative": None,
+    "round_ratio-num-huge": None,
+    "round_ratio-den-zero": (ValueError, "need den > 0, got 0"),
+    "round_ratio-den-negative": (ValueError, "need den > 0, got -1"),
+    "round_ratio-den-huge": None,
+    "bounds_experiment-i-zero": None,
+    "bounds_experiment-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=3 A=5"),
+    "bounds_experiment-i-huge": None,
+    "compensation_experiment-i-zero": None,
+    "compensation_experiment-i-negative": (InvalidInput, "need i, D, A >= 0 and A > 0, got i=-1 D=3 A=5"),
+    "compensation_experiment-i-huge": (OverflowRisk, f"i*delta_b + delta_a = {3 * 2**70 + 5} >= 2**63"),
+    "generate_samples-seed-zero": None,
+    "generate_samples-seed-negative": None,
+    "generate_samples-seed-huge": None,
+    "generate_samples-n-zero": None,
+    "generate_samples-n-negative": (ValueError, "need n >= 0, got -1"),
+    "generate_samples-D-zero": (ValueError, "need D > 0, got 0"),
+    "generate_samples-D-negative": (ValueError, "need D > 0, got -1"),
+    "generate_samples-D-huge": None,
+    "sample_cases-seed-zero": None,
+    "sample_cases-seed-negative": None,
+    "sample_cases-seed-huge": None,
+    "sample_cases-n-zero": None,
+    "sample_cases-n-negative": (ValueError, "need n >= 0, got -1"),
+    "sample_cases-D-zero": (ValueError, "need D > 0, got 0"),
+    "sample_cases-D-negative": (ValueError, "need D > 0, got -1"),
+    "sample_cases-D-huge": None,
+    "FloatFormat-precision-zero": (ValueError, "precision must be >= 2, got 0"),
+    "FloatFormat-precision-negative": (ValueError, "precision must be >= 2, got -1"),
+    "FloatFormat-precision-huge": None,
 }
 
 
-def _non_int_inputs():
-    for name, (call, args) in _INT_CALLS.items():
-        slots = ("lb", "ub") if name == "refine-ends" else "iDA"
-        for slot, v in enumerate(args):
-            kinds = {"float": float(v), "half": v + 0.5, "np.int64": np.int64(v)}
-            if v in (0, 1):
-                kinds["bool"] = bool(v)
+def _cells(ints):
+    """One param per (row, slot, bad value): values of another type, or with ints 0, -1 and 2**70."""
+    for name, _, call, args, slots, rule in _INT_CALLS:
+        for k, (slot, v) in enumerate(zip(slots, args)):
+            if ints:
+                kinds = {"zero": 0, "negative": -1, "huge": 2**70}
+                if slot == "n":
+                    del kinds["huge"]  # a draw of 2**70 samples never ends
+            else:
+                kinds = {"float": float(v), "half": v + 0.5, "np.int64": np.int64(v), "str": str(v), "None": None, "Fraction": Fraction(5, 2)}
+                if v in (0, 1):
+                    kinds["bool"] = bool(v)
             for kind, value in kinds.items():
-                yield pytest.param(call, args, slot, value, id=f"{name}-{slots[slot]}-{kind}")
+                cell = f"{name}-{slot}-{kind}"
+                if ints:
+                    expected = _VALUE_CELLS[cell]
+                else:
+                    expected = TypeError, rule.format_map(defaultdict(lambda: "int", {slot: type(value).__name__}))
+                yield pytest.param(call, args, k, value, expected, id=cell)
 
 
-@pytest.mark.parametrize("call, args, slot, value", _non_int_inputs())
-def test_non_int_inputs_raise_type_error(call, args, slot, value):
-    # the integer arithmetic runs in whatever type comes in, so an integral
-    # float such as 1.0 can give a wrong clock; only exact ints pass
+def _check_cell(call, args, slot, value, expected):
     call(*args)
     args = list(args)
     args[slot] = value
-    with pytest.raises(TypeError):
+    if expected is None:
         call(*args)
+        return
+    error, message = expected
+    with pytest.raises(error) as raised:
+        call(*args)
+    assert raised.type is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("call, args, slot, value, expected", _cells(ints=False))
+def test_non_int_inputs_raise_type_error(call, args, slot, value, expected):
+    # the integer arithmetic runs in whatever type comes in, so an integral
+    # float such as 1.0 can give a wrong clock; only exact ints pass, and each
+    # rule tests the type before any comparison, so a str or None meets it too
+    _check_cell(call, args, slot, value, expected)
+
+
+@pytest.mark.parametrize("call, args, slot, value, expected", _cells(ints=True))
+def test_int_values_meet_the_value_rules(call, args, slot, value, expected):
+    _check_cell(call, args, slot, value, expected)
+
+
+def test_every_public_callable_is_in_the_int_matrix():
+    # a new public function without a row, or outside _NO_INT_RULE, fails here
+    public = [getattr(skewcomp, name) for name in skewcomp.__all__]
+    rows = {row[1] for row in _INT_CALLS}
+    none = {getattr(skewcomp, name) for name in _NO_INT_RULE}
+    assert not rows & none
+    assert rows | none == {obj for obj in public if callable(obj)}
 
 
 def test_compensate_flags_hopeless_interval():
