@@ -1,5 +1,10 @@
 """Sample generation, the table kernel and the statistics of the two experiments.
 
+numpy is imported on the kernel route's first use, not with the module.
+A table with n * len(i_list) up to SCALAR_TABLE_LIMIT takes scalar_table
+instead, which draws and evaluates its few cases with the scalar
+functions alone and never imports numpy.
+
 One experiment compares candidate intervals against the exact reference
 (bound deltas), the other compares compensated clocks against the
 binary64 floor baseline (errors and iteration counts).  Samples draw a
@@ -57,15 +62,14 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd
 from numbers import Rational
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
-
-import numpy as np
 
 from . import DEFAULT_D, DEFAULT_I_LIST, DEFAULT_N, DEFAULT_RANGE_PPM, DEFAULT_SEED
 from . import _EXPERIMENT_NAMES as __all__
@@ -84,6 +88,19 @@ from .bounds import (
 from .compensator import compensate, naive_compensate
 from .formats import BINARY64, format_label, resolve_format
 from .rationals import _exact
+
+
+class _Numpy:
+    """Stands in for numpy until the kernel route's first use imports it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 TABLE2_CONFIGS = (
     ("theoretical", "binary64"),
@@ -107,6 +124,9 @@ _BLOCK = 1 << 15
 _INT64_MAX = 2**63 - 1
 # 32 binary64 unit roundoffs; the reference error analysis needs under 8
 _REFERENCE_SLACK = 2.0**-48
+# tables with n * len(i_list) up to this take scalar_table: it finishes them
+# before numpy's import would, even at D = 1e9, where each sample is its own case
+SCALAR_TABLE_LIMIT = 2048
 
 
 class CaseTable(NamedTuple):
@@ -203,20 +223,11 @@ def _shown(value) -> str:
         return f"a number over Python's {sys.get_int_max_str_digits()}-digit limit"
 
 
-def _draw_blocks(
-    seed: int, n: int, D: int, range_ppm: Rational
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(lattice steps m, A - D) of the n draws, in order, block by block.
+def _draw_rule(seed: int, n: int, D: int, range_ppm: Rational) -> tuple[int, int, int]:
+    """The checked arguments of a draw as (reach, d, s).
 
-    randint(-reach, reach) is -reach plus getrandbits(k) rejection-sampled
-    below 2 * reach + 1, with k = (2 * reach + 1).bit_length().  For k <= 32 an
-    attempt is one generator word w, giving w >> (32 - k); for k <= 64 it
-    is an aligned word pair (w0, w1), giving w0 | (w1 >> (64 - k)) << 32.
-    getrandbits(32 * W) returns the next W words least significant first,
-    so its little-endian bytes, read in place as <u4 words or <u8 pairs
-    w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
-    n-th accepted draw are discarded with the generator.  The arguments
-    are checked at the call, so a caller may read D before the first block.
+    A draw m is randint(-reach, reach) in lattice steps, and its case has
+    A - D = round-half-up(2 * d * m / (2 * s)), d / s = D / _SKEW_STEPS reduced.
     """
     if type(seed) is not int:
         # None seeds from the clock, and a float, str or bytes seed hashes to another table
@@ -239,6 +250,25 @@ def _draw_blocks(
     # it fails for every range above 500000 ppm
     if D + 2 * ((s - 2 * d * reach) // (2 * s)) <= 0:
         raise ValueError(f"range_ppm must keep every A above D/2, got {_shown(range_ppm)} at D={_shown(D)}")
+    return reach, d, s
+
+
+def _draw_blocks(
+    seed: int, n: int, D: int, range_ppm: Rational
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(lattice steps m, A - D) of the n draws, in order, block by block.
+
+    randint(-reach, reach) is -reach plus getrandbits(k) rejection-sampled
+    below 2 * reach + 1, with k = (2 * reach + 1).bit_length().  For k <= 32 an
+    attempt is one generator word w, giving w >> (32 - k); for k <= 64 it
+    is an aligned word pair (w0, w1), giving w0 | (w1 >> (64 - k)) << 32.
+    getrandbits(32 * W) returns the next W words least significant first,
+    so its little-endian bytes, read in place as <u4 words or <u8 pairs
+    w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
+    n-th accepted draw are discarded with the generator.  The arguments
+    are checked at the call, so a caller may read D before the first block.
+    """
+    reach, d, s = _draw_rule(seed, n, D, range_ppm)
     span = 2 * reach + 1
     k = span.bit_length()  # at most 50, as the rule allows reach <= 5 * 10**14
     words = 1 if k <= 32 else 2
@@ -476,6 +506,19 @@ def _fill(values, fallback, scalar):
     return values
 
 
+def _deltas(i: int, D: int, A: int, method: str, fmt, eps_coeff) -> tuple[int, int]:
+    """interval_deltas of one case's candidate and reference intervals, on its remainder slope."""
+    db = D - A if D >= A else D
+    cand = candidate_interval(i, db, A, method, fmt, eps_coeff)
+    return interval_deltas(cand, reference_interval(i, db, A, fmt))
+
+
+def _walk(i: int, D: int, A: int, algorithm: str, fmt, eps_coeff) -> tuple[int, int, bool]:
+    """(j, iterations, bounds_violated) of one case's compensate."""
+    res = compensate(i, D, A, algorithm, fmt, eps_coeff)
+    return res.j, res.iterations, res.bounds_violated
+
+
 def bounds_experiment(
     population: CaseTable,
     i_list: Sequence[int] = DEFAULT_I_LIST,
@@ -501,10 +544,7 @@ def _bounds_row(cases: CaseArrays, method: str, precision: str, i: int, eps_coef
     fmt = resolve_format(precision)
 
     def deltas(k):
-        D, A = cases.pair(k)
-        db = D - A if D >= A else D
-        cand = candidate_interval(i, db, A, method, precision, eps_coeff)
-        return interval_deltas(cand, reference_interval(i, db, A, fmt))
+        return _deltas(i, *cases.pair(k), method, fmt, eps_coeff)
 
     lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
     ref_lb, ref_ub, ref_fallback = reference_ends(cases, i, fmt)
@@ -554,8 +594,7 @@ def _comp_row(cases: CaseArrays, algorithm: str, precision: str, i: int, eps_coe
     fmt = resolve_format(precision)
 
     def walk(k):
-        res = compensate(i, *cases.pair(k), algorithm, precision, eps_coeff)
-        return res.j, res.iterations, res.bounds_violated
+        return _walk(i, *cases.pair(k), algorithm, fmt, eps_coeff)
 
     if algorithm == "naive":
         j = _naive_row(cases, i, fmt)
@@ -571,3 +610,58 @@ def _comp_row(cases: CaseArrays, algorithm: str, precision: str, i: int, eps_coe
         iter=_summary(iterations, cases),
         violations=sum(compress(cases.weights, violated.tolist())),
     )
+
+
+def scalar_table(
+    name: str,
+    seed: int,
+    n: int,
+    D: int,
+    range_ppm: Rational,
+    i_list: Sequence[int],
+    eps_coeff=DEFAULT_EPS_COEFF,
+) -> list:
+    """The rows of the experiment called name over sample_cases(seed, n, D, range_ppm), without numpy.
+
+    name is "bounds_experiment" or "compensation_experiment", which this
+    returns the rows of for i_list and eps_coeff at their default configs.
+    The route for small tables: it draws with random.Random(seed).randint,
+    the definition sample_cases reproduces, and sends each distinct case
+    through the per-case functions the kernel falls back to, with the
+    kernel route's checks, rows and cases in the same order, so it gives
+    the same rows and raises the same errors.
+    """
+    reach, d, s = _draw_rule(seed, n, D, range_ppm)
+    randint = random.Random(seed).randint
+    counts = Counter((2 * d * randint(-reach, reach) + s) // (2 * s) for _ in range(n))
+    offsets = sorted(counts)
+    cases = [D + offset for offset in offsets]  # the A of each case, as the kernel orders them
+    weights = [counts[offset] for offset in offsets]
+    if not cases:
+        raise ValueError("population must be nonempty")
+    for i in i_list:
+        _validate_estimate(i, D, cases[0])
+
+    def summary(values) -> StatSummary:
+        return StatSummary(min(values), max(values), Fraction(sum(map(mul, values, weights)), n), n)
+
+    rows = []
+    if name == "bounds_experiment":
+        for method, precision in TABLE2_CONFIGS:
+            fmt = resolve_format(precision)
+            for i in i_list:
+                dlb, dub = zip(*(_deltas(i, D, A, method, fmt, eps_coeff) for A in cases))
+                rows.append(BoundsRow(method, format_label(fmt), i, summary(dlb), summary(dub)))
+        return rows
+    baseline = {i: [naive_compensate(i, D, A, BINARY64) for A in cases] for i in i_list}
+    for algorithm, precision in TABLE3_ALGORITHMS:
+        fmt = resolve_format(precision)
+        for i in i_list:
+            if algorithm == "naive":
+                walks = [(naive_compensate(i, D, A, fmt), 0, False) for A in cases]
+            else:
+                walks = [_walk(i, D, A, algorithm, fmt, eps_coeff) for A in cases]
+            j, iterations, violated = zip(*walks)
+            err, violations = list(map(sub, baseline[i], j)), sum(compress(weights, violated))
+            rows.append(CompRow(algorithm, format_label(fmt), i, summary(err), summary(iterations), violations))
+    return rows

@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .rationals import round_to_format
+from .rationals import _LABEL_PRECISIONS, _exact, _unknown_format, round_to_format
 
 __all__ = [
     "FloatFormat",
@@ -56,10 +56,8 @@ class FloatFormat(namedtuple("FloatFormat", "precision")):
         return cls(*iterable)
 
 
-BINARY32 = FloatFormat(24)
-BINARY64 = FloatFormat(53)
-
-FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
+FORMATS = {name: FloatFormat(precision) for name, precision in _LABEL_PRECISIONS.items()}
+BINARY32, BINARY64 = FORMATS["binary32"], FORMATS["binary64"]
 _LABELS = {fmt: name for name, fmt in FORMATS.items()}
 
 
@@ -70,9 +68,7 @@ def resolve_format(precision) -> FloatFormat:
     try:
         return FORMATS[precision]
     except KeyError:
-        raise ValueError(
-            f"unknown precision {precision!r}; expected FloatFormat or one of {sorted(FORMATS)}"
-        ) from None
+        raise _unknown_format(precision) from None
 
 
 def format_label(fmt: FloatFormat) -> str:
@@ -102,7 +98,8 @@ def op_error_bound(kind: str, which: str, fmt: FloatFormat) -> Fraction:
 
 
 def relative_errors(t: Rational, fmt: FloatFormat) -> tuple[Fraction, Fraction]:
-    """Realized (E1, E2) of rounding t; (0, 0) at t = 0 by convention."""
+    """Realized (E1, E2) of rounding t, an exact number; (0, 0) at t = 0 by convention."""
+    t = _exact(t, "t")
     fmt = resolve_format(fmt)
     if t == 0:
         return Fraction(0), Fraction(0)

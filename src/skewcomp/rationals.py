@@ -22,11 +22,20 @@ __all__ = [
     "is_in_format",
 ]
 
+# the precision of each format label; formats builds its FORMATS from this table
+_LABEL_PRECISIONS = {"binary32": 24, "binary64": 53}
+
+
+def _unknown_format(fmt) -> ValueError:
+    """The error of a format that is neither a FloatFormat nor a label."""
+    return ValueError(f"unknown precision {fmt!r}; expected FloatFormat or one of {sorted(_LABEL_PRECISIONS)}")
+
 
 def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
     """Round num/den (den > 0) to the nearest member of fmt's value set, ties to even.
 
-    fmt supplies the integer `precision` p.  The emulated set is
+    fmt is a FloatFormat, or a label such as "binary32", and supplies the
+    integer `precision` p.  The emulated set is
     {0} union {M * 2**e : 2**(p-1) <= |M| < 2**p}, e unbounded.  Returns
     an unreduced pair (n, d), d > 0, with n/d equal to the rounded value.
     """
@@ -34,6 +43,12 @@ def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
         raise TypeError(f"need int num, den, got {type(num).__name__}, {type(den).__name__}")
     if den <= 0:
         raise ValueError(f"need den > 0, got {den}")
+    try:
+        p = fmt.precision
+    except AttributeError:  # a label, looked up here, as formats imports this module
+        p = _LABEL_PRECISIONS.get(fmt)
+        if p is None:
+            raise _unknown_format(fmt) from None
     if num == 0:
         return 0, 1
     sign = 1
@@ -43,7 +58,7 @@ def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
     k = num.bit_length() - den.bit_length()
     if (num >> k if k >= 0 else num << -k) < den:
         k -= 1
-    e = k - (fmt.precision - 1)
+    e = k - (p - 1)
     if e >= 0:
         mant, rem = divmod(num, den << e)
         den <<= e
@@ -60,13 +75,16 @@ def round_ratio(num: int, den: int, fmt) -> tuple[int, int]:
 def round_to_format(x: Rational, fmt) -> Fraction:
     """Round x to the nearest member of fmt's value set, ties to even.
 
-    The exact Fraction form of round_ratio(x.numerator, x.denominator, fmt).
+    The exact Fraction form of round_ratio(x.numerator, x.denominator, fmt);
+    x is an exact number under the rule of _exact.
     """
+    x = _exact(x, "x")
     return Fraction(*round_ratio(x.numerator, x.denominator, fmt))
 
 
 def is_in_format(x: Rational, fmt) -> bool:
-    """True iff x is exactly representable in fmt (zero included)."""
+    """True iff x, an exact number, is exactly representable in fmt (zero included)."""
+    x = _exact(x, "x")
     return x == round_to_format(x, fmt)
 
 

@@ -3,17 +3,19 @@
 Every value the kernel accepts must equal what candidate_interval,
 reference_interval, compensate and naive_compensate return for that
 case; the cases it marks as fallback are the ones the experiments hand
-to those functions.
+to those functions.  scalar_table, the small tables' route through
+those functions alone, must give the kernel route's rows and errors.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casetable import case_table
+from skewcomp import experiment
 from skewcomp.bounds import (
     DEFAULT_EPS_COEFF,
     METHODS,
@@ -38,6 +40,7 @@ from skewcomp.experiment import (
     naive_floors,
     reference_ends,
     sample_cases,
+    scalar_table,
 )
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, resolve_format
 
@@ -596,3 +599,36 @@ def test_reference_falls_back_next_to_an_integer(fmt):
     qs = {q for c in theoretical_coefficients(fmt) for q in _convergent_denominators(c - 1, 2**52)}
     fallbacks = sum(_check_row([(1, 2)], 2 * q, fmt, DEFAULT_EPS_COEFF)["reference"][0] for q in qs)
     assert fallbacks >= 2
+
+
+def _outcome(call):
+    """call()'s rows, or the class and message of the error it raises."""
+    try:
+        return call()
+    except (ValueError, OverflowError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# a draw past 500000 ppm, eps_coeff < 0, n <= 0, i < 0 and i*db + A >= 2**63 are each rejected;
+# D = 1e19 and i >= 2**53 leave the kernel's int64 domain, 1e20 declines its approximate rows
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["bounds_experiment", "compensation_experiment"]),
+    seed=st.integers(0, 2**40),
+    n=st.integers(-1, 40),
+    D=st.sampled_from((1, 3, 10**6, 10**9, 999999937, 2**53 + 5, 10**19)),
+    i_list=st.lists(st.sampled_from((0, 2**24 + 1, 2**53 + 3, 10**9, -1)), min_size=1, max_size=3),
+    eps_coeff=st.sampled_from((0, Fraction(1, 3), 10**20, -1, DEFAULT_EPS_COEFF)),
+    range_ppm=st.sampled_from((100, 500001, 0, Fraction(1, 10**9), 500000)),
+)
+@example("bounds_experiment", 1, 0, 10**9, [10**9], DEFAULT_EPS_COEFF, 100)
+@example("bounds_experiment", 1, -1, 10**9, [10**9], DEFAULT_EPS_COEFF, 100)
+@example("bounds_experiment", 1, 5, 10**9, [2**53 + 3, -1], DEFAULT_EPS_COEFF, 100)
+@example("compensation_experiment", 1, 5, 10**9, [0, 2**53 + 3], DEFAULT_EPS_COEFF, 100)
+@example("bounds_experiment", 1, 5, 10**6, [10**9], -1, 100)
+@example("compensation_experiment", 1, 5, 10**6, [10**9, -1], DEFAULT_EPS_COEFF, 100)
+@example("compensation_experiment", 1, 5, 10**6, [10**9], DEFAULT_EPS_COEFF, 500001)
+def test_scalar_route_gives_the_kernel_routes_rows_and_errors(name, seed, n, D, i_list, eps_coeff, range_ppm):
+    kernel = getattr(experiment, name)
+    want = _outcome(lambda: kernel(sample_cases(seed, n, D, range_ppm), i_list, eps_coeff=eps_coeff))
+    assert _outcome(lambda: scalar_table(name, seed, n, D, range_ppm, i_list, eps_coeff)) == want

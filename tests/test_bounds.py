@@ -33,7 +33,7 @@ from skewcomp.formats import (
     relative_errors,
     unit_roundoff,
 )
-from skewcomp.rationals import round_to_format
+from skewcomp.rationals import is_in_format, round_ratio, round_to_format
 
 U32 = unit_roundoff(BINARY32)
 U64 = unit_roundoff(BINARY64)
@@ -209,6 +209,9 @@ _FORMAT_ONLY_CALLS = {
     "error_budget": error_budget,
     "format_label": format_label,
     "relative_errors": lambda fmt: relative_errors(Fraction(1, 3), fmt),
+    "round_ratio": lambda fmt: round_ratio(1, 3, fmt),
+    "round_to_format": lambda fmt: round_to_format(Fraction(1, 3), fmt),
+    "is_in_format": lambda fmt: is_in_format(Fraction(2**30 + 1, 2**30), fmt),  # in binary64 only
 }
 
 

@@ -231,6 +231,29 @@ def test_columns_are_the_row_fields(capsys, command, row_type):
     assert rows and all(list(row) == want for row in rows)
 
 
+@pytest.mark.parametrize("table", ["table2", "table3"])
+@pytest.mark.parametrize(
+    "samples, i_list, scalar",
+    [("512", "1e6,1e7,1e8,1e9", True), ("683", "1e6,1e8,1e9", False)],
+    ids=["2048-scalar", "2049-kernel"],
+)
+def test_both_table_routes_write_the_same_bytes(capsys, monkeypatch, table, samples, i_list, scalar):
+    # samples x i values at the scalar route's limit and one past it, at D = 1e9, where
+    # nearly every sample is its own case; each side is run again on the route it did not take
+    argv = (table, "-n", samples, "--D", "1e9", "--i", i_list, "--seed", "7")
+    calls, real = [], experiment.scalar_table
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "scalar_table", counted)
+    taken = run(capsys, *argv)
+    assert taken[0] == 0 and bool(calls) is scalar
+    monkeypatch.setattr(experiment, "SCALAR_TABLE_LIMIT", 0 if scalar else 10**9)
+    assert run(capsys, *argv) == taken and len(calls) == 1
+
+
 # sha256 of the stdout bytes at --seed 42 -n 2000, keyed by (table, D) for
 # CSV and (table, D, format) otherwise; the CSV digests were recorded from
 # the per-sample randint draw
@@ -323,21 +346,26 @@ LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.sel
         ("from skewcomp.cli import main\nassert main(['bounds', '--i', '1e9', '--D', '1e6', '--A', '1000100']) == 0", []),
         (
             "from skewcomp.cli import main\nassert main(['table2', '-n', '1', '-o', sys.argv[1]]) == 0",
+            ["skewcomp.experiment", "skewcomp.tables"],
+        ),
+        (
+            "from skewcomp.cli import main\nassert main(['table2', '-n', '513', '--D', '1e9', '-o', sys.argv[1]]) == 0",
             ["skewcomp.experiment", "numpy", "skewcomp.tables"],
         ),
-        ("import skewcomp.experiment", ["skewcomp.experiment", "numpy"]),
+        ("import skewcomp.experiment", ["skewcomp.experiment"]),
         ("from skewcomp.cli import main\nassert main(['selftest']) == 0", ["skewcomp.selfcheck"]),
     ],
     ids=[
         "import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2",
-        "import-experiment", "cli-selftest",
+        "cli-table2-kernel", "import-experiment", "cli-selftest",
     ],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
-    # the experiment module, the kernel, numpy and the table writer are
-    # compiled and imported only by a process that draws a table, and the
-    # check battery only by a selftest; a node that imports the package and
-    # compensates readings pays for none of them
+    # the experiment module and the table writer are compiled and imported
+    # only by a process that draws a table, numpy only by one whose table is
+    # above the scalar route's limit (513 samples x 4 i values > 2048), and
+    # the check battery only by a selftest; a node that imports the package
+    # and compensates readings pays for none of them
     script = f"import sys\n{statement}\nprint([m for m in {LATE_MODULES!r} if m in sys.modules])\n"
     assert run_fresh(script, os.devnull).splitlines()[-1] == str(loaded)
 

@@ -41,8 +41,8 @@ from skewcomp.experiment import (
     generate_samples,
     sample_cases,
 )
-from skewcomp.formats import BINARY32, FloatFormat, format_label, resolve_format
-from skewcomp.rationals import round_ratio
+from skewcomp.formats import BINARY32, FloatFormat, format_label, relative_errors, resolve_format
+from skewcomp.rationals import is_in_format, round_ratio, round_to_format
 
 METHODS = ("theoretical", "practical", "approximate")
 PRECISIONS = ("binary32", "binary64")
@@ -318,7 +318,7 @@ _INT_CALLS = [
 ]  # fmt: skip
 
 # public callables that hold no int argument to a rule: the errors, the records, which
-# check nothing, and the functions of a format, a method, a Rational or two intervals
+# check nothing, and the functions of a format, a method, a Rational (in _ROUNDING_CALLS) or two intervals
 _NO_INT_RULE = (
     "InvalidInput", "OverflowRisk",
     "CandidateInterval", "Certificate", "RefineResult", "CompResult", "ErrorBudget",
@@ -513,6 +513,56 @@ def test_non_int_inputs_raise_type_error(call, args, slot, value, expected):
 
 @pytest.mark.parametrize("call, args, slot, value, expected", _cells(ints=True))
 def test_int_values_meet_the_value_rules(call, args, slot, value, expected):
+    _check_cell(call, args, slot, value, expected)
+
+
+_NOT_EXACT = "{slot} must be exact (int, Fraction or decimal string), got {value!r}"
+_UNKNOWN_FORMAT = "unknown precision {value!r}; expected FloatFormat or one of ['binary32', 'binary64']"
+
+# the Rational argument of the rounding functions, and the format of those with no int rule before it:
+# (cell name, a call of the slot's value, a good value)
+_ROUNDING_CALLS = [
+    ("round_to_format-x", lambda x: round_to_format(x, BINARY32), Fraction(1, 3)),
+    ("is_in_format-x", lambda x: is_in_format(x, BINARY32), Fraction(1, 3)),
+    ("relative_errors-t", lambda t: relative_errors(t, BINARY32), Fraction(1, 3)),
+    ("round_ratio-fmt", lambda fmt: round_ratio(1, 3, fmt), BINARY32),
+    ("round_ratio-fmt-of-zero", lambda fmt: round_ratio(0, 3, fmt), BINARY32),
+    ("round_to_format-fmt", lambda fmt: round_to_format(Fraction(1, 3), fmt), BINARY32),
+    ("is_in_format-fmt", lambda fmt: is_in_format(Fraction(1, 3), fmt), BINARY32),
+]  # fmt: skip
+
+# per kind of value: the value, and the class and message it meets, or None where the call accepts it
+_EXACT_VALUES = {
+    "float": (0.5, (TypeError, _NOT_EXACT)),
+    "bool": (True, (TypeError, _NOT_EXACT)),
+    "np.int64": (np.int64(5), (TypeError, _NOT_EXACT)),
+    "None": (None, (TypeError, _NOT_EXACT)),
+    "word": ("abc", (ValueError, "{slot} must be an exact number: Invalid literal for Fraction: 'abc'")),
+    "int": (5, None),
+    "decimal": ("0.1", None),
+}
+_FORMAT_VALUES = {
+    "label": ("binary64", None),
+    "unknown": ("nope", (ValueError, _UNKNOWN_FORMAT)),
+    "tuple": ((24,), (ValueError, _UNKNOWN_FORMAT)),
+    "int": (24, (ValueError, _UNKNOWN_FORMAT)),
+    "None": (None, (ValueError, _UNKNOWN_FORMAT)),
+}
+
+
+def _rounding_cells():
+    for name, call, good in _ROUNDING_CALLS:
+        slot = name.split("-")[1]
+        for kind, (value, expected) in (_FORMAT_VALUES if slot == "fmt" else _EXACT_VALUES).items():
+            if expected is not None:
+                expected = expected[0], expected[1].format(slot=slot, value=value)
+            yield pytest.param(call, (good,), 0, value, expected, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("call, args, slot, value, expected", _rounding_cells())
+def test_rounding_arguments_meet_their_rules(call, args, slot, value, expected):
+    # x is an exact number as eps_coeff is: a float carries its conversion error, a bool is a
+    # flag and a numpy integer wraps; the format is a FloatFormat or its label, also at x = 0
     _check_cell(call, args, slot, value, expected)
 
 
