@@ -2,8 +2,8 @@
 
 numpy is imported on the kernel route's first use, not with the module.
 A table with n * len(i_list) up to SCALAR_TABLE_LIMIT takes scalar_table
-instead, which draws and evaluates its few cases with the scalar
-functions alone and never imports numpy.
+instead, which draws with the stdlib generator, evaluates the kernel's
+closed forms below on Python ints and floats, and never imports numpy.
 
 One experiment compares candidate intervals against the exact reference
 (bound deltas), the other compares compensated clocks against the
@@ -56,17 +56,26 @@ outside 0 < D < 2A, 2*i*db + A >= 2**63 (i*D >= 2**63 for the naive
 floor, and its quotient >= 2**53), a binary64 c * t_hat that rounds to a
 nonzero integer, an uncertain reference end, and an approximate margin
 w + f with w >= 2**53 or f not exact in float64.
+
+scalar_table's closed forms are exact, so it declines only for domain:
+t_hat takes _hardware_estimate's operations, with each case's quotient
+rounded once per table; a binary32 end is floor/ceil of its exact
+product, and binary64 and approximate ends, the reference ends and the
+naive floor (with int.bit_length for frexp) are integer floor divisions.
+It sends to the scalar functions only i or A >= 2**53 and, for
+compensate, 2*i*db + A >= 2**63.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import ceil, floor, gcd
 from numbers import Rational
 from operator import mul, sub
 from typing import NamedTuple
@@ -76,7 +85,10 @@ from . import _EXPERIMENT_NAMES as __all__
 from .bounds import (
     DEFAULT_EPS_COEFF,
     _HW_EXACT_INT,
+    _PLANS,
+    _SPLIT32,
     _eps_hat,
+    _hardware_estimate,
     _on_hardware_route,
     _validate_estimate,
     candidate_interval,
@@ -124,9 +136,10 @@ _BLOCK = 1 << 15
 _INT64_MAX = 2**63 - 1
 # 32 binary64 unit roundoffs; the reference error analysis needs under 8
 _REFERENCE_SLACK = 2.0**-48
-# tables with n * len(i_list) up to this take scalar_table: it finishes them
-# before numpy's import would, even at D = 1e9, where each sample is its own case
-SCALAR_TABLE_LIMIT = 2048
+# tables with n * len(i_list) up to this take scalar_table; at D = 1e9, where each
+# sample is its own case, its process measured no slower than the kernel's, numpy's
+# import included, up to about 16k with one i value and 20k with four
+SCALAR_TABLE_LIMIT = 12288
 
 
 class CaseTable(NamedTuple):
@@ -625,43 +638,182 @@ def scalar_table(
 
     name is "bounds_experiment" or "compensation_experiment", which this
     returns the rows of for i_list and eps_coeff at their default configs.
-    The route for small tables: it draws with random.Random(seed).randint,
-    the definition sample_cases reproduces, and sends each distinct case
-    through the per-case functions the kernel falls back to, with the
-    kernel route's checks, rows and cases in the same order, so it gives
-    the same rows and raises the same errors.
+    The route for tables up to SCALAR_TABLE_LIMIT: it draws with
+    random.Random(seed).randint, the definition sample_cases reproduces,
+    and evaluates the kernel's closed forms on Python ints and floats,
+    with the kernel route's checks, rows and cases in the same order, so
+    it gives the same rows and raises the same errors.  Being exact, it
+    evaluates binary64 ends and approximate margins the kernel declines;
+    the cases outside the kernel's domain go through the per-case
+    functions.
     """
     reach, d, s = _draw_rule(seed, n, D, range_ppm)
     randint = random.Random(seed).randint
     counts = Counter((2 * d * randint(-reach, reach) + s) // (2 * s) for _ in range(n))
     offsets = sorted(counts)
-    cases = [D + offset for offset in offsets]  # the A of each case, as the kernel orders them
-    weights = [counts[offset] for offset in offsets]
-    if not cases:
+    if not offsets:
         raise ValueError("population must be nonempty")
+    cases = _ScalarCases(D, [D + offset for offset in offsets], [counts[offset] for offset in offsets], eps_coeff)
     for i in i_list:
-        _validate_estimate(i, D, cases[0])
-
-    def summary(values) -> StatSummary:
-        return StatSummary(min(values), max(values), Fraction(sum(map(mul, values, weights)), n), n)
-
-    rows = []
+        _validate_estimate(i, D, cases.A[0])
     if name == "bounds_experiment":
-        for method, precision in TABLE2_CONFIGS:
-            fmt = resolve_format(precision)
-            for i in i_list:
-                dlb, dub = zip(*(_deltas(i, D, A, method, fmt, eps_coeff) for A in cases))
-                rows.append(BoundsRow(method, format_label(fmt), i, summary(dlb), summary(dub)))
-        return rows
-    baseline = {i: [naive_compensate(i, D, A, BINARY64) for A in cases] for i in i_list}
-    for algorithm, precision in TABLE3_ALGORITHMS:
-        fmt = resolve_format(precision)
-        for i in i_list:
-            if algorithm == "naive":
-                walks = [(naive_compensate(i, D, A, fmt), 0, False) for A in cases]
+        return [cases.bounds_row(method, precision, i) for method, precision in TABLE2_CONFIGS for i in i_list]
+    baseline = {i: cases.naive(i, BINARY64) for i in i_list}
+    return [
+        cases.comp_row(algorithm, precision, i, baseline[i])
+        for algorithm, precision in TABLE3_ALGORITHMS
+        for i in i_list
+    ]
+
+
+class _ScalarCases:
+    """The cases of a scalar table, and the per-case values its rows share.
+
+    A holds the cases' A in the kernel's ascending order and weights
+    their counts.  The draw keeps every A above D/2, so the cases in the
+    kernel's domain 0 < D < 2A, A < 2**53 are the first `closed` ones.
+    For i < 2**53 those take the kernel's closed forms on Python ints and
+    floats, and the rest, or every case for a larger i, the per-case
+    functions.  db is the remainder slope of each closed case.  The
+    quotients fl(fl(db) / fl(A)) of a format, and t_hat and the reference
+    ends of an (i, format), are computed on first use and kept.
+    """
+
+    def __init__(self, D: int, A: list[int], weights: list[int], eps_coeff) -> None:
+        self.D, self.A, self.weights, self.eps_coeff = D, A, weights, eps_coeff
+        self.count = sum(weights)
+        self.closed = bisect_left(A, _HW_EXACT_INT)
+        self.db = [D - a if D >= a else D for a in A[: self.closed]]
+        self._quotients, self._estimates, self._references = {}, {}, {}
+
+    def _closed_at(self, i: int, hardware: bool) -> int:
+        """How many of the first cases take the closed forms at i."""
+        return self.closed if hardware and i < _HW_EXACT_INT else 0
+
+    def summary(self, values: list[int]) -> StatSummary:
+        total = sum(map(mul, values, self.weights))
+        return StatSummary(min(values), max(values), Fraction(total, self.count), self.count)
+
+    def estimates(self, i: int, fmt) -> list[float]:
+        """_hardware_estimate(i, db, A, fmt) of each closed case."""
+        key = i, fmt
+        if key not in self._estimates:
+            if fmt not in self._quotients:
+                # t_hat at i = 1 is the rounded quotient
+                self._quotients[fmt] = [_hardware_estimate(1, db, a, fmt) for db, a in zip(self.db, self.A)]
+            quotients = self._quotients[fmt]
+            if fmt.precision == 53:
+                x = float(i)
+                self._estimates[key] = [x * q for q in quotients]
             else:
-                walks = [_walk(i, D, A, algorithm, fmt, eps_coeff) for A in cases]
-            j, iterations, violated = zip(*walks)
-            err, violations = list(map(sub, baseline[i], j)), sum(compress(weights, violated))
-            rows.append(CompRow(algorithm, format_label(fmt), i, summary(err), summary(iterations), violations))
-    return rows
+                # fl(i) * q is exact in binary64 and rounds to binary32 by a Veltkamp split
+                x = _hardware_estimate(i, 1, 1, fmt)
+                products = [x * q for q in quotients]
+                self._estimates[key] = [c - (c - t) for c, t in zip([t * _SPLIT32 for t in products], products)]
+        return self._estimates[key]
+
+    def candidate_ends(self, i: int, method: str, precision: str) -> tuple[list[int], list[int]]:
+        """lb and ub of candidate_interval(i, db, A, method, precision, eps_coeff) per closed case."""
+        fmt, _, _, ratios, floats = _PLANS[method, precision, str]
+        t_hat = self.estimates(i, fmt)
+        if floats is not None:  # binary32 t_hat and coefficients: each product is exact
+            lo, hi = floats
+            return [floor(lo * t) for t in t_hat], [ceil(hi * t) for t in t_hat]
+        pairs = [t.as_integer_ratio() for t in t_hat]
+        if ratios is not None:
+            lo_n, lo_d, hi_n, hi_d = ratios
+            return (
+                [(lo_n * tn) // (lo_d * td) for tn, td in pairs],
+                [-((-hi_n * tn) // (hi_d * td)) for tn, td in pairs],
+            )
+        # t_hat -/+ (1 + eps_hat) over td * ed, with eps_hat = en / ed
+        en, ed = _eps_hat(self.eps_coeff, i, fmt)
+        margin = ed + en
+        return (
+            [(tn * ed - td * margin) // (td * ed) for tn, td in pairs],
+            [-((-tn * ed - td * margin) // (td * ed)) for tn, td in pairs],
+        )
+
+    def reference_ends(self, i: int, fmt) -> tuple[list[int], list[int]]:
+        """lb and ub of reference_interval(i, db, A, fmt) per closed case."""
+        key = i, fmt
+        if key not in self._references:
+            lo, hi = theoretical_coefficients(fmt)
+            lo_n, lo_d, hi_n, hi_d = lo.numerator * i, lo.denominator, -hi.numerator * i, hi.denominator
+            cases = list(zip(self.db, self.A))
+            self._references[key] = (
+                [(lo_n * db) // (lo_d * a) for db, a in cases],
+                [-((hi_n * db) // (hi_d * a)) for db, a in cases],
+            )
+        return self._references[key]
+
+    def bounds_row(self, method: str, precision: str, i: int) -> BoundsRow:
+        """One table2 row: the closed cases, then the rest through _deltas, in case order."""
+        fmt, label, hardware, _, _ = _PLANS[method, precision, str]
+        dlb, dub = [], []
+        m = self._closed_at(i, hardware)
+        if m:
+            lb, ub = self.candidate_ends(i, method, precision)
+            ref_lb, ref_ub = self.reference_ends(i, fmt)
+            dlb, dub = list(map(sub, ref_lb, lb)), list(map(sub, ub, ref_ub))
+        for a in self.A[m:]:
+            low, high = _deltas(i, self.D, a, method, fmt, self.eps_coeff)
+            dlb.append(low)
+            dub.append(high)
+        return BoundsRow(method, label, i, self.summary(dlb), self.summary(dub))
+
+    def naive(self, i: int, fmt) -> list[int]:
+        """naive_compensate(i, D, A, fmt) per case.
+
+        naive_floors's rule with int.bit_length for frexp: with
+        i*D = q*A + r and s the bit length of q less p, q rounds to q + 1
+        iff 1 - r/A <= 2**(s - 1) for s < 0, and for s >= 0 the mantissa
+        of i*D / (A * 2**s) rounds half to even.
+        """
+        m = self._closed_at(i, True)  # exact integer arithmetic in every format
+        x, p, j = i * self.D, fmt.precision, []
+        for a in self.A[:m]:
+            q, r = divmod(x, a)
+            s = q.bit_length() - p
+            if s < 0:
+                j.append(q + ((a - r) << (1 - s) <= a))
+            else:
+                den = a << s
+                mantissa, rest = divmod(x, den)
+                j.append(mantissa + (2 * rest > den or 2 * rest == den and mantissa & 1) << s)
+        return j + [naive_compensate(i, self.D, a, fmt) for a in self.A[m:]]
+
+    def comp_row(self, algorithm: str, precision: str, i: int, baseline: list[int]) -> CompRow:
+        """One table3 row against the binary64 baseline of its i, in case order."""
+        if algorithm == "naive":
+            fmt = resolve_format(precision)
+            err = list(map(sub, baseline, self.naive(i, fmt)))
+            return CompRow(algorithm, format_label(fmt), i, self.summary(err), self.summary([0] * len(err)), 0)
+        fmt, label, hardware, _, _ = _PLANS[algorithm, precision, str]
+        D, A = self.D, self.A
+
+        def walk(a):
+            return _walk(i, D, a, algorithm, fmt, self.eps_coeff)
+
+        m = self._closed_at(i, hardware)
+        j, iterations, violated = [], [], []
+        if m:
+            # compensate's triple in closed form, as compensate_triples gives it
+            lb, ub = self.candidate_ends(i, algorithm, precision)
+            twice = [2 * i * db + a for db, a in zip(self.db, A)]
+            clock = [t // (2 * a) for t, a in zip(twice, A)]
+            low = [e if e > 0 else 0 for e in lb]
+            high = [e if e < i else i for e in ub]
+            j = [c + i if a <= D else c for c, a in zip(clock, A)]
+            iterations = [h - e if h > e and db else 0 for e, h, db in zip(low, high, self.db)]
+            violated = [c < e or c > h for c, e, h in zip(clock, low, high)]
+            # past the kernel's guard the walk decides, as it raises OverflowRisk at i*db + A >= 2**63
+            for k in [k for k, t in enumerate(twice) if t > _INT64_MAX]:
+                j[k], iterations[k], violated[k] = walk(A[k])
+        for a in A[m:]:
+            triple = walk(a)
+            j.append(triple[0])
+            iterations.append(triple[1])
+            violated.append(triple[2])
+        err, violations = list(map(sub, baseline, j)), sum(compress(self.weights, violated))
+        return CompRow(algorithm, label, i, self.summary(err), self.summary(iterations), violations)

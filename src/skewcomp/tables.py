@@ -1,8 +1,9 @@
 """The table writer behind `skewcomp table2` and `skewcomp table3`.
 
-run draws the population, computes the rows, on the scalar route for a
-table of at most experiment.SCALAR_TABLE_LIMIT samples times i values
-and on the numpy kernel above it, and writes them as CSV with
+run draws the population and computes the rows: on the scalar route,
+Python ints and floats without numpy, for a table of at most
+experiment.SCALAR_TABLE_LIMIT samples times i values, and on the numpy
+kernel above it.  It writes them as CSV with
 #-prefixed metadata lines or as JSON with the same numeric content.  The
 columns are the row type's fields, each StatSummary field expanded to
 its _min, _max and _avg columns.  The CLI imports this module only for

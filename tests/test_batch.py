@@ -7,7 +7,10 @@ to those functions.  scalar_table, the small tables' route through
 those functions alone, must give the kernel route's rows and errors.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -25,10 +28,12 @@ from skewcomp.bounds import (
     reference_interval,
     theoretical_coefficients,
 )
-from skewcomp.compensator import compensate, naive_compensate, oracle_nearest
+from skewcomp.compensator import OverflowRisk, compensate, naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     DEFAULT_I_LIST,
+    BoundsRow,
     CaseArrays,
+    CompRow,
     CaseTable,
     StatSummary,
     TABLE2_CONFIGS,
@@ -632,3 +637,94 @@ def test_scalar_route_gives_the_kernel_routes_rows_and_errors(name, seed, n, D, 
     kernel = getattr(experiment, name)
     want = _outcome(lambda: kernel(sample_cases(seed, n, D, range_ppm), i_list, eps_coeff=eps_coeff))
     assert _outcome(lambda: scalar_table(name, seed, n, D, range_ppm, i_list, eps_coeff)) == want
+
+
+def _drawn_cases(seed, n, D, range_ppm):
+    """A -> count of the n draws, one stdlib randint at a time."""
+    reach, scale = int(Fraction(range_ppm) * 10**9), 10**15  # lattice steps per ppm and per unit of skew
+    rng = random.Random(seed)
+    return Counter((2 * D * (scale + rng.randint(-reach, reach)) + scale) // (2 * scale) for _ in range(n))
+
+
+def _per_case_rows(name, seed, n, D, range_ppm, i_list, eps_coeff):
+    """The rows of the experiment called name, from the public per-case functions alone.
+
+    The reference for scalar_table: every distinct case of the draw goes
+    through candidate_interval and reference_interval, or compensate and
+    naive_compensate, with rows in configs x i_list order and cases in
+    ascending A, the order in which the kernel route raises.
+    """
+    counts = _drawn_cases(seed, n, D, range_ppm)
+    cases = sorted(counts)
+    weights = [counts[A] for A in cases]
+
+    def summary(values):
+        return StatSummary(min(values), max(values), Fraction(sum(map(mul, values, weights)), n), n)
+
+    rows = []
+    if name == "bounds_experiment":
+        for method, precision in TABLE2_CONFIGS:
+            for i in i_list:
+                deltas = [
+                    interval_deltas(
+                        candidate_interval(i, *_slope(D, A), method, precision, eps_coeff),
+                        reference_interval(i, *_slope(D, A), precision),
+                    )
+                    for A in cases
+                ]
+                dlb, dub = zip(*deltas)
+                rows.append(BoundsRow(method, precision, i, summary(dlb), summary(dub)))
+        return rows
+    baseline = {i: [naive_compensate(i, D, A, "binary64") for A in cases] for i in i_list}
+    for algorithm, precision in TABLE3_ALGORITHMS:
+        for i in i_list:
+            if algorithm == "naive":
+                walks = [(naive_compensate(i, D, A, precision), 0, False) for A in cases]
+            else:
+                results = [compensate(i, D, A, algorithm, precision, eps_coeff) for A in cases]
+                walks = [(res.j, res.iterations, res.bounds_violated) for res in results]
+            j, iterations, violated = zip(*walks)
+            err = list(map(sub, baseline[i], j))
+            violations = sum(weight for weight, miss in zip(weights, violated) if miss)
+            rows.append(CompRow(algorithm, precision, i, summary(err), summary(iterations), violations))
+    return rows
+
+
+# (D, range_ppm, n, i_list, eps_coeff, a test the drawn A values pass, the error class of table2, of table3)
+SCALAR_EDGES = {
+    # D = 3 draws A = 2, 3, 4: t = i/2 and 3i/4 end in exactly 1/2 at odd i and at i = 2, and at
+    # i = 5592409 the naive binary32 floor of 3i/4 = 2**22 + 2.75 rounds a tie up, below 2**23
+    "zero-and-ties": (3, 500000, 40, (0, 1, 2, 3, 5, 5592409), DEFAULT_EPS_COEFF, {2, 3, 4}.issubset, None, None),
+    "identity-and-neighbours": (
+        10**6, 1, 60, (0, 2**24 - 1, 2**24 + 1), DEFAULT_EPS_COEFF, {10**6 - 1, 10**6, 10**6 + 1}.issubset, None, None
+    ),
+    "i-near-2**53": (3, 500000, 40, (2**53 - 1, 2**53 + 3), DEFAULT_EPS_COEFF, {2, 3, 4}.issubset, None, None),
+    # at i = 2**53 - 1, i*db + A passes 2**63 for db above 1024: compensate raises OverflowRisk
+    "overflow-risk": (10**9, 100, 30, (10**6, 2**53 - 1), DEFAULT_EPS_COEFF, bool, None, OverflowRisk),
+    # A = D + 1 has db = D, and 2*i*D + D + 1 is 2**63 - 1, the largest value inside the kernel's
+    # guard, or 2**63, the least it leaves to the walk
+    "guard-2**63-1": (4294967294, Fraction(1, 4000), 40, (2**30,), DEFAULT_EPS_COEFF, {4294967295}.issubset, None, None),
+    "guard-2**63": (153092023, Fraction(13, 2000), 40, (30123620604,), DEFAULT_EPS_COEFF, {153092024}.issubset, None, None),
+    "eps-0": (10**9, 100, 20, (10**6, 10**9), 0, bool, None, None),
+    "eps-1e-400": (10**9, 100, 20, (10**6, 10**9), Fraction(1, 10**400), bool, None, None),
+    "eps-1e20": (10**9, 100, 20, (10**6, 10**9), 10**20, bool, None, None),
+    "eps-negative": (10**9, 100, 20, (10**6, 10**9), -1, bool, ValueError, ValueError),
+    # table3's practical row at i = 1e30 raises before its approximate rows read eps_coeff
+    "eps-negative-after-overflow": (10**6, 100, 20, (10**6, 10**30), -1, bool, ValueError, OverflowRisk),
+    # A below and above 2**53: the closed forms, then the per-case functions; at i = 1000,
+    # 2*i*db + A passes 2**63 where A > D, and so db = D, but i*db + A does not
+    "D-above-2**53": (2**53 + 5, 100, 30, (3, 1000), DEFAULT_EPS_COEFF, lambda A: min(A) < 2**53 < max(A), None, None),
+    # every case is past 2**53, and i*db + A passes 2**63 at i = 3
+    "D-1e19": (10**19, 100, 10, (0, 3), DEFAULT_EPS_COEFF, bool, None, OverflowRisk),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", ["bounds_experiment", "compensation_experiment"])
+@pytest.mark.parametrize("edge", SCALAR_EDGES)
+def test_scalar_table_matches_the_per_case_reference(name, edge):
+    D, range_ppm, n, i_list, eps_coeff, drawn, *errors = SCALAR_EDGES[edge]
+    assert drawn(set(_drawn_cases(1, n, D, range_ppm)))  # the draw holds the edge
+    want = _outcome(lambda: _per_case_rows(name, 1, n, D, range_ppm, i_list, eps_coeff))
+    error = errors[name == "compensation_experiment"]
+    assert want[0] is error if error else type(want) is list
+    assert _outcome(lambda: scalar_table(name, 1, n, D, range_ppm, i_list, eps_coeff)) == want

@@ -234,12 +234,12 @@ def test_columns_are_the_row_fields(capsys, command, row_type):
 @pytest.mark.parametrize("table", ["table2", "table3"])
 @pytest.mark.parametrize(
     "samples, i_list, scalar",
-    [("512", "1e6,1e7,1e8,1e9", True), ("683", "1e6,1e8,1e9", False)],
-    ids=["2048-scalar", "2049-kernel"],
+    [("3072", "1e6,1e7,1e8,1e9", True), ("12289", "1e9", False)],
+    ids=["at-limit-scalar", "past-limit-kernel"],
 )
 def test_both_table_routes_write_the_same_bytes(capsys, monkeypatch, table, samples, i_list, scalar):
-    # samples x i values at the scalar route's limit and one past it, at D = 1e9, where
-    # nearly every sample is its own case; each side is run again on the route it did not take
+    # samples x i values at the scalar route's limit of 12288 and one past it, at D = 1e9,
+    # where nearly every sample is its own case; each side is run again on the route it did not take
     argv = (table, "-n", samples, "--D", "1e9", "--i", i_list, "--seed", "7")
     calls, real = [], experiment.scalar_table
 
@@ -293,14 +293,15 @@ def run_fresh(script, *argv):
 
 
 def test_table_run_does_not_import_numpy_random():
-    # numpy.random costs about 6 MB of resident memory per process
+    # numpy.random costs about 6 MB of resident memory per process; the table is
+    # past the scalar route's limit (12289 samples x 1 i value > 12288), so numpy loads
     script = (
         "import sys\n"
         "from skewcomp.cli import main\n"
-        "code = main(['table2', '-n', '1000', '--i', '1e6', '-o', sys.argv[1]])\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
+        "code = main(['table2', '-n', '12289', '--i', '1e6', '-o', sys.argv[1]])\n"
+        "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
-    assert run_fresh(script, os.devnull).split() == ["0", "False"]
+    assert run_fresh(script, os.devnull).split() == ["0", "True", "False"]
 
 
 def test_import_and_csv_table_run_do_not_import_json():
@@ -349,7 +350,11 @@ LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.sel
             ["skewcomp.experiment", "skewcomp.tables"],
         ),
         (
-            "from skewcomp.cli import main\nassert main(['table2', '-n', '513', '--D', '1e9', '-o', sys.argv[1]]) == 0",
+            "from skewcomp.cli import main\nassert main(['table2', '-n', '3000', '--D', '1e9', '-o', sys.argv[1]]) == 0",
+            ["skewcomp.experiment", "skewcomp.tables"],
+        ),
+        (
+            "from skewcomp.cli import main\nassert main(['table2', '-n', '3073', '--D', '1e9', '-o', sys.argv[1]]) == 0",
             ["skewcomp.experiment", "numpy", "skewcomp.tables"],
         ),
         ("import skewcomp.experiment", ["skewcomp.experiment"]),
@@ -357,13 +362,14 @@ LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.sel
     ],
     ids=[
         "import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2",
-        "cli-table2-kernel", "import-experiment", "cli-selftest",
+        "cli-table2-wide", "cli-table2-kernel", "import-experiment", "cli-selftest",
     ],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
     # the experiment module and the table writer are compiled and imported
     # only by a process that draws a table, numpy only by one whose table is
-    # above the scalar route's limit (513 samples x 4 i values > 2048), and
+    # above the scalar route's limit (3073 samples x 4 i values > 12288, where
+    # 3000 x 4, table-wide's size, is below it), and
     # the check battery only by a selftest; a node that imports the package
     # and compensates readings pays for none of them
     script = f"import sys\n{statement}\nprint([m for m in {LATE_MODULES!r} if m in sys.modules])\n"
