@@ -1,25 +1,27 @@
 """Sample generation, the table kernel and the statistics of the two experiments.
 
 numpy is imported on the kernel route's first use, not with the module.
-A table with n * len(i_list) up to SCALAR_TABLE_LIMIT takes scalar_table
-instead, which draws with the stdlib generator, evaluates the kernel's
-closed forms below on Python ints and floats, and never imports numpy.
 
 One experiment compares candidate intervals against the exact reference
 (bound deltas), the other compares compensated clocks against the
 binary64 floor baseline (errors and iteration counts).  Samples draw a
 skew uniformly from a lattice with 1e-9 ppm steps, which keeps every
 draw an exact rational and makes runs reproducible from the seed alone.
-With the default 100 ppm range there are only 201 possible A values, so
-sample_cases draws the weighted case table directly: it reproduces
-random.Random(seed).randint draw for draw from the generator's raw
+generate_samples and scalar_cases take the draws from
+random.Random(seed).randint.  With the default 100 ppm range there are
+only 201 possible A values, so sample_cases draws the weighted case
+table directly: it reproduces those draws from the generator's raw
 32-bit words, read in place in numpy blocks of 2**15 attempts merged
 into sorted case columns, so its memory is flat in the number of
 samples and even 1e7 samples take about a second.
 
-The experiments take a CaseTable population and evaluate each
-(method, format, i) row in one numpy pass over arrays of its distinct
-(D, A) cases, split once to the remainder slope db/A with db < A.
+Each experiment runs one loop over the rows of a case set.  A CaseTable,
+such as sample_cases returns, becomes CaseArrays, the numpy kernel: each
+(method, format, i) row is one pass over arrays of its distinct (D, A)
+cases, split once to the remainder slope db/A with db < A.  Tables with
+n * len(i_list) up to SCALAR_TABLE_LIMIT draw scalar_cases instead, whose
+rows take the kernel's closed forms below on Python ints and floats.
+
 Every value the kernel accepts equals what the scalar
 candidate_interval, reference_interval, compensate and
 naive_compensate return:
@@ -57,13 +59,14 @@ floor, and its quotient >= 2**53), a binary64 c * t_hat that rounds to a
 nonzero integer, an uncertain reference end, and an approximate margin
 w + f with w >= 2**53 or f not exact in float64.
 
-scalar_table's closed forms are exact, so it declines only for domain:
+The scalar set's closed forms are exact, so it declines only for domain:
 t_hat takes _hardware_estimate's operations, with each case's quotient
-rounded once per table; a binary32 end is floor/ceil of its exact
+rounded once per format; a binary32 end is floor/ceil of its exact
 product, and binary64 and approximate ends, the reference ends and the
 naive floor (with int.bit_length for frexp) are integer floor divisions.
-It sends to the scalar functions only i or A >= 2**53 and, for
-compensate, 2*i*db + A >= 2**63.
+It sends to the scalar functions only i or A >= 2**53, formats other
+than binary32/binary64 (but for the naive floor, exact in any format)
+and, for compensate, 2*i*db + A >= 2**63.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import random
 import sys
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import ceil, floor, gcd
@@ -136,7 +139,7 @@ _BLOCK = 1 << 15
 _INT64_MAX = 2**63 - 1
 # 32 binary64 unit roundoffs; the reference error analysis needs under 8
 _REFERENCE_SLACK = 2.0**-48
-# tables with n * len(i_list) up to this take scalar_table; at D = 1e9, where each
+# tables with n * len(i_list) up to this draw scalar_cases; at D = 1e9, where each
 # sample is its own case, its process measured no slower than the kernel's, numpy's
 # import included, up to about 16k with one i value and 20k with four
 SCALAR_TABLE_LIMIT = 12288
@@ -194,11 +197,8 @@ def generate_samples(
     successive values of random.Random(seed).randint(-reach, reach), where
     reach = range_ppm * 1e9.
     """
-    samples = []
-    for steps, offsets in _draw_blocks(seed, n, D, range_ppm):
-        for m, offset in zip(steps.tolist(), offsets.tolist()):
-            samples.append(ClockSample(D=D, A=D + offset, skew_ppm=Fraction(m, _PPM_STEPS)))
-    return samples
+    draws = _draws(seed, n, D, range_ppm)
+    return [ClockSample(D=D, A=D + offset, skew_ppm=Fraction(m, _PPM_STEPS)) for m, offset in draws]
 
 
 def sample_cases(
@@ -210,13 +210,48 @@ def sample_cases(
     """The cases and counts of Counter((s.D, s.A) for s in generate_samples(...)) as a CaseTable.
 
     The samples are never built, so time is linear in n and memory in the
-    number of distinct cases: each block merges into sorted arrays of A - D.
+    number of distinct cases: each block of attempts merges into sorted
+    arrays of A - D.  randint(-reach, reach) is -reach plus getrandbits(k)
+    rejection-sampled below 2 * reach + 1, with k = (2 * reach + 1).bit_length().
+    For k <= 32 an attempt is one generator word w, giving w >> (32 - k);
+    for k <= 64 it is an aligned word pair (w0, w1), giving
+    w0 | (w1 >> (64 - k)) << 32.  getrandbits(32 * W) returns the next W
+    words least significant first, so its little-endian bytes, read in
+    place as <u4 words or <u8 pairs w0 | w1 << 32, are the raw word stream.
+    Surplus attempts past the n-th accepted draw are discarded with the
+    generator.
     """
-    blocks = _draw_blocks(seed, n, D, range_ppm)
+    reach, d, s = _draw_rule(seed, n, D, range_ppm)
+    span = 2 * reach + 1
+    k = span.bit_length()  # at most 50, as the rule allows reach <= 5 * 10**14
+    words = 1 if k <= 32 else 2
+    # int64 is exact while |2 * d * m + s| stays below 2**63; 2 * d itself
+    # must fit too, as numpy converts it to int64 even when every m is 0
+    exact_int64 = 2 * d * max(reach, 1) + s < 2**63
     # |A - D| <= (D + 1) / 2, so A fits int64 too, which sorts far faster than Python ints
     dtype = np.int64 if D < 2**62 else object
     values, counts = np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
-    for _, offsets in blocks:
+    rng = random.Random(seed)
+    left = n
+    while left:
+        # more than half of all attempts are accepted, so 2 * left usually suffice
+        attempts = min(_BLOCK, 2 * left)
+        raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
+        raw = np.frombuffer(raw, dtype=f"<u{4 * words}")
+        if words == 1:
+            value = np.right_shift(raw, np.uint64(32 - k), dtype=np.uint64)
+        else:
+            value = raw >> np.uint64(96 - k)
+            value <<= np.uint64(32)
+            value |= raw & np.uint64(0xFFFFFFFF)
+        # one compress; the accepted attempts are below 2**50, so int64 in place
+        m = value[value < span][:left].view(np.int64)
+        del raw, value  # the block's buffers go before the next draw
+        m -= reach
+        left -= len(m)
+        if not exact_int64:
+            m = m.astype(object)
+        offsets = (2 * d * m + s) // (2 * s)
         new, weights = np.unique(offsets.astype(dtype, copy=False), return_counts=True)
         at = np.searchsorted(values, new)
         seen = at < len(values)
@@ -226,6 +261,25 @@ def sample_cases(
         counts = np.insert(counts, at[~seen], weights[~seen])
     values += D
     return CaseTable(D=np.full(len(values), D, dtype=dtype), A=values, weight=counts)
+
+
+def scalar_cases(
+    seed: int,
+    n: int,
+    D: int = DEFAULT_D,
+    range_ppm: Rational = DEFAULT_RANGE_PPM,
+) -> _ScalarCases:
+    """The cases of sample_cases(seed, n, D, range_ppm) for the experiments, without numpy.
+
+    It draws with random.Random(seed).randint, which sample_cases
+    reproduces, and the experiments give the kernel's rows and errors over
+    it.  An empty draw raises here, as the experiments do for an empty CaseTable.
+    """
+    counts = Counter(offset for _, offset in _draws(seed, n, D, range_ppm))
+    if not counts:
+        raise ValueError("population must be nonempty")
+    offsets = sorted(counts)
+    return _ScalarCases(D, [D + offset for offset in offsets], [counts[offset] for offset in offsets])
 
 
 def _shown(value) -> str:
@@ -266,52 +320,13 @@ def _draw_rule(seed: int, n: int, D: int, range_ppm: Rational) -> tuple[int, int
     return reach, d, s
 
 
-def _draw_blocks(
-    seed: int, n: int, D: int, range_ppm: Rational
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(lattice steps m, A - D) of the n draws, in order, block by block.
-
-    randint(-reach, reach) is -reach plus getrandbits(k) rejection-sampled
-    below 2 * reach + 1, with k = (2 * reach + 1).bit_length().  For k <= 32 an
-    attempt is one generator word w, giving w >> (32 - k); for k <= 64 it
-    is an aligned word pair (w0, w1), giving w0 | (w1 >> (64 - k)) << 32.
-    getrandbits(32 * W) returns the next W words least significant first,
-    so its little-endian bytes, read in place as <u4 words or <u8 pairs
-    w0 | w1 << 32, are the raw word stream.  Surplus attempts past the
-    n-th accepted draw are discarded with the generator.  The arguments
-    are checked at the call, so a caller may read D before the first block.
-    """
+def _draws(seed: int, n: int, D: int, range_ppm: Rational) -> Iterator[tuple[int, int]]:
+    """(lattice steps m, A - D) of the n draws, in order: m is random.Random(seed).randint(-reach, reach)."""
     reach, d, s = _draw_rule(seed, n, D, range_ppm)
-    span = 2 * reach + 1
-    k = span.bit_length()  # at most 50, as the rule allows reach <= 5 * 10**14
-    words = 1 if k <= 32 else 2
-    # int64 is exact while |2 * d * m + s| stays below 2**63; 2 * d itself
-    # must fit too, as numpy converts it to int64 even when every m is 0
-    exact_int64 = 2 * d * max(reach, 1) + s < 2**63
-
-    def blocks():
-        rng = random.Random(seed)
-        left = n
-        while left:
-            # more than half of all attempts are accepted, so 2 * left usually suffice
-            attempts = min(_BLOCK, 2 * left)
-            raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
-            raw = np.frombuffer(raw, dtype=f"<u{4 * words}")
-            if words == 1:
-                value = np.right_shift(raw, np.uint64(32 - k), dtype=np.uint64)
-            else:
-                value = raw >> np.uint64(96 - k)
-                value <<= np.uint64(32)
-                value |= raw & np.uint64(0xFFFFFFFF)
-            # one compress; the accepted attempts are below 2**50, so int64 in place
-            steps = value[value < span][:left].view(np.int64)
-            del raw, value  # the block's buffers go before the next draw
-            steps -= reach
-            left -= len(steps)
-            m = steps if exact_int64 else steps.astype(object)
-            yield steps, (2 * d * m + s) // (2 * s)
-
-    return blocks()
+    randint = random.Random(seed).randint
+    for _ in range(n):
+        m = randint(-reach, reach)
+        yield m, (2 * d * m + s) // (2 * s)
 
 
 class CaseArrays:
@@ -352,7 +367,7 @@ class CaseArrays:
         self.db64 = np.where(self.domain, db, 0).astype(np.int64)
         self.a64 = np.where(self.domain, A, 1).astype(np.int64)
 
-    def check(self, i_list) -> None:
+    def check(self, i_list: tuple[int, ...]) -> None:
         """Hold each i to the (i, D, A) input rule with the first case that breaks its signs, else case 0."""
         k = int(((self.D < 0) | (self.A <= 0)).argmax())
         for i in i_list:
@@ -375,6 +390,45 @@ class CaseArrays:
     def guard(self, i: int) -> np.ndarray:
         """2*i*db + A < 2**63 per case, tested without forming the product."""
         return self.db64 <= (_INT64_MAX - self.a64) // max(2 * i, 1)
+
+    def summary(self, values) -> StatSummary:
+        """min, max and weighted mean of one integer per case."""
+        # Python ints: an int64 dot product could overflow
+        total = sum(map(mul, values.tolist(), self.weights))
+        return StatSummary(int(values.min()), int(values.max()), Fraction(total, self.count), self.count)
+
+    def bounds_row(self, method: str, precision: str, i: int, eps_coeff) -> BoundsRow:
+        """One table2 row; its arrays and its per-case fallback end with the call."""
+        fmt = resolve_format(precision)
+
+        def deltas(k):
+            return _deltas(i, *self.pair(k), method, fmt, eps_coeff)
+
+        lb, ub, fallback = candidate_ends(self, i, method, fmt, eps_coeff)
+        ref_lb, ref_ub, ref_fallback = reference_ends(self, i, fmt)
+        dlb, dub = _fill((ref_lb - lb, ub - ref_ub), fallback | ref_fallback, deltas)
+        return BoundsRow(method, format_label(fmt), i, self.summary(dlb), self.summary(dub))
+
+    def naive(self, i: int, fmt) -> np.ndarray:
+        """naive_compensate(i, D, A, fmt) per case."""
+        j, fallback = naive_floors(self, i, fmt)
+        return _fill((j,), fallback, lambda k: (naive_compensate(i, *self.pair(k), fmt),))[0]
+
+    def comp_row(self, algorithm: str, precision: str, i: int, eps_coeff, baseline) -> CompRow:
+        """One table3 row against the binary64 baseline of its i; its arrays end with the call."""
+        fmt = resolve_format(precision)
+
+        def walk(k):
+            return _walk(i, *self.pair(k), algorithm, fmt, eps_coeff)
+
+        if algorithm == "naive":
+            j = self.naive(i, fmt)
+            iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
+        else:
+            *triple, fallback = compensate_triples(self, i, algorithm, fmt, eps_coeff)
+            j, iterations, violated = _fill(triple, fallback, walk)
+        violations = sum(compress(self.weights, violated.tolist()))
+        return CompRow(algorithm, format_label(fmt), i, self.summary(baseline - j), self.summary(iterations), violations)
 
 
 def _ints(column) -> bool:
@@ -492,18 +546,6 @@ def naive_floors(cases: CaseArrays, i: int, fmt):
     return (mantissa + up) << shift, ~cases.domain | ~guard | (q >= _HW_EXACT_INT)
 
 
-def _summary(values, cases) -> StatSummary:
-    """min, max and weighted mean of one integer per case."""
-    # Python ints: an int64 dot product could overflow
-    total = sum(map(mul, values.tolist(), cases.weights))
-    return StatSummary(
-        min=int(values.min()),
-        max=int(values.max()),
-        avg=Fraction(total, cases.count),
-        count=cases.count,
-    )
-
-
 def _fill(values, fallback, scalar):
     """The kernel's per-case arrays with each fallback case k set from scalar(k).
 
@@ -532,48 +574,38 @@ def _walk(i: int, D: int, A: int, algorithm: str, fmt, eps_coeff) -> tuple[int, 
     return res.j, res.iterations, res.bounds_violated
 
 
+def _checked(
+    population: CaseTable | _ScalarCases, i_list: Iterable[int]
+) -> tuple[CaseArrays | _ScalarCases, tuple[int, ...]]:
+    """A scalar_cases set as it is or else CaseArrays(population), and i_list as a tuple, each i checked."""
+    cases = population if isinstance(population, _ScalarCases) else CaseArrays(population)
+    i_list = tuple(i_list)
+    cases.check(i_list)
+    return cases, i_list
+
+
 def bounds_experiment(
-    population: CaseTable,
-    i_list: Sequence[int] = DEFAULT_I_LIST,
+    population: CaseTable | _ScalarCases,
+    i_list: Iterable[int] = DEFAULT_I_LIST,
     configs: Sequence[tuple[str, str]] = TABLE2_CONFIGS,
     eps_coeff=DEFAULT_EPS_COEFF,
 ) -> list[BoundsRow]:
     """Bound deltas per (method, precision, i) over the population.
 
-    The population is a CaseTable such as sample_cases returns; each
-    distinct case is evaluated once, a whole row at a time, and the cases
-    the kernel cannot prove go through candidate_interval and reference_interval.
+    The population is a CaseTable such as sample_cases returns, or a scalar_cases
+    set; each distinct case is evaluated once, a whole row at a time, and the
+    cases the row cannot prove go through candidate_interval and reference_interval.
 
     Case 2 samples (D > A) are decomposed to the remainder slope for the
     candidate and the reference alike, so deltas compare like with like.
     """
-    cases = CaseArrays(population)
-    cases.check(i_list)
-    return [_bounds_row(cases, method, precision, i, eps_coeff) for method, precision in configs for i in i_list]
-
-
-def _bounds_row(cases: CaseArrays, method: str, precision: str, i: int, eps_coeff) -> BoundsRow:
-    """One table2 row; its arrays and its per-case fallback end with the call."""
-    fmt = resolve_format(precision)
-
-    def deltas(k):
-        return _deltas(i, *cases.pair(k), method, fmt, eps_coeff)
-
-    lb, ub, fallback = candidate_ends(cases, i, method, fmt, eps_coeff)
-    ref_lb, ref_ub, ref_fallback = reference_ends(cases, i, fmt)
-    dlb, dub = _fill((ref_lb - lb, ub - ref_ub), fallback | ref_fallback, deltas)
-    return BoundsRow(
-        method=method,
-        precision=format_label(fmt),
-        i=i,
-        dlb=_summary(dlb, cases),
-        dub=_summary(dub, cases),
-    )
+    cases, i_list = _checked(population, i_list)
+    return [cases.bounds_row(method, precision, i, eps_coeff) for method, precision in configs for i in i_list]
 
 
 def compensation_experiment(
-    population: CaseTable,
-    i_list: Sequence[int] = DEFAULT_I_LIST,
+    population: CaseTable | _ScalarCases,
+    i_list: Iterable[int] = DEFAULT_I_LIST,
     algorithms: Sequence[tuple[str, str]] = TABLE3_ALGORITHMS,
     eps_coeff=DEFAULT_EPS_COEFF,
 ) -> list[CompRow]:
@@ -583,91 +615,20 @@ def compensation_experiment(
     rounded once to binary64, so err = 0 means agreement with that
     baseline.  Interval misses are counted in violations, never silently
     dropped.  Each row, and the binary64 baseline for each i, is one pass
-    of the kernel, with compensate or naive_compensate for the cases it
-    cannot prove.
+    over the population, as in bounds_experiment, with compensate or
+    naive_compensate for the cases it cannot prove.
     """
-    cases = CaseArrays(population)
-    cases.check(i_list)
-    baseline = {i: _naive_row(cases, i, BINARY64) for i in i_list}
+    cases, i_list = _checked(population, i_list)
+    baseline = {i: cases.naive(i, BINARY64) for i in i_list}
     return [
-        _comp_row(cases, algorithm, precision, i, eps_coeff, baseline[i])
+        cases.comp_row(algorithm, precision, i, eps_coeff, baseline[i])
         for algorithm, precision in algorithms
         for i in i_list
     ]
 
 
-def _naive_row(cases: CaseArrays, i: int, fmt) -> np.ndarray:
-    """naive_compensate(i, D, A, fmt) per case."""
-    j, fallback = naive_floors(cases, i, fmt)
-    return _fill((j,), fallback, lambda k: (naive_compensate(i, *cases.pair(k), fmt),))[0]
-
-
-def _comp_row(cases: CaseArrays, algorithm: str, precision: str, i: int, eps_coeff, baseline) -> CompRow:
-    """One table3 row against the binary64 baseline of its i; its arrays end with the call."""
-    fmt = resolve_format(precision)
-
-    def walk(k):
-        return _walk(i, *cases.pair(k), algorithm, fmt, eps_coeff)
-
-    if algorithm == "naive":
-        j = _naive_row(cases, i, fmt)
-        iterations, violated = np.zeros_like(j), np.zeros(len(j), dtype=bool)
-    else:
-        *triple, fallback = compensate_triples(cases, i, algorithm, fmt, eps_coeff)
-        j, iterations, violated = _fill(triple, fallback, walk)
-    return CompRow(
-        algorithm=algorithm,
-        precision=format_label(fmt),
-        i=i,
-        err=_summary(baseline - j, cases),
-        iter=_summary(iterations, cases),
-        violations=sum(compress(cases.weights, violated.tolist())),
-    )
-
-
-def scalar_table(
-    name: str,
-    seed: int,
-    n: int,
-    D: int,
-    range_ppm: Rational,
-    i_list: Sequence[int],
-    eps_coeff=DEFAULT_EPS_COEFF,
-) -> list:
-    """The rows of the experiment called name over sample_cases(seed, n, D, range_ppm), without numpy.
-
-    name is "bounds_experiment" or "compensation_experiment", which this
-    returns the rows of for i_list and eps_coeff at their default configs.
-    The route for tables up to SCALAR_TABLE_LIMIT: it draws with
-    random.Random(seed).randint, the definition sample_cases reproduces,
-    and evaluates the kernel's closed forms on Python ints and floats,
-    with the kernel route's checks, rows and cases in the same order, so
-    it gives the same rows and raises the same errors.  Being exact, it
-    evaluates binary64 ends and approximate margins the kernel declines;
-    the cases outside the kernel's domain go through the per-case
-    functions.
-    """
-    reach, d, s = _draw_rule(seed, n, D, range_ppm)
-    randint = random.Random(seed).randint
-    counts = Counter((2 * d * randint(-reach, reach) + s) // (2 * s) for _ in range(n))
-    offsets = sorted(counts)
-    if not offsets:
-        raise ValueError("population must be nonempty")
-    cases = _ScalarCases(D, [D + offset for offset in offsets], [counts[offset] for offset in offsets], eps_coeff)
-    for i in i_list:
-        _validate_estimate(i, D, cases.A[0])
-    if name == "bounds_experiment":
-        return [cases.bounds_row(method, precision, i) for method, precision in TABLE2_CONFIGS for i in i_list]
-    baseline = {i: cases.naive(i, BINARY64) for i in i_list}
-    return [
-        cases.comp_row(algorithm, precision, i, baseline[i])
-        for algorithm, precision in TABLE3_ALGORITHMS
-        for i in i_list
-    ]
-
-
 class _ScalarCases:
-    """The cases of a scalar table, and the per-case values its rows share.
+    """The cases scalar_cases draws, and the per-case values the rows over them share.
 
     A holds the cases' A in the kernel's ascending order and weights
     their counts.  The draw keeps every A above D/2, so the cases in the
@@ -676,15 +637,21 @@ class _ScalarCases:
     floats, and the rest, or every case for a larger i, the per-case
     functions.  db is the remainder slope of each closed case.  The
     quotients fl(fl(db) / fl(A)) of a format, and t_hat and the reference
-    ends of an (i, format), are computed on first use and kept.
+    ends of an (i, format), are computed on first use and kept, so both
+    experiments, at any configs and eps_coeff, may share one set.
     """
 
-    def __init__(self, D: int, A: list[int], weights: list[int], eps_coeff) -> None:
-        self.D, self.A, self.weights, self.eps_coeff = D, A, weights, eps_coeff
+    def __init__(self, D: int, A: list[int], weights: list[int]) -> None:
+        self.D, self.A, self.weights = D, A, weights
         self.count = sum(weights)
         self.closed = bisect_left(A, _HW_EXACT_INT)
         self.db = [D - a if D >= a else D for a in A[: self.closed]]
         self._quotients, self._estimates, self._references = {}, {}, {}
+
+    def check(self, i_list: tuple[int, ...]) -> None:
+        """Hold each i to the (i, D, A) input rule with case 0, as every case has D > 0 and A > D/2."""
+        for i in i_list:
+            _validate_estimate(i, self.D, self.A[0])
 
     def _closed_at(self, i: int, hardware: bool) -> int:
         """How many of the first cases take the closed forms at i."""
@@ -712,9 +679,9 @@ class _ScalarCases:
                 self._estimates[key] = [c - (c - t) for c, t in zip([t * _SPLIT32 for t in products], products)]
         return self._estimates[key]
 
-    def candidate_ends(self, i: int, method: str, precision: str) -> tuple[list[int], list[int]]:
+    def candidate_ends(self, i: int, method: str, precision: str, eps_coeff) -> tuple[list[int], list[int]]:
         """lb and ub of candidate_interval(i, db, A, method, precision, eps_coeff) per closed case."""
-        fmt, _, _, ratios, floats = _PLANS[method, precision, str]
+        fmt, _, _, ratios, floats = _PLANS[method, precision, type(precision)]
         t_hat = self.estimates(i, fmt)
         if floats is not None:  # binary32 t_hat and coefficients: each product is exact
             lo, hi = floats
@@ -727,7 +694,7 @@ class _ScalarCases:
                 [-((-hi_n * tn) // (hi_d * td)) for tn, td in pairs],
             )
         # t_hat -/+ (1 + eps_hat) over td * ed, with eps_hat = en / ed
-        en, ed = _eps_hat(self.eps_coeff, i, fmt)
+        en, ed = _eps_hat(eps_coeff, i, fmt)
         margin = ed + en
         return (
             [(tn * ed - td * margin) // (td * ed) for tn, td in pairs],
@@ -747,17 +714,17 @@ class _ScalarCases:
             )
         return self._references[key]
 
-    def bounds_row(self, method: str, precision: str, i: int) -> BoundsRow:
+    def bounds_row(self, method: str, precision: str, i: int, eps_coeff) -> BoundsRow:
         """One table2 row: the closed cases, then the rest through _deltas, in case order."""
-        fmt, label, hardware, _, _ = _PLANS[method, precision, str]
+        fmt, label, hardware, _, _ = _PLANS[method, precision, type(precision)]
         dlb, dub = [], []
         m = self._closed_at(i, hardware)
         if m:
-            lb, ub = self.candidate_ends(i, method, precision)
+            lb, ub = self.candidate_ends(i, method, precision, eps_coeff)
             ref_lb, ref_ub = self.reference_ends(i, fmt)
             dlb, dub = list(map(sub, ref_lb, lb)), list(map(sub, ub, ref_ub))
         for a in self.A[m:]:
-            low, high = _deltas(i, self.D, a, method, fmt, self.eps_coeff)
+            low, high = _deltas(i, self.D, a, method, fmt, eps_coeff)
             dlb.append(low)
             dub.append(high)
         return BoundsRow(method, label, i, self.summary(dlb), self.summary(dub))
@@ -783,23 +750,23 @@ class _ScalarCases:
                 j.append(mantissa + (2 * rest > den or 2 * rest == den and mantissa & 1) << s)
         return j + [naive_compensate(i, self.D, a, fmt) for a in self.A[m:]]
 
-    def comp_row(self, algorithm: str, precision: str, i: int, baseline: list[int]) -> CompRow:
+    def comp_row(self, algorithm: str, precision: str, i: int, eps_coeff, baseline: list[int]) -> CompRow:
         """One table3 row against the binary64 baseline of its i, in case order."""
         if algorithm == "naive":
             fmt = resolve_format(precision)
             err = list(map(sub, baseline, self.naive(i, fmt)))
             return CompRow(algorithm, format_label(fmt), i, self.summary(err), self.summary([0] * len(err)), 0)
-        fmt, label, hardware, _, _ = _PLANS[algorithm, precision, str]
+        fmt, label, hardware, _, _ = _PLANS[algorithm, precision, type(precision)]
         D, A = self.D, self.A
 
         def walk(a):
-            return _walk(i, D, a, algorithm, fmt, self.eps_coeff)
+            return _walk(i, D, a, algorithm, fmt, eps_coeff)
 
         m = self._closed_at(i, hardware)
         j, iterations, violated = [], [], []
         if m:
             # compensate's triple in closed form, as compensate_triples gives it
-            lb, ub = self.candidate_ends(i, algorithm, precision)
+            lb, ub = self.candidate_ends(i, algorithm, precision, eps_coeff)
             twice = [2 * i * db + a for db, a in zip(self.db, A)]
             clock = [t // (2 * a) for t, a in zip(twice, A)]
             low = [e if e > 0 else 0 for e in lb]

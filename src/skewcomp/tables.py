@@ -1,9 +1,10 @@
 """The table writer behind `skewcomp table2` and `skewcomp table3`.
 
-run draws the population and computes the rows: on the scalar route,
+run draws the population with experiment.scalar_cases, whose rows take
 Python ints and floats without numpy, for a table of at most
-experiment.SCALAR_TABLE_LIMIT samples times i values, and on the numpy
-kernel above it.  It writes them as CSV with
+experiment.SCALAR_TABLE_LIMIT samples times i values, and with
+sample_cases, for the numpy kernel, above it; one call of the named
+experiment computes the rows.  It writes them as CSV with
 #-prefixed metadata lines or as JSON with the same numeric content.  The
 columns are the row type's fields, each StatSummary field expanded to
 its _min, _max and _avg columns.  The CLI imports this module only for
@@ -36,11 +37,10 @@ def _columns(row):
 def run(args) -> int:
     """Write the table args.command names and give the exit code 0; bad input raises."""
     # experiment's functions are looked up at each run, so a function replaced there is the one called
-    draw = args.seed, args.samples, args.D, args.range_ppm
-    if args.samples * len(args.i) <= experiment.SCALAR_TABLE_LIMIT:
-        rows = experiment.scalar_table(args.experiment, *draw, args.i, args.eps_coeff)
-    else:
-        rows = getattr(experiment, args.experiment)(experiment.sample_cases(*draw), args.i, eps_coeff=args.eps_coeff)
+    small = args.samples * len(args.i) <= experiment.SCALAR_TABLE_LIMIT
+    draw = experiment.scalar_cases if small else experiment.sample_cases
+    population = draw(args.seed, args.samples, args.D, args.range_ppm)
+    rows = getattr(experiment, args.experiment)(population, args.i, eps_coeff=args.eps_coeff)
     # cells and metadata strings first: an overflowing float() or str() fails before -o truncates a file
     table = [dict(_columns(row)) for row in rows]
     meta = {

@@ -3,8 +3,9 @@
 Every value the kernel accepts must equal what candidate_interval,
 reference_interval, compensate and naive_compensate return for that
 case; the cases it marks as fallback are the ones the experiments hand
-to those functions.  scalar_table, the small tables' route through
-those functions alone, must give the kernel route's rows and errors.
+to those functions.  scalar_cases, the small tables' case set, whose
+rows take the kernel's closed forms on Python ints, must give the kernel
+route's rows and errors through both experiments, under any configs.
 """
 
 import random
@@ -45,7 +46,7 @@ from skewcomp.experiment import (
     naive_floors,
     reference_ends,
     sample_cases,
-    scalar_table,
+    scalar_cases,
 )
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, resolve_format
 
@@ -634,9 +635,46 @@ def _outcome(call):
 @example("compensation_experiment", 1, 5, 10**6, [10**9, -1], DEFAULT_EPS_COEFF, 100)
 @example("compensation_experiment", 1, 5, 10**6, [10**9], DEFAULT_EPS_COEFF, 500001)
 def test_scalar_route_gives_the_kernel_routes_rows_and_errors(name, seed, n, D, i_list, eps_coeff, range_ppm):
-    kernel = getattr(experiment, name)
-    want = _outcome(lambda: kernel(sample_cases(seed, n, D, range_ppm), i_list, eps_coeff=eps_coeff))
-    assert _outcome(lambda: scalar_table(name, seed, n, D, range_ppm, i_list, eps_coeff)) == want
+    table = getattr(experiment, name)
+    want = _outcome(lambda: table(sample_cases(seed, n, D, range_ppm), i_list, eps_coeff=eps_coeff))
+    assert _outcome(lambda: table(scalar_cases(seed, n, D, range_ppm), i_list, eps_coeff=eps_coeff)) == want
+
+
+FORMATS = ("binary32", "binary64", P11)
+EVERY_CONFIG = tuple((method, fmt) for method in METHODS for fmt in FORMATS)
+EVERY_ALGORITHM = tuple(("naive", fmt) for fmt in FORMATS) + EVERY_CONFIG
+
+
+# FloatFormat(11) is off the hardware route, so the scalar set sends its rows to the per-case
+# functions, all but the naive floor; binary64 ends and approximate margins take the exact forms
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**40),
+    n=st.integers(1, 20),
+    D=st.sampled_from((10**6, 10**9, 2**53 + 5)),
+    i_list=st.lists(st.sampled_from((0, 10**6, 10**9, 2**53 + 3)), min_size=1, max_size=2),
+    eps_coeff=st.sampled_from((0, Fraction(1, 3), 10**20, DEFAULT_EPS_COEFF)),
+    bounds_first=st.booleans(),
+)
+@example(1, 20, 10**9, [10**6, 10**9], DEFAULT_EPS_COEFF, True)
+@example(1, 20, 2**53 + 5, [0, 10**6], DEFAULT_EPS_COEFF, False)
+def test_one_scalar_set_gives_the_kernel_rows_under_any_configs(seed, n, D, i_list, eps_coeff, bounds_first):
+    # one set serves both experiments in turn, so the second reads the per-(i, format) values the first kept
+    scalar, kernel = scalar_cases(seed, n, D), sample_cases(seed, n, D)
+    tables = [(bounds_experiment, EVERY_CONFIG), (compensation_experiment, EVERY_ALGORITHM)]
+    for table, configs in tables if bounds_first else tables[::-1]:
+        want = _outcome(lambda: table(kernel, i_list, configs, eps_coeff))
+        assert _outcome(lambda: table(scalar, i_list, configs, eps_coeff)) == want
+
+
+@pytest.mark.parametrize("sampler", [sample_cases, scalar_cases])
+@pytest.mark.parametrize("table", [bounds_experiment, compensation_experiment])
+def test_a_one_shot_i_list_gives_the_rows_of_its_tuple(sampler, table):
+    # the experiments read i_list once, so checking its values leaves them for the rows
+    population, i_list = sampler(1, 5, 10**6), (0, 10**6, 10**9)
+    want = table(population, i_list)
+    assert len(want) == 3 * (4 if table is bounds_experiment else 3)
+    assert table(population, iter(i_list)) == want
 
 
 def _drawn_cases(seed, n, D, range_ppm):
@@ -649,7 +687,7 @@ def _drawn_cases(seed, n, D, range_ppm):
 def _per_case_rows(name, seed, n, D, range_ppm, i_list, eps_coeff):
     """The rows of the experiment called name, from the public per-case functions alone.
 
-    The reference for scalar_table: every distinct case of the draw goes
+    The reference for the experiments over scalar_cases: every distinct case of the draw goes
     through candidate_interval and reference_interval, or compensate and
     naive_compensate, with rows in configs x i_list order and cases in
     ascending A, the order in which the kernel route raises.
@@ -727,4 +765,5 @@ def test_scalar_table_matches_the_per_case_reference(name, edge):
     want = _outcome(lambda: _per_case_rows(name, 1, n, D, range_ppm, i_list, eps_coeff))
     error = errors[name == "compensation_experiment"]
     assert want[0] is error if error else type(want) is list
-    assert _outcome(lambda: scalar_table(name, 1, n, D, range_ppm, i_list, eps_coeff)) == want
+    table = getattr(experiment, name)
+    assert _outcome(lambda: table(scalar_cases(1, n, D, range_ppm), i_list, eps_coeff=eps_coeff)) == want

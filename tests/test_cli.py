@@ -240,18 +240,26 @@ def test_columns_are_the_row_fields(capsys, command, row_type):
 def test_both_table_routes_write_the_same_bytes(capsys, monkeypatch, table, samples, i_list, scalar):
     # samples x i values at the scalar route's limit of 12288 and one past it, at D = 1e9,
     # where nearly every sample is its own case; each side is run again on the route it did not take
+    # both routes must reach the public experiment, whose traced span would otherwise read 0 calls
     argv = (table, "-n", samples, "--D", "1e9", "--i", i_list, "--seed", "7")
-    calls, real = [], experiment.scalar_table
+    name = {"table2": "bounds_experiment", "table3": "compensation_experiment"}[table]
+    calls = {"scalar_cases": [], name: []}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(key):
+        real = getattr(experiment, key)
 
-    monkeypatch.setattr(experiment, "scalar_table", counted)
+        def call(*args, **kwargs):
+            calls[key].append(args)
+            return real(*args, **kwargs)
+
+        return call
+
+    for key in calls:
+        monkeypatch.setattr(experiment, key, counted(key))
     taken = run(capsys, *argv)
-    assert taken[0] == 0 and bool(calls) is scalar
+    assert taken[0] == 0 and bool(calls["scalar_cases"]) is scalar and len(calls[name]) == 1
     monkeypatch.setattr(experiment, "SCALAR_TABLE_LIMIT", 0 if scalar else 10**9)
-    assert run(capsys, *argv) == taken and len(calls) == 1
+    assert run(capsys, *argv) == taken and len(calls["scalar_cases"]) == 1 and len(calls[name]) == 2
 
 
 # sha256 of the stdout bytes at --seed 42 -n 2000, keyed by (table, D) for
@@ -358,19 +366,20 @@ LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.sel
             ["skewcomp.experiment", "numpy", "skewcomp.tables"],
         ),
         ("import skewcomp.experiment", ["skewcomp.experiment"]),
+        ("from skewcomp import generate_samples\nassert len(generate_samples(42, 1000)) == 1000", ["skewcomp.experiment"]),
         ("from skewcomp.cli import main\nassert main(['selftest']) == 0", ["skewcomp.selfcheck"]),
     ],
     ids=[
         "import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2",
-        "cli-table2-wide", "cli-table2-kernel", "import-experiment", "cli-selftest",
+        "cli-table2-wide", "cli-table2-kernel", "import-experiment", "generate-samples", "cli-selftest",
     ],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
     # the experiment module and the table writer are compiled and imported
     # only by a process that draws a table, numpy only by one whose table is
     # above the scalar route's limit (3073 samples x 4 i values > 12288, where
-    # 3000 x 4, table-wide's size, is below it), and
-    # the check battery only by a selftest; a node that imports the package
+    # 3000 x 4, table-wide's size, is below it; generate_samples draws with the
+    # stdlib), and the check battery only by a selftest; a node that imports the package
     # and compensates readings pays for none of them
     script = f"import sys\n{statement}\nprint([m for m in {LATE_MODULES!r} if m in sys.modules])\n"
     assert run_fresh(script, os.devnull).splitlines()[-1] == str(loaded)
