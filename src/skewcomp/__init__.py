@@ -5,10 +5,11 @@ clock j ~ i*D/A under three interval constructions, refines them with an
 integer-only walk up from the lower bound, and checks everything against
 an exact rational oracle.  See the README for the experiment reproduction
 commands.  Each module's __all__ is its public API; the package exports
-their union.  The table pipeline, the experiment module with its numpy
-kernel, loads on first access to any of its other names; importing the
-package, compensating a reading or reading a table default such as
-skewcomp.DEFAULT_N loads neither.
+their union.  The table pipeline loads late: the experiment module on
+first access to any of its names but the table defaults, and its numpy
+kernel, the kernel module, only for a CaseTable or sample_cases.
+Importing the package, compensating a reading or reading a table
+default such as skewcomp.DEFAULT_N loads neither.
 """
 
 import importlib

@@ -1,4 +1,4 @@
-"""experiment's table kernel against the scalar functions, case by case.
+"""The table kernel against the scalar functions, case by case.
 
 Every value the kernel accepts must equal what candidate_interval,
 reference_interval, compensate and naive_compensate return for that
@@ -33,22 +33,18 @@ from skewcomp.compensator import OverflowRisk, compensate, naive_compensate, ora
 from skewcomp.experiment import (
     DEFAULT_I_LIST,
     BoundsRow,
-    CaseArrays,
     CompRow,
     CaseTable,
     StatSummary,
     TABLE2_CONFIGS,
     TABLE3_ALGORITHMS,
     bounds_experiment,
-    candidate_ends,
-    compensate_triples,
     compensation_experiment,
-    naive_floors,
-    reference_ends,
     sample_cases,
     scalar_cases,
 )
 from skewcomp.formats import BINARY32, BINARY64, FloatFormat, resolve_format
+from skewcomp.kernel import CaseArrays, candidate_ends, compensate_triples, naive_floors, reference_ends
 
 P11 = FloatFormat(11)
 # compensate walks up to the interval width; wider intervals (binary32 near

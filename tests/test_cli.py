@@ -234,11 +234,11 @@ def test_columns_are_the_row_fields(capsys, command, row_type):
 @pytest.mark.parametrize("table", ["table2", "table3"])
 @pytest.mark.parametrize(
     "samples, i_list, scalar",
-    [("3072", "1e6,1e7,1e8,1e9", True), ("12289", "1e9", False)],
+    [("3584", "1e6,1e7,1e8,1e9", True), ("14337", "1e9", False)],
     ids=["at-limit-scalar", "past-limit-kernel"],
 )
 def test_both_table_routes_write_the_same_bytes(capsys, monkeypatch, table, samples, i_list, scalar):
-    # samples x i values at the scalar route's limit of 12288 and one past it, at D = 1e9,
+    # samples x i values at the scalar route's limit of 14336 and one past it, at D = 1e9,
     # where nearly every sample is its own case; each side is run again on the route it did not take
     # both routes must reach the public experiment, whose traced span would otherwise read 0 calls
     argv = (table, "-n", samples, "--D", "1e9", "--i", i_list, "--seed", "7")
@@ -302,11 +302,11 @@ def run_fresh(script, *argv):
 
 def test_table_run_does_not_import_numpy_random():
     # numpy.random costs about 6 MB of resident memory per process; the table is
-    # past the scalar route's limit (12289 samples x 1 i value > 12288), so numpy loads
+    # past the scalar route's limit (14337 samples x 1 i value > 14336), so numpy loads
     script = (
         "import sys\n"
         "from skewcomp.cli import main\n"
-        "code = main(['table2', '-n', '12289', '--i', '1e6', '-o', sys.argv[1]])\n"
+        "code = main(['table2', '-n', '14337', '--i', '1e6', '-o', sys.argv[1]])\n"
         "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     assert run_fresh(script, os.devnull).split() == ["0", "True", "False"]
@@ -337,7 +337,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 # the modules the CLI imports only for the commands that need them
-LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.selfcheck")
+LATE_MODULES = ("skewcomp.experiment", "skewcomp.kernel", "numpy", "skewcomp.tables", "skewcomp.selfcheck")
 
 
 @pytest.mark.parametrize(
@@ -362,25 +362,30 @@ LATE_MODULES = ("skewcomp.experiment", "numpy", "skewcomp.tables", "skewcomp.sel
             ["skewcomp.experiment", "skewcomp.tables"],
         ),
         (
-            "from skewcomp.cli import main\nassert main(['table2', '-n', '3073', '--D', '1e9', '-o', sys.argv[1]]) == 0",
-            ["skewcomp.experiment", "numpy", "skewcomp.tables"],
+            "from skewcomp.cli import main\nassert main(['table2', '-n', '3585', '--D', '1e9', '-o', sys.argv[1]]) == 0",
+            ["skewcomp.experiment", "skewcomp.kernel", "numpy", "skewcomp.tables"],
         ),
         ("import skewcomp.experiment", ["skewcomp.experiment"]),
         ("from skewcomp import generate_samples\nassert len(generate_samples(42, 1000)) == 1000", ["skewcomp.experiment"]),
+        (
+            "from skewcomp import experiment\nassert experiment.sample_cases(42, 10).weight.sum() == 10",
+            ["skewcomp.experiment", "skewcomp.kernel", "numpy"],
+        ),
         ("from skewcomp.cli import main\nassert main(['selftest']) == 0", ["skewcomp.selfcheck"]),
     ],
     ids=[
         "import", "read-default", "import-cli", "compensate", "cli-compensate", "cli-bounds", "cli-table2",
-        "cli-table2-wide", "cli-table2-kernel", "import-experiment", "generate-samples", "cli-selftest",
+        "cli-table2-wide", "cli-table2-kernel", "import-experiment", "generate-samples", "sample-cases", "cli-selftest",
     ],
 )
 def test_only_a_table_run_loads_the_table_pipeline(statement, loaded):
     # the experiment module and the table writer are compiled and imported
-    # only by a process that draws a table, numpy only by one whose table is
-    # above the scalar route's limit (3073 samples x 4 i values > 12288, where
-    # 3000 x 4, table-wide's size, is below it; generate_samples draws with the
-    # stdlib), and the check battery only by a selftest; a node that imports the package
-    # and compensates readings pays for none of them
+    # only by a process that draws a table, the kernel module and numpy only by
+    # one that calls sample_cases or whose table is above the scalar route's
+    # limit (3585 samples x 4 i values > 14336, where 3000 x 4, table-wide's
+    # size, is below it; generate_samples draws with the stdlib), and the check
+    # battery only by a selftest; a node that imports the package and
+    # compensates readings pays for none of them
     script = f"import sys\n{statement}\nprint([m for m in {LATE_MODULES!r} if m in sys.modules])\n"
     assert run_fresh(script, os.devnull).splitlines()[-1] == str(loaded)
 

@@ -34,14 +34,13 @@ from skewcomp.compensator import (
     refine,
 )
 from skewcomp.experiment import (
-    CaseArrays,
     bounds_experiment,
-    compensate_triples,
     compensation_experiment,
     generate_samples,
     sample_cases,
 )
 from skewcomp.formats import BINARY32, FloatFormat, format_label, relative_errors, resolve_format
+from skewcomp.kernel import CaseArrays, compensate_triples
 from skewcomp.rationals import is_in_format, round_ratio, round_to_format
 
 METHODS = ("theoretical", "practical", "approximate")

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from casetable import case_table
 from skewcomp.bounds import InvalidInput, candidate_interval
-from skewcomp import experiment
+from skewcomp import experiment, kernel
 from skewcomp.compensator import naive_compensate, oracle_nearest
 from skewcomp.experiment import (
     bounds_experiment,
     compensation_experiment,
     generate_samples,
     sample_cases,
+    scalar_cases,
 )
 
 
@@ -43,12 +44,18 @@ def assert_matches_reference(seed, n, D, range_ppm):
     table = sample_cases(seed, n, D, range_ppm)
     got = list(zip(zip(table.D.tolist(), table.A.tolist()), table.weight.tolist()))
     assert got == sorted(Counter((D, A) for _, A in want).items())
+    if n:  # scalar_cases, the small tables' draw, rejects an empty one
+        cases = scalar_cases(seed, n, D, range_ppm)
+        assert [((cases.D, A), w) for A, w in zip(cases.A, cases.weights)] == got
 
 
-# range_ppm 0, 1e-9, 1 and 2 draw from one 32-bit word per attempt, 100
-# from an aligned pair (k = 38)
+# range_ppm 0 (span 1, k = 1, so half the attempts are rejected), 1e-9, 1, 2
+# and reach 2**31 - 1 (span 2**32 - 1) draw from one 32-bit word per attempt;
+# reach 2**31 (span 2**32 + 1, k = 33) and 100 (k = 38) from an aligned pair
 @pytest.mark.parametrize("seed", [0, 42, -3, 2**40 + 7])
-@pytest.mark.parametrize("range_ppm", [0, Fraction(1, 10**9), 1, 2, 100])
+@pytest.mark.parametrize(
+    "range_ppm", [0, Fraction(1, 10**9), 1, 2, 100, Fraction(2**31 - 1, 10**9), Fraction(2**31, 10**9)]
+)
 @pytest.mark.parametrize("n", [0, 1, 1000])
 def test_draws_match_stdlib_randint(seed, range_ppm, n):
     assert_matches_reference(seed, n, 10**6, range_ppm)
@@ -58,7 +65,7 @@ def test_draws_match_stdlib_randint(seed, range_ppm, n):
 def test_draws_match_stdlib_randint_across_blocks(range_ppm):
     # more accepted draws than one block of _BLOCK = 2**15 attempts holds
     n = 70_000
-    assert n > experiment._BLOCK
+    assert n > kernel._BLOCK
     assert_matches_reference(42, n, 10**6, range_ppm)
 
 
@@ -399,7 +406,7 @@ def test_invalid_inputs_raise_before_any_row(monkeypatch, run, population, i_lis
     # (else the first case), before any kernel runs
     calls = []
     for name in ("candidate_ends", "reference_ends", "compensate_triples", "naive_floors"):
-        monkeypatch.setattr(experiment, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(kernel, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(error) as info:
         run(case_table(population), i_list)
     assert str(info.value) == message
